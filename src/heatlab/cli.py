@@ -23,23 +23,22 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_experiment_config
+from .config import ConfigError, ExperimentConfig, _fmt_value, load_experiment_config
 from .experiments import (
     build_mode,
     build_operator,
     make_initial_data,
     run_experiment,
     sweep,
+    write_constants,
 )
-from .grids import lp_norm
 from .semigroup import (
     EstimateSpec,
-    default_decay_t_grid,
     verify_gaussian_bound,
     verify_l2lq_decay,
     verify_spacetime,
 )
-from .variational import ConvergenceError, classify, energy, ground_state, mountain_pass_level
+from .variational import ConvergenceError, classify, energy, mountain_pass_level
 
 VERIFY_HEADER = "operator,estimate,slope,target,prefactor,pass"
 
@@ -78,20 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _cmd_solve(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     result = run_experiment(cfg, out, seed=seed)
     print(f"verdict = {result.summary['verdict']}")
-    print(f"t_final = {_fmt(result.summary['t_final'])}")
+    print(f"t_final = {_fmt_value(result.summary['t_final'])}")
     if "T_detect" in result.summary:
-        print(f"T_detect = {_fmt(result.summary['T_detect'])}")
+        print(f"T_detect = {_fmt_value(result.summary['T_detect'])}")
     print(f"wrote {os.path.join(out, 'trajectory.csv')}")
     return 0
 
@@ -101,8 +92,8 @@ def _cmd_ground_state(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> i
     os.makedirs(out, exist_ok=True)
     op = build_operator(cfg)
     mode = build_mode(cfg)
-    phi = ground_state(op, mode)
-    consts = mountain_pass_level(op, mode)
+    consts = mountain_pass_level(op, mode, method="nehari_inf")
+    phi = consts.ground_state
     rep = energy(phi, op, mode)
 
     coords = op.grid.coords()
@@ -111,20 +102,11 @@ def _cmd_ground_state(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> i
         fh.write(header + "\n")
         for row, val in zip(coords, phi.values):
             fh.write(",".join(repr(float(c)) for c in row) + "," + repr(float(val)) + "\n")
-    with open(os.path.join(out, "constants.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"S = {_fmt(consts.S)}\n")
-        fh.write(f"level = {_fmt(consts.level)}\n")
-        fh.write(f"y_C = {_fmt(consts.y_C)}\n")
-        fh.write(f"p = {_fmt(consts.p)}\n")
-        fh.write(f"regime = {consts.regime}\n")
-        fh.write(f"method = {consts.method}\n")
-        fh.write(f"ground_state_energy = {_fmt(rep.energy)}\n")
-        fh.write(f"ground_state_energy_norm = {_fmt(rep.energy_norm)}\n")
-        fh.write("\n# --- config echo ---\n")
-        fh.write(cfg.echo_text())
-    print(f"level = {_fmt(consts.level)}")
-    print(f"S = {_fmt(consts.S)}")
-    print(f"ground state energy = {_fmt(rep.energy)}")
+    extra = {"ground_state_energy": rep.energy, "ground_state_energy_norm": rep.energy_norm}
+    write_constants(out, cfg, consts, extra=extra)
+    print(f"level = {_fmt_value(consts.level)}")
+    print(f"S = {_fmt_value(consts.S)}")
+    print(f"ground state energy = {_fmt_value(rep.energy)}")
     return 0
 
 
@@ -136,17 +118,17 @@ def _cmd_classify(cfg: ExperimentConfig, out: Optional[str], seed: Optional[int]
         raise ConfigError(
             "equation.nonlinearity", "classification thresholds need the source sign"
         )
-    u0 = make_initial_data(cfg, op, mode)
     consts = mountain_pass_level(op, mode)
+    u0 = make_initial_data(cfg, op, consts)
     rep = classify(u0, op, mode, consts)
     lines = [
         f"membership = {rep.membership}",
-        f"borderline = {_fmt(rep.borderline)}",
-        f"energy = {_fmt(rep.energy)}",
-        f"nehari = {_fmt(rep.nehari)}",
-        f"energy_norm = {_fmt(rep.energy_norm)}",
-        f"level = {_fmt(consts.level)}",
-        f"y_C = {_fmt(consts.y_C)}",
+        f"borderline = {_fmt_value(rep.borderline)}",
+        f"energy = {_fmt_value(rep.energy)}",
+        f"nehari = {_fmt_value(rep.nehari)}",
+        f"energy_norm = {_fmt_value(rep.energy_norm)}",
+        f"level = {_fmt_value(consts.level)}",
+        f"y_C = {_fmt_value(consts.y_C)}",
     ]
     if rep.note:
         lines.append(f"note = {rep.note}")
@@ -204,7 +186,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
         for kind, name, slope, target, prefactor, passed in rows:
             fh.write(
                 f"{kind},{name},{repr(float(slope))},{repr(float(target))},"
-                f"{repr(float(prefactor))},{_fmt(bool(passed))}\n"
+                f"{repr(float(prefactor))},{_fmt_value(bool(passed))}\n"
             )
     n_pass = sum(1 for row in rows if row[5])
     print(f"{n_pass}/{len(rows)} estimates passed; wrote {path}")

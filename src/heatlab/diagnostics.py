@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import Trajectory
+from .evolution import Trajectory, _nonuniform_derivative
 from .grids import Field, lp_norm
 from .operators import SpectralOperator
 from .semigroup import apply_semigroup
@@ -66,17 +66,6 @@ class CoercivityReport:
     below_y_C: bool
 
 
-def _nonuniform_derivative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Quadratic-fit first derivative of g at interior points of a nonuniform grid."""
-    lt = t[1:-1] - t[:-2]
-    rt = t[2:] - t[1:-1]
-    return (
-        -rt / (lt * (lt + rt)) * g[:-2]
-        + (rt - lt) / (lt * rt) * g[1:-1]
-        + lt / (rt * (lt + rt)) * g[2:]
-    )
-
-
 def concavity(
     traj: Trajectory,
     A: float,
@@ -89,7 +78,8 @@ def concavity(
     require the cutoff mass recorded at radius R during integration.  The
     margin is the minimum of I'' I - (1+alpha)(I')^2 over the trailing third
     of the interior samples; a positive margin certifies explosion of I no
-    later than t_tilde = A / (alpha I'(0)).
+    later than t_tilde = A / (alpha I'(0)).  Sample times that do not
+    strictly increase raise ValueError.
     """
     if A <= 0 or alpha <= 0:
         raise ValueError("need A > 0 and alpha > 0")
@@ -129,49 +119,40 @@ def concavity(
     )
 
 
-def verdict(traj: Trajectory, consts: Optional[VariationalConstants] = None) -> Verdict:
-    """Judge a finished run and attach the result to the trajectory.
+def verdict(traj: Trajectory) -> Verdict:
+    """Judge a finished run, store the result in traj.verdict and return it.
 
     BlowsUp when detection fired.  Dissipates when the energy norm fell
     below 1e-3 of its initial value and (subcritical only) the decay
     statistic r(t) = sqrt(t) ||u||_E decreases across the last decade of
     samples with rate_stat = r(final)/r(mid) < 1.  Everything else is
-    Undecided with a reason.  consts is accepted for signature symmetry
-    with the other checks; the decision itself does not use it.
+    Undecided with a reason.  The decision needs no threshold constants.
     """
-    del consts
+    en = traj.column("energy_norm")
     if traj.T_detect is not None:
         v = Verdict(kind="BlowsUp", T_est=traj.T_detect)
-        traj.verdict = v
-        return v
-    en = traj.column("energy_norm")
-    t = traj.column("t")
-    if en[0] == 0.0:
+    elif en[0] == 0.0:
         v = Verdict(kind="Dissipates", rate_stat=0.0)
-        traj.verdict = v
-        return v
-    if en[-1] >= 1e-3 * en[0]:
+    elif en[-1] >= 1e-3 * en[0]:
         v = Verdict(
             kind="Undecided",
             reason=f"no detection and energy norm only decayed to {en[-1]/en[0]:.3e} of initial",
         )
-        traj.verdict = v
-        return v
-    window = np.nonzero(t >= t[-1] / 10.0)[0]
-    r = np.sqrt(t[window]) * en[window]
-    mid = window[np.argmin(np.abs(t[window] - t[-1] / math.sqrt(10.0)))]
-    rate_stat = float((math.sqrt(t[-1]) * en[-1]) / (math.sqrt(t[mid]) * en[mid]))
-    if traj.mode.regime == "subcritical":
+    else:
+        t = traj.column("t")
+        window = np.nonzero(t >= t[-1] / 10.0)[0]
+        r = np.sqrt(t[window]) * en[window]
+        mid = window[np.argmin(np.abs(t[window] - t[-1] / math.sqrt(10.0)))]
+        rate_stat = float((math.sqrt(t[-1]) * en[-1]) / (math.sqrt(t[mid]) * en[mid]))
         decreasing = bool(np.all(np.diff(r) <= 1e-9 * np.maximum(r[:-1], 1e-300)))
-        if not (decreasing and rate_stat < 1.0):
+        if traj.mode.regime != "subcritical" or (decreasing and rate_stat < 1.0):
+            v = Verdict(kind="Dissipates", rate_stat=rate_stat)
+        else:
             v = Verdict(
                 kind="Undecided",
                 reason=f"energy decayed but sqrt(t)*norm not decreasing (rate_stat={rate_stat:.3f})",
                 rate_stat=rate_stat,
             )
-            traj.verdict = v
-            return v
-    v = Verdict(kind="Dissipates", rate_stat=rate_stat)
     traj.verdict = v
     return v
 

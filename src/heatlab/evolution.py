@@ -24,7 +24,7 @@ regime, the space-time integral of |u|^q with q = 2(d+2)/(d-2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -208,20 +208,19 @@ class _Accumulators:
     order faster than the endpoint trapezoid would.
     """
 
-    def __init__(self, mode: EquationMode):
+    def __init__(self, q_crit: Optional[float]):
         self.diss = 0.0
         self.s_int = 0.0
-        self.q = 2.0 * (mode.dim + 2.0) / (mode.dim - 2.0) if mode.dim >= 3 else None
-        self.critical = mode.regime == "critical"
+        self.q = q_crit  # None outside the critical regime
 
     def advance(self, dt: float, prev: dict, cur: dict, mid: tuple):
         mid_diss, mid_s = mid
         self.diss += dt / 6.0 * (prev["diss_rate"] + 4.0 * mid_diss + cur["diss_rate"])
-        if self.critical:
+        if self.q is not None:
             self.s_int += dt / 6.0 * (prev["s_rate"] + 4.0 * mid_s + cur["s_rate"])
 
     def s_norm(self) -> float:
-        if not self.critical or self.s_int <= 0.0:
+        if self.q is None or self.s_int <= 0.0:
             return 0.0
         return self.s_int ** (1.0 / self.q)
 
@@ -273,7 +272,7 @@ def integrate(
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
     q_crit = 2.0 * (mode.dim + 2.0) / (mode.dim - 2.0) if mode.regime == "critical" else None
-    acc = _Accumulators(mode)
+    acc = _Accumulators(q_crit)
     weight = op.grid.weight
     order = _SCHEME_ORDER[cfg.scheme]
     expo = 1.0 / (order + 1.0)
@@ -464,6 +463,19 @@ def energy_identity_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(e + d - e[0])) / max(abs(e[0]), 1.0))
 
 
+def _nonuniform_derivative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Quadratic-fit first derivative of g at interior points of a nonuniform grid."""
+    lt = t[1:-1] - t[:-2]
+    rt = t[2:] - t[1:-1]
+    if np.any(lt <= 0) or np.any(rt <= 0):
+        raise ValueError("sample times must be strictly increasing")
+    return (
+        -rt / (lt * (lt + rt)) * g[:-2]
+        + (rt - lt) / (lt * rt) * g[1:-1]
+        + lt / (rt * (lt + rt)) * g[2:]
+    )
+
+
 def mass_identity_residual(traj: Trajectory) -> float:
     """Worst defect of J(u(t)) = -1/2 d/dt ||u||_2^2 at interior samples.
 
@@ -475,14 +487,6 @@ def mass_identity_residual(traj: Trajectory) -> float:
     j = traj.column("nehari")
     if t.size < 3:
         raise ValueError("need at least 3 samples")
-    lt = t[1:-1] - t[:-2]
-    rt = t[2:] - t[1:-1]
-    if np.any(lt <= 0) or np.any(rt <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    dm = (
-        -rt / (lt * (lt + rt)) * m[:-2]
-        + (rt - lt) / (lt * rt) * m[1:-1]
-        + lt / (rt * (lt + rt)) * m[2:]
-    )
+    dm = _nonuniform_derivative(t, m)
     defect = np.abs(0.5 * dm + j[1:-1])
     return float(np.max(defect) / max(np.max(np.abs(j)), 1.0))

@@ -1,8 +1,9 @@
 """Config-driven experiment runner.
 
 run_experiment takes a validated ExperimentConfig, assembles the operator,
-builds the initial data, integrates, judges the run and writes three plain
-text artifacts into the output directory:
+computes the threshold constants (their ground state is the one every
+ground-state recipe scales), builds the initial data, integrates, judges the
+run and writes three plain text artifacts into the output directory:
 
   trajectory.csv   one row per recorded sample
   summary.txt      key = value facts about the run
@@ -16,7 +17,6 @@ instead of aborting the axis.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _fmt_value
 from .diagnostics import concavity, coercivity_check, invariance_check, verdict
 from .evolution import (
     CSV_HEADER,
@@ -48,8 +48,6 @@ from .variational import (
     EquationMode,
     VariationalConstants,
     classify,
-    energy,
-    ground_state,
     mountain_pass_level,
 )
 
@@ -89,11 +87,16 @@ def build_mode(cfg: ExperimentConfig) -> EquationMode:
     return EquationMode.subcritical(cfg.p, cfg.dim, nonlinearity=cfg.nonlinearity)
 
 
-def make_initial_data(cfg: ExperimentConfig, op: SpectralOperator, mode: EquationMode) -> Field:
+def make_initial_data(
+    cfg: ExperimentConfig,
+    op: SpectralOperator,
+    consts: Optional[VariationalConstants],
+) -> Field:
     """Build the configured initial state on the operator's grid.
 
     gaussian centers snap to the nearest grid node so the profile peak sits
-    on a sample point regardless of resolution.
+    on a sample point regardless of resolution.  scaled_ground_state scales
+    consts.ground_state.
     """
     grid = op.grid
     if cfg.recipe == "zero":
@@ -113,8 +116,9 @@ def make_initial_data(cfg: ExperimentConfig, op: SpectralOperator, mode: Equatio
 
         return field_from_function(grid, profile)
     if cfg.recipe == "scaled_ground_state":
-        phi = ground_state(op, mode)
-        return cfg.lam * phi
+        if consts is None or consts.ground_state is None:
+            raise ValueError("ground state is defined for the source nonlinearity only")
+        return cfg.lam * consts.ground_state
     # eigenmode
     if cfg.mode_index >= op.n_modes:
         raise ConfigError("initial.k", f"operator has only {op.n_modes} modes")
@@ -137,14 +141,6 @@ class ExperimentResult:
     summary: dict
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _integrator_config(cfg: ExperimentConfig, radii: Tuple[float, ...]) -> IntegratorConfig:
     return IntegratorConfig(
         t_max=cfg.t_max,
@@ -160,29 +156,55 @@ def _integrator_config(cfg: ExperimentConfig, radii: Tuple[float, ...]) -> Integ
     )
 
 
+def write_constants(
+    out_dir: str,
+    cfg: ExperimentConfig,
+    consts: Optional[VariationalConstants],
+    status: str = "ok",
+    extra: Optional[dict] = None,
+) -> None:
+    """Write constants.txt: the constants (or their status when there are
+    none), the extra key = value facts, then the config echo."""
+    with open(os.path.join(out_dir, "constants.txt"), "w", encoding="utf-8") as fh:
+        if consts is not None:
+            for key in ("S", "level", "y_C", "p", "regime", "method"):
+                fh.write(f"{key} = {_fmt_value(getattr(consts, key))}\n")
+        else:
+            fh.write(f"# constants: {status}\n")
+        for key, value in (extra or {}).items():
+            fh.write(f"{key} = {_fmt_value(value)}\n")
+        fh.write("\n# --- config echo ---\n")
+        fh.write(cfg.echo_text())
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str,
     seed: Optional[int] = None,
-    compute_constants: bool = True,
 ) -> ExperimentResult:
-    """Run one configured experiment and write its artifacts into out_dir."""
+    """Run one configured experiment and write its artifacts into out_dir.
+
+    A failed constants solve is noted in summary.txt, unless the initial
+    data is the ground state itself: then the error propagates.
+    """
     os.makedirs(out_dir, exist_ok=True)
     seed_val = cfg.seed if seed is None else int(seed)
     op = build_operator(cfg)
     mode = build_mode(cfg)
-    u0 = make_initial_data(cfg, op, mode)
 
     consts: Optional[VariationalConstants] = None
     consts_note = "not computed"
-    if compute_constants and mode.sign > 0:
+    if mode.sign > 0:
         try:
             consts = mountain_pass_level(op, mode)
             consts_note = "ok"
         except (ConvergenceError, ValueError) as exc:
+            if cfg.recipe == "scaled_ground_state":
+                raise
             consts_note = f"failed: {exc}"
     elif mode.sign < 0:
         consts_note = "not applicable (absorbing nonlinearity)"
+    u0 = make_initial_data(cfg, op, consts)
 
     radii = cfg.cutoff_radii
     diag_R = cfg.diag_R
@@ -193,7 +215,7 @@ def run_experiment(
             radii = radii + (diag_R,)
 
     traj = integrate(u0, op, mode, _integrator_config(cfg, radii))
-    v = verdict(traj, consts)
+    v = verdict(traj)
 
     summary: dict = {}
     summary["seed"] = seed_val
@@ -265,20 +287,9 @@ def run_experiment(
 
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         for key, value in summary.items():
-            fh.write(f"{key} = {_fmt(value)}\n")
+            fh.write(f"{key} = {_fmt_value(value)}\n")
 
-    with open(os.path.join(out_dir, "constants.txt"), "w", encoding="utf-8") as fh:
-        if consts is not None:
-            fh.write(f"S = {_fmt(consts.S)}\n")
-            fh.write(f"level = {_fmt(consts.level)}\n")
-            fh.write(f"y_C = {_fmt(consts.y_C)}\n")
-            fh.write(f"p = {_fmt(consts.p)}\n")
-            fh.write(f"regime = {consts.regime}\n")
-            fh.write(f"method = {consts.method}\n")
-        else:
-            fh.write(f"# constants: {consts_note}\n")
-        fh.write("\n# --- config echo ---\n")
-        fh.write(cfg.echo_text())
+    write_constants(out_dir, cfg, consts, consts_note)
 
     return ExperimentResult(cfg=cfg, op=op, mode=mode, trajectory=traj, consts=consts, summary=summary)
 

@@ -168,9 +168,6 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values) -> "Field":
-        return Field(np.asarray(values), self.grid)
-
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
         return Field(self.values + other.values, self.grid)

@@ -81,25 +81,20 @@ ZERO_POTENTIAL = PotentialSpec()
 class OperatorSpec:
     """Declarative description of a self-adjoint generator L >= lower bound.
 
-    omega is the exponential growth allowance of the semigroup bound; all
-    shipped families satisfy the bounds with omega = 0 and the field is kept
-    only so reports can state it.  assumption_class may be given explicitly
-    or left None to be derived (see classify_assumption).
+    assumption_class may be given explicitly or left None to be derived
+    (see classify_assumption).
     """
 
     kind: str
     potential: PotentialSpec = ZERO_POTENTIAL
     sigma: float = 0.0
     assumption_class: Optional[str] = None
-    omega: float = 0.0
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "robin_halfline" and self.sigma < 0:
             raise ValueError("robin_halfline requires sigma >= 0")
-        if not (0.0 <= self.omega < 1.0):
-            raise ValueError("omega must lie in [0, 1)")
         if self.assumption_class not in (None, "A", "B", "neither"):
             raise ValueError("assumption_class must be 'A', 'B' or 'neither'")
 
@@ -258,7 +253,7 @@ def _laplacian_1d_bands(grid: Grid, spec: OperatorSpec) -> tuple[np.ndarray, np.
     return diag, off
 
 
-def _dense_matrix(grid: Grid, spec: OperatorSpec) -> np.ndarray:
+def _dense_matrix(grid: Grid) -> np.ndarray:
     """Kronecker-sum finite-difference Laplacian plus diagonal potential."""
     mats = []
     for axis in range(grid.dim):
@@ -299,7 +294,7 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     else:
         if spec.kind == "robin_halfline":
             raise AssemblyError("robin_halfline is one-dimensional")
-        a = _dense_matrix(grid, spec)
+        a = _dense_matrix(grid)
         if v is not None:
             a[np.diag_indices_from(a)] += v
         asym = np.max(np.abs(a - a.T))

@@ -307,26 +307,11 @@ def best_sobolev_constant(
 ) -> float:
     """Best constant of ||u||_{p+1} <= S ||u||_E on the grid.
 
-    Subcritical: computed from the ground-state level through the
-    mountain-pass identity and cross-checked against a direct maximisation
-    of the ratio started from an independent off-centre bump; disagreement
-    beyond 1% raises.  Critical: direct maximisation only (no subcritical
-    ground state exists to chain from).
+    The S of mountain_pass_level's "sobolev_formula" route, cross-check
+    included; call that directly when the level or ground state is needed
+    too, so the ground state is not solved twice.
     """
-    _require_source(mode, "best Sobolev constant")
-    psi, _, _ = _nehari_fixed_point(op, mode, _default_bump(op, offset=0.07), tol, max_iter)
-    rep = energy(psi, op, mode)
-    s_direct = rep.lp / rep.energy_norm
-    if mode.regime != "subcritical":
-        return float(s_direct)
-    phi = ground_state(op, mode, tol=tol, max_iter=max_iter)
-    s_chain = _chain_s_from_level(energy(phi, op, mode).energy, mode.p)
-    if abs(s_chain - s_direct) > 0.01 * s_chain:
-        raise ConvergenceError(
-            f"Sobolev constant routes disagree: chain {s_chain:.6e} vs direct {s_direct:.6e}",
-            abs(s_chain - s_direct) / s_chain,
-        )
-    return float(s_chain)
+    return mountain_pass_level(op, mode, "sobolev_formula", tol=tol, max_iter=max_iter).S
 
 
 def mountain_pass_level(
@@ -339,12 +324,15 @@ def mountain_pass_level(
     """Threshold constants via the Nehari infimum or the Sobolev formula.
 
     "nehari_inf" takes level = E(ground state) and chains S from it;
-    "sobolev_formula" computes S first (with its internal cross-check) and
-    evaluates the closed-form level.  Both routes satisfy the level/S
-    identity by construction; agreement between them is a solver check, the
-    analytic oracle for both is the explicit line ground state.  "auto"
-    picks nehari_inf when the ground state exists (subcritical) and the
-    Sobolev route otherwise.
+    "sobolev_formula" computes S first and evaluates the closed-form level.
+    Its S maximises the ratio directly from an independent off-centre bump;
+    in the subcritical regime it is cross-checked against the S chained from
+    the ground-state level (disagreement beyond 1% raises), which it then
+    returns.  Both routes satisfy the level/S identity by construction;
+    agreement between them is a solver check, the analytic oracle for both
+    is the explicit line ground state.  "auto" picks nehari_inf when the
+    ground state exists (subcritical) and the Sobolev route otherwise.  The
+    ground state, solved once, is returned with the constants.
     """
     _require_source(mode, "mountain-pass level")
     if method == "auto":
@@ -356,9 +344,20 @@ def mountain_pass_level(
         level = energy(phi, op, mode).energy
         s_const = _chain_s_from_level(level, mode.p)
     elif method == "sobolev_formula":
-        s_const = best_sobolev_constant(op, mode, tol=tol, max_iter=max_iter)
+        psi, _, _ = _nehari_fixed_point(op, mode, _default_bump(op, offset=0.07), tol, max_iter)
+        rep = energy(psi, op, mode)
+        s_const = rep.lp / rep.energy_norm
+        phi = None
+        if mode.regime == "subcritical":
+            phi = ground_state(op, mode, tol=tol, max_iter=max_iter)
+            s_chain = _chain_s_from_level(energy(phi, op, mode).energy, mode.p)
+            if abs(s_chain - s_const) > 0.01 * s_chain:
+                raise ConvergenceError(
+                    f"Sobolev constant routes disagree: chain {s_chain:.6e} vs direct {s_const:.6e}",
+                    abs(s_chain - s_const) / s_chain,
+                )
+            s_const = s_chain
         level = _level_from_s(s_const, mode.p)
-        phi = ground_state(op, mode, tol=tol, max_iter=max_iter) if mode.regime == "subcritical" else None
     else:
         raise ValueError(f"unknown method {method!r}")
     y_c = s_const ** (-2.0 * (mode.p + 1.0) / (mode.p - 1.0))

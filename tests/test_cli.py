@@ -4,8 +4,11 @@ import os
 
 import pytest
 
+import heatlab.variational as variational
 from heatlab.cli import VERIFY_HEADER, main
+from heatlab.config import load_experiment_config
 from heatlab.evolution import CSV_HEADER
+from heatlab.experiments import build_operator, run_experiment
 
 SMALL_RUN = """
 equation.regime = subcritical
@@ -145,6 +148,12 @@ def test_sweep_runs_axis(tmp_path, capsys):
     assert len(lines) == 3
     verdicts = {ln.split(",")[1]: ln.split(",")[2] for ln in lines[1:]}
     assert verdicts["1.5"] == "BlowsUp"
+    serial = str(tmp_path / "sweep_serial")
+    assert main(["sweep", cfg, "--out", serial, "--threads", "1"]) == 0
+    with open(os.path.join(serial, "sweep.csv"), "rb") as fh_serial, open(
+        os.path.join(out, "sweep.csv"), "rb"
+    ) as fh_parallel:
+        assert fh_serial.read() == fh_parallel.read()
 
 
 def test_sweep_empty_axis(tmp_path):
@@ -206,3 +215,50 @@ def test_seed_override_lands_in_summary(tmp_path):
     assert rc == 0
     with open(os.path.join(out, "summary.txt"), encoding="utf-8") as fh:
         assert "seed = 42" in fh.read()
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Count the Nehari fixed-point solves (one per ground state or S)."""
+    calls = []
+    original = variational._nehari_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_nehari_fixed_point", counting)
+    return calls
+
+
+def test_sobolev_route_solves_ground_state_once(tmp_path, count_solves):
+    cfg = load_experiment_config(write_cfg(tmp_path, BLOWUP_RUN))
+    op = build_operator(cfg)
+    mode = variational.EquationMode.subcritical(3.0, 1)
+    consts = variational.mountain_pass_level(op, mode, method="sobolev_formula")
+    assert consts.ground_state is not None
+    assert len(count_solves) == 2  # the direct ratio maximiser and the ground state
+
+
+def test_scaled_ground_state_run_solves_once(tmp_path, count_solves):
+    cfg = load_experiment_config(write_cfg(tmp_path, BLOWUP_RUN))
+    run_experiment(cfg, str(tmp_path / "out"))
+    assert len(count_solves) == 1
+
+
+def test_ground_state_command_solves_once(tmp_path, count_solves):
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    assert main(["ground-state", cfg, "--out", str(tmp_path / "gs")]) == 0
+    assert len(count_solves) == 1
+
+
+def test_rerun_artifacts_are_byte_identical(tmp_path):
+    cfg = load_experiment_config(write_cfg(tmp_path, BLOWUP_RUN))
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    run_experiment(cfg, first)
+    run_experiment(cfg, second)
+    for name in ("trajectory.csv", "summary.txt", "constants.txt"):
+        with open(os.path.join(first, name), "rb") as fa, open(
+            os.path.join(second, name), "rb"
+        ) as fb:
+            assert fa.read() == fb.read(), name

@@ -97,6 +97,9 @@ def test_concavity_validation():
     short = make_traj(t[:4], SUB)
     with pytest.raises(ValueError, match="at least 5"):
         concavity(short, A=1.0)
+    repeated = make_traj(np.concatenate([t[:10], t[9:]]), SUB)  # t[9] sampled twice
+    with pytest.raises(ValueError, match="strictly increasing"):
+        concavity(repeated, A=1.0)
 
 
 def test_concavity_critical_needs_recorded_cutoff():
