@@ -6,12 +6,17 @@ booleans, bare strings or comma-separated lists of those.  No nesting, no
 quoting, no interpolation.  parse_config_text -> ExperimentConfig.from_mapping
 validates everything up front (naming the offending key) so a bad config
 never reaches the numerics.
+
+_SCHEMA is the single list of keys: each row gives the ExperimentConfig
+field a key fills, the parser that type- and range-checks its value, and its
+default (_REQUIRED when the key must be given).  Rules that tie several keys
+together follow the table loop in from_mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 Scalar = Union[int, float, bool, str]
 Value = Union[Scalar, Tuple[Scalar, ...]]
@@ -63,11 +68,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def parse_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def _fmt_value(value: Value) -> str:
     if isinstance(value, tuple):
         return ", ".join(_fmt_value(v) for v in value)
@@ -78,85 +78,125 @@ def _fmt_value(value: Value) -> str:
     return str(value)
 
 
-_KNOWN_KEYS = {
-    "equation.regime",
-    "equation.p",
-    "equation.nonlinearity",
-    "domain.kind",
-    "domain.lower",
-    "domain.upper",
-    "grid.n",
-    "operator.kind",
-    "operator.sigma",
-    "potential.kind",
-    "potential.alpha",
-    "potential.coupling",
-    "potential.sign",
-    "potential.depth",
-    "potential.width",
-    "initial.recipe",
-    "initial.amplitude",
-    "initial.center",
-    "initial.width",
-    "initial.lambda",
-    "initial.k",
-    "integrator.scheme",
-    "integrator.t_max",
-    "integrator.dt_init",
-    "integrator.dt_min",
-    "integrator.dt_max",
-    "integrator.rel_tol",
-    "integrator.sup_cap",
-    "integrator.energy_cap",
-    "integrator.sample_interval",
-    "integrator.cutoff_radii",
-    "diagnostics.alpha",
-    "diagnostics.A",
-    "diagnostics.R",
-    "sweep.key",
-    "sweep.values",
-    "seed",
-}
+# Parsers take a raw value and return the field value, or raise ValueError
+# with a message; from_mapping prefixes the message with the key.
 
 
-def _as_float_tuple(value: Value, key: str) -> Tuple[float, ...]:
-    items = value if isinstance(value, tuple) else (value,)
-    out = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(key, f"expected number(s), got {item!r}")
-        out.append(float(item))
-    return tuple(out)
-
-
-def _as_int_tuple(value: Value, key: str) -> Tuple[int, ...]:
-    items = value if isinstance(value, tuple) else (value,)
-    out = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(key, f"expected integer(s), got {item!r}")
-        out.append(int(item))
-    return tuple(out)
-
-
-def _as_float(value: Value, key: str) -> float:
+def _number(value: Value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
 
-def _as_int(value: Value, key: str) -> int:
+def _integer(value: Value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _as_str(value: Value, key: str, choices: Optional[tuple] = None) -> str:
+def _items(value: Value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _each(parse: Callable) -> Callable:
+    """Parse a value, or every item of a comma list, into a tuple."""
+    return lambda value: tuple(parse(item) for item in _items(value))
+
+
+def _text(value: Value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(key, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(key, f"expected one of {choices}, got {value!r}")
+        raise ValueError(f"expected a string, got {value!r}")
     return value
+
+
+def _values(value: Value) -> Tuple[Scalar, ...]:
+    if value == "":
+        return ()  # an explicitly empty axis is legal
+    return _items(value)
+
+
+def _choice(*choices: str) -> Callable[[Value], str]:
+    def parse(value: Value) -> str:
+        if _text(value) not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
+    """Wrap parse so that the value, or every item of a tuple, satisfies ok."""
+
+    def check(value: Value):
+        out = parse(value)
+        for item in _items(out):
+            if not ok(item):
+                raise ValueError(message)
+        return out
+
+    return check
+
+
+def _positive(parse: Callable) -> Callable:
+    return _checked(parse, lambda v: v > 0, "must be positive")
+
+
+def _nonnegative(parse: Callable) -> Callable:
+    return _checked(parse, lambda v: v >= 0, "must be >= 0")
+
+
+_REQUIRED = object()
+_grid_counts = _checked(
+    _each(_integer), lambda v: v >= 2, "need at least 2 interior nodes per axis"
+)
+_sign = _checked(_integer, lambda v: v in (1, -1), "sign is +1 (repulsive) or -1 (attractive)")
+
+# key -> (ExperimentConfig field, parser, default).  A default of None means
+# "not set"; domain.lower (required unless the domain is a halfline) and
+# equation.p (required unless the regime is critical) are checked after the
+# table loop.
+_SCHEMA = {
+    "equation.regime": ("regime", _choice("subcritical", "critical"), _REQUIRED),
+    "equation.p": ("p", _number, None),
+    "equation.nonlinearity": ("nonlinearity", _choice("source", "absorbing"), "source"),
+    "domain.kind": ("domain_kind", _choice("interval", "box", "halfline"), _REQUIRED),
+    "domain.lower": ("lower", _each(_number), None),
+    "domain.upper": ("upper", _each(_number), _REQUIRED),
+    "grid.n": ("n", _grid_counts, _REQUIRED),
+    "operator.kind": ("operator_kind",
+                      _choice("dirichlet_laplacian", "schrodinger", "robin_halfline"),
+                      "dirichlet_laplacian"),
+    "operator.sigma": ("sigma", _nonnegative(_number), 0.0),
+    "potential.kind": ("potential_kind", _choice("zero", "inverse_power", "gaussian_well"), "zero"),
+    "potential.alpha": ("potential_alpha", _number, 0.0),
+    "potential.coupling": ("potential_coupling", _number, 0.0),
+    "potential.sign": ("potential_sign", _sign, 1),
+    "potential.depth": ("potential_depth", _number, 1.0),
+    "potential.width": ("potential_width", _number, 1.0),
+    "initial.recipe": ("recipe", _choice("zero", "gaussian", "scaled_ground_state", "eigenmode"),
+                       _REQUIRED),
+    "initial.amplitude": ("amplitude", _number, 1.0),
+    "initial.center": ("center", _each(_number), (0.0,)),
+    "initial.width": ("width", _positive(_number), None),
+    "initial.lambda": ("lam", _nonnegative(_number), 1.0),
+    "initial.k": ("mode_index", _nonnegative(_integer), 0),
+    "integrator.scheme": ("scheme", _choice("exponential_euler", "etdrk2"), "etdrk2"),
+    "integrator.t_max": ("t_max", _positive(_number), _REQUIRED),
+    "integrator.dt_init": ("dt_init", _positive(_number), 1e-3),
+    "integrator.dt_min": ("dt_min", _positive(_number), 1e-13),
+    "integrator.dt_max": ("dt_max", _positive(_number), 0.5),
+    "integrator.rel_tol": ("rel_tol", _positive(_number), 1e-6),
+    "integrator.sup_cap": ("sup_cap", _positive(_number), 1e6),
+    "integrator.energy_cap": ("energy_cap", _positive(_number), 1e12),
+    "integrator.sample_interval": ("sample_interval", _positive(_number), None),
+    "integrator.cutoff_radii": ("cutoff_radii", _positive(_each(_number)), ()),
+    "diagnostics.alpha": ("diag_alpha", _positive(_number), 0.1),
+    "diagnostics.A": ("diag_A", _positive(_number), None),
+    "diagnostics.R": ("diag_R", _positive(_number), None),
+    "sweep.key": ("sweep_key", _text, None),
+    "sweep.values": ("sweep_values", _values, ()),
+    "seed": ("seed", _integer, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -208,22 +248,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - _KNOWN_KEYS)
+        unknown = sorted(set(raw) - set(_SCHEMA))
         if unknown:
             raise ConfigError(unknown[0], f"unknown key(s): {', '.join(unknown)}")
-
-        def need(key: str) -> Value:
+        values = {}
+        for key, (name, parse, default) in _SCHEMA.items():
             if key not in raw:
-                raise ConfigError(key, "required key is missing")
-            return raw[key]
+                if default is _REQUIRED:
+                    raise ConfigError(key, "required key is missing")
+                values[name] = default
+                continue
+            try:
+                values[name] = parse(raw[key])
+            except ValueError as exc:
+                raise ConfigError(key, str(exc)) from None
 
-        regime = _as_str(need("equation.regime"), "equation.regime", ("subcritical", "critical"))
-        domain_kind = _as_str(need("domain.kind"), "domain.kind", ("interval", "box", "halfline"))
-        upper = _as_float_tuple(need("domain.upper"), "domain.upper")
-        if domain_kind == "halfline":
-            lower = _as_float_tuple(raw.get("domain.lower", 0.0), "domain.lower")
-        else:
-            lower = _as_float_tuple(need("domain.lower"), "domain.lower")
+        domain_kind = values["domain_kind"]
+        if values["lower"] is None:
+            if domain_kind != "halfline":
+                raise ConfigError("domain.lower", "required key is missing")
+            values["lower"] = (0.0,)
+        lower, upper = values["lower"], values["upper"]
         if len(lower) != len(upper):
             raise ConfigError("domain.lower", "lower and upper have different lengths")
         dim = len(lower)
@@ -234,206 +279,57 @@ class ExperimentConfig:
         for lo, up in zip(lower, upper):
             if not up > lo:
                 raise ConfigError("domain.upper", "upper must exceed lower on every axis")
+        for key, name in (("grid.n", "n"), ("initial.center", "center")):
+            if len(values[name]) == 1:
+                values[name] = values[name] * dim
+            if len(values[name]) != dim:
+                raise ConfigError(key, f"expected {dim} entries, got {len(values[name])}")
 
-        n = _as_int_tuple(need("grid.n"), "grid.n")
-        if len(n) == 1 and dim > 1:
-            n = n * dim
-        if len(n) != dim:
-            raise ConfigError("grid.n", f"expected {dim} entries, got {len(n)}")
-        for count in n:
-            if count < 2:
-                raise ConfigError("grid.n", "need at least 2 interior nodes per axis")
-
-        if regime == "critical":
+        p = values["p"]
+        if values["regime"] == "critical":
             if dim < 3:
                 raise ConfigError("equation.regime", "critical requires d >= 3")
             p_star = (dim + 2.0) / (dim - 2.0)
-            if "equation.p" in raw:
-                p = _as_float(raw["equation.p"], "equation.p")
-                if abs(p - p_star) > 1e-12:
-                    raise ConfigError("equation.p", f"critical exponent in d={dim} is {p_star}")
-            p: Optional[float] = p_star
-        else:
-            p = _as_float(need("equation.p"), "equation.p")
-            if dim >= 3:
-                p_star = (dim + 2.0) / (dim - 2.0)
-                if not 1.0 < p < p_star:
-                    raise ConfigError("equation.p", f"subcritical range in d={dim} is (1, {p_star})")
-            elif p <= 1.0:
-                raise ConfigError("equation.p", "need p > 1")
+            if p is not None and abs(p - p_star) > 1e-12:
+                raise ConfigError("equation.p", f"critical exponent in d={dim} is {p_star}")
+            values["p"] = p_star
+        elif p is None:
+            raise ConfigError("equation.p", "required key is missing")
+        elif dim >= 3:
+            p_star = (dim + 2.0) / (dim - 2.0)
+            if not 1.0 < p < p_star:
+                raise ConfigError("equation.p", f"subcritical range in d={dim} is (1, {p_star})")
+        elif p <= 1.0:
+            raise ConfigError("equation.p", "need p > 1")
 
-        nonlinearity = _as_str(
-            raw.get("equation.nonlinearity", "source"),
-            "equation.nonlinearity",
-            ("source", "absorbing"),
-        )
-
-        operator_kind = _as_str(
-            raw.get("operator.kind", "dirichlet_laplacian"),
-            "operator.kind",
-            ("dirichlet_laplacian", "schrodinger", "robin_halfline"),
-        )
-        if operator_kind == "robin_halfline" and domain_kind != "halfline":
+        if values["operator_kind"] == "robin_halfline" and domain_kind != "halfline":
             raise ConfigError("operator.kind", "robin_halfline needs domain.kind = halfline")
-        sigma = _as_float(raw.get("operator.sigma", 0.0), "operator.sigma")
-        if sigma < 0:
-            raise ConfigError("operator.sigma", "Robin coefficient must be >= 0")
-
-        potential_kind = _as_str(
-            raw.get("potential.kind", "zero"),
-            "potential.kind",
-            ("zero", "inverse_power", "gaussian_well"),
-        )
-        if potential_kind != "zero" and operator_kind != "schrodinger":
+        potential_kind = values["potential_kind"]
+        if potential_kind != "zero" and values["operator_kind"] != "schrodinger":
             raise ConfigError("potential.kind", "potentials need operator.kind = schrodinger")
-        potential_alpha = _as_float(raw.get("potential.alpha", 0.0), "potential.alpha")
-        potential_coupling = _as_float(raw.get("potential.coupling", 0.0), "potential.coupling")
-        potential_sign = _as_int(raw.get("potential.sign", 1), "potential.sign")
-        if potential_sign not in (1, -1):
-            raise ConfigError("potential.sign", "sign is +1 (repulsive) or -1 (attractive)")
-        potential_depth = _as_float(raw.get("potential.depth", 1.0), "potential.depth")
-        potential_width = _as_float(raw.get("potential.width", 1.0), "potential.width")
-        if potential_kind == "inverse_power" and potential_alpha <= 0:
-            raise ConfigError("potential.alpha", "inverse-power potential needs alpha > 0")
-        if potential_kind == "gaussian_well" and potential_width <= 0:
+        if potential_kind == "inverse_power":
+            if values["potential_alpha"] <= 0:
+                raise ConfigError("potential.alpha", "inverse-power potential needs alpha > 0")
+            if values["potential_coupling"] < 0:
+                raise ConfigError("potential.coupling", "inverse-power coupling must be >= 0")
+        if potential_kind == "gaussian_well" and values["potential_width"] <= 0:
             raise ConfigError("potential.width", "need width > 0")
 
-        recipe = _as_str(
-            need("initial.recipe"),
-            "initial.recipe",
-            ("zero", "gaussian", "scaled_ground_state", "eigenmode"),
-        )
-        if recipe == "scaled_ground_state" and regime == "critical":
+        if values["recipe"] == "scaled_ground_state" and values["regime"] == "critical":
             raise ConfigError(
                 "initial.recipe", "scaled_ground_state is undefined in the critical regime"
             )
-        amplitude = _as_float(raw.get("initial.amplitude", 1.0), "initial.amplitude")
-        center = _as_float_tuple(raw.get("initial.center", (0.0,) * dim), "initial.center")
-        if len(center) == 1 and dim > 1:
-            center = center * dim
-        if len(center) != dim:
-            raise ConfigError("initial.center", f"expected {dim} entries, got {len(center)}")
-        width = None
-        if "initial.width" in raw:
-            width = _as_float(raw["initial.width"], "initial.width")
-            if width <= 0:
-                raise ConfigError("initial.width", "need width > 0")
-        lam = _as_float(raw.get("initial.lambda", 1.0), "initial.lambda")
-        if lam < 0:
-            raise ConfigError("initial.lambda", "need lambda >= 0")
-        mode_index = _as_int(raw.get("initial.k", 0), "initial.k")
-        if mode_index < 0:
-            raise ConfigError("initial.k", "mode index must be >= 0")
+        if not values["dt_min"] <= values["dt_init"] <= values["dt_max"]:
+            raise ConfigError("integrator.dt_init", "need dt_min <= dt_init <= dt_max")
 
-        scheme = _as_str(
-            raw.get("integrator.scheme", "etdrk2"),
-            "integrator.scheme",
-            ("exponential_euler", "etdrk2"),
-        )
-        t_max = _as_float(need("integrator.t_max"), "integrator.t_max")
-        if t_max <= 0:
-            raise ConfigError("integrator.t_max", "need t_max > 0")
-        dt_init = _as_float(raw.get("integrator.dt_init", 1e-3), "integrator.dt_init")
-        dt_min = _as_float(raw.get("integrator.dt_min", 1e-13), "integrator.dt_min")
-        dt_max = _as_float(raw.get("integrator.dt_max", 0.5), "integrator.dt_max")
-        rel_tol = _as_float(raw.get("integrator.rel_tol", 1e-6), "integrator.rel_tol")
-        sup_cap = _as_float(raw.get("integrator.sup_cap", 1e6), "integrator.sup_cap")
-        energy_cap = _as_float(raw.get("integrator.energy_cap", 1e12), "integrator.energy_cap")
-        for key, val in (
-            ("integrator.dt_init", dt_init),
-            ("integrator.dt_min", dt_min),
-            ("integrator.dt_max", dt_max),
-            ("integrator.rel_tol", rel_tol),
-            ("integrator.sup_cap", sup_cap),
-            ("integrator.energy_cap", energy_cap),
-        ):
-            if val <= 0:
-                raise ConfigError(key, "must be positive")
-        sample_interval = None
-        if "integrator.sample_interval" in raw:
-            sample_interval = _as_float(
-                raw["integrator.sample_interval"], "integrator.sample_interval"
-            )
-            if sample_interval <= 0:
-                raise ConfigError("integrator.sample_interval", "must be positive")
-        cutoff_radii = ()
-        if "integrator.cutoff_radii" in raw:
-            cutoff_radii = _as_float_tuple(raw["integrator.cutoff_radii"], "integrator.cutoff_radii")
-            for radius in cutoff_radii:
-                if radius <= 0:
-                    raise ConfigError("integrator.cutoff_radii", "radii must be positive")
-
-        diag_alpha = _as_float(raw.get("diagnostics.alpha", 0.1), "diagnostics.alpha")
-        if diag_alpha <= 0:
-            raise ConfigError("diagnostics.alpha", "need alpha > 0")
-        diag_A = None
-        if "diagnostics.A" in raw:
-            diag_A = _as_float(raw["diagnostics.A"], "diagnostics.A")
-            if diag_A <= 0:
-                raise ConfigError("diagnostics.A", "need A > 0")
-        diag_R = None
-        if "diagnostics.R" in raw:
-            diag_R = _as_float(raw["diagnostics.R"], "diagnostics.R")
-            if diag_R <= 0:
-                raise ConfigError("diagnostics.R", "need R > 0")
-
-        sweep_key = None
-        sweep_values: Tuple[Scalar, ...] = ()
-        if "sweep.key" in raw:
-            sweep_key = _as_str(raw["sweep.key"], "sweep.key")
-            if sweep_key not in _KNOWN_KEYS or sweep_key.startswith("sweep."):
+        sweep_key = values["sweep_key"]
+        if sweep_key is not None:
+            if sweep_key not in _SCHEMA or sweep_key.startswith("sweep."):
                 raise ConfigError("sweep.key", f"cannot sweep over {sweep_key!r}")
-        if "sweep.values" in raw:
-            vals = raw["sweep.values"]
-            if vals == "":
-                sweep_values = ()  # an explicitly empty axis is legal
-            else:
-                sweep_values = vals if isinstance(vals, tuple) else (vals,)
-        elif sweep_key is not None:
-            raise ConfigError("sweep.values", "sweep.key set but sweep.values is missing")
+            if "sweep.values" not in raw:
+                raise ConfigError("sweep.values", "sweep.key set but sweep.values is missing")
 
-        seed = _as_int(raw.get("seed", 0), "seed")
-
-        return ExperimentConfig(
-            regime=regime,
-            p=p,
-            nonlinearity=nonlinearity,
-            domain_kind=domain_kind,
-            lower=lower,
-            upper=upper,
-            n=n,
-            operator_kind=operator_kind,
-            sigma=sigma,
-            potential_kind=potential_kind,
-            potential_alpha=potential_alpha,
-            potential_coupling=potential_coupling,
-            potential_sign=potential_sign,
-            potential_depth=potential_depth,
-            potential_width=potential_width,
-            recipe=recipe,
-            amplitude=amplitude,
-            center=center,
-            width=width,
-            lam=lam,
-            mode_index=mode_index,
-            scheme=scheme,
-            t_max=t_max,
-            dt_init=dt_init,
-            dt_min=dt_min,
-            dt_max=dt_max,
-            rel_tol=rel_tol,
-            sup_cap=sup_cap,
-            energy_cap=energy_cap,
-            sample_interval=sample_interval,
-            cutoff_radii=cutoff_radii,
-            diag_alpha=diag_alpha,
-            diag_A=diag_A,
-            diag_R=diag_R,
-            sweep_key=sweep_key,
-            sweep_values=sweep_values,
-            seed=seed,
-            raw=dict(raw),
-        )
+        return ExperimentConfig(**values, raw=dict(raw))
 
     def with_override(self, key: str, value: Value) -> "ExperimentConfig":
         """Re-validate with one key replaced (used by sweeps)."""
@@ -448,4 +344,5 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_mapping(parse_config_file(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return ExperimentConfig.from_mapping(parse_config_text(fh.read()))

@@ -241,7 +241,7 @@ def linear_profile_smallness(
         raise ValueError("the space-time profile norm is a critical-regime notion")
     if op.mu_min <= 0:
         raise ValueError("needs a strictly positive spectrum (certified kernel-bound family)")
-    q = 2.0 * (mode.dim + 2.0) / (mode.dim - 2.0)
+    q = 2.0 * mode.p_critical
     t_end = 10.0 / op.mu_min if t_cap is None else float(t_cap)
     ts = np.concatenate([[0.0], np.geomspace(1e-6 * t_end, t_end, n_slices)])
     vals = np.array(

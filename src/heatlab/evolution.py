@@ -271,7 +271,7 @@ def integrate(
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
-    q_crit = 2.0 * (mode.dim + 2.0) / (mode.dim - 2.0) if mode.regime == "critical" else None
+    q_crit = 2.0 * mode.p_critical if mode.regime == "critical" else None
     acc = _Accumulators(q_crit)
     weight = op.grid.weight
     order = _SCHEME_ORDER[cfg.scheme]

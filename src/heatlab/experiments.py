@@ -298,7 +298,7 @@ SWEEP_HEADER = "index,value,verdict,T_detect,t_final,rate_stat,concavity_margin,
 
 
 def _sweep_worker(args) -> dict:
-    raw, key, value, run_dir, index, seed = args
+    cfg, value, run_dir, index, seed = args
     row = {
         "index": index,
         "value": value,
@@ -310,7 +310,7 @@ def _sweep_worker(args) -> dict:
         "error": "",
     }
     try:
-        sub = ExperimentConfig.from_mapping(raw).with_override(key, value)
+        sub = cfg.with_override(cfg.sweep_key, value)
         result = run_experiment(sub, run_dir, seed=seed)
         row["verdict"] = result.summary["verdict"]
         row["T_detect"] = result.summary.get("T_detect", "")
@@ -334,7 +334,7 @@ def sweep(
     os.makedirs(out_dir, exist_ok=True)
     seed_val = cfg.seed if seed is None else int(seed)
     jobs = [
-        (cfg.raw, cfg.sweep_key, value, os.path.join(out_dir, f"run_{i:03d}"), i, seed_val)
+        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i, seed_val)
         for i, value in enumerate(cfg.sweep_values)
     ]
     if threads > 1 and len(jobs) > 1:

@@ -129,9 +129,7 @@ class VariationalConstants:
 
     level = (p-1)/(2(p+1)) * S^(-2(p+1)/(p-1)) holds by construction for both
     computation routes.  y_C = S^(-2(p+1)/(p-1)) bounds ||u||_E^2 along
-    trajectories trapped below the level.  delta is the a-posteriori
-    coercivity constant min J/||u||_E^2 of a trajectory; it starts None and
-    is filled by the diagnostics.
+    trajectories trapped below the level.
     """
 
     S: float
@@ -140,7 +138,6 @@ class VariationalConstants:
     p: float
     regime: str
     method: str
-    delta: Optional[float] = None
     ground_state: Optional[Field] = None
 
 

@@ -235,8 +235,8 @@ def absorbing_setup():
 
 
 def test_acceptance_1_two_route_level(capsys):
-    t0 = time.monotonic()
     line = line_setup()
+    t0 = time.monotonic()
     ln, ls = line["consts_n"].level, line["consts_s"].level
     target = 4.0 / 3.0
     err_n = abs(ln - target) / target
@@ -252,8 +252,8 @@ def test_acceptance_1_two_route_level(capsys):
 
 
 def test_acceptance_2_dichotomy(capsys):
-    t0 = time.monotonic()
     dich = dichotomy_setup()
+    t0 = time.monotonic()
     variants = dich["variants"]
     problems = []
     margins = {}
@@ -350,9 +350,9 @@ def test_acceptance_7_picard_crosscheck(capsys):
 
 
 def test_acceptance_8_critical_protocol(capsys):
-    t0 = time.monotonic()
     crit = critical_setup()
     runs = critical_runs_setup()
+    t0 = time.monotonic()
     small_v = runs["small_traj"].verdict
     s_cum = runs["small_traj"].samples[-1].s_norm_cum
     s_ok = (

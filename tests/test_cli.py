@@ -194,12 +194,16 @@ def test_sweep_without_axis_is_config_error(tmp_path, capsys):
 
 
 def test_config_error_names_key(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_RUN + "grid.m = 3\n")
-    rc = main(["solve", cfg, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error")
-    assert "grid.m" in err
+    for line, key in (
+        ("grid.m = 3", "grid.m"),
+        ("integrator.dt_init = 1.0", "integrator.dt_init"),  # dt_max defaults to 0.5
+    ):
+        cfg = write_cfg(tmp_path, SMALL_RUN + line + "\n")
+        rc = main(["solve", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert key in err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlab.config import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     load_experiment_config,
@@ -178,6 +181,14 @@ def test_operator_and_potential_rules():
             "potential.coupling": 1.0,
             "potential.sign": 2,
         }))
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_mapping(base_map(**{
+            "operator.kind": "schrodinger",
+            "potential.kind": "inverse_power",
+            "potential.alpha": 0.5,
+            "potential.coupling": -1.0,
+        }))
+    assert exc.value.key == "potential.coupling"
 
 
 def test_initial_recipe_rules():
@@ -214,6 +225,9 @@ def test_typed_value_rejection():
         ExperimentConfig.from_mapping(base_map(**{"integrator.rel_tol": -1.0}))
     with pytest.raises(ConfigError, match="t_max"):
         ExperimentConfig.from_mapping(base_map(**{"integrator.t_max": -2.0}))
+    with pytest.raises(ConfigError, match="dt_min <= dt_init <= dt_max") as exc:
+        ExperimentConfig.from_mapping(base_map(**{"integrator.dt_init": 1.0}))
+    assert exc.value.key == "integrator.dt_init"
 
 
 def test_sweep_axis():
@@ -268,3 +282,112 @@ def test_load_from_file(tmp_path):
     assert cfg.amplitude == 0.3
     with pytest.raises(FileNotFoundError):
         load_experiment_config(str(tmp_path / "missing.cfg"))
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_number = st.floats(-1e6, 1e6, **_finite) | st.integers(-1000, 1000)
+_positive = st.floats(1e-9, 1e6, **_finite) | st.integers(1, 1000)
+_nonnegative = st.floats(0.0, 1e6, **_finite) | st.integers(0, 1000)
+
+# valid values for the keys that no cross-key rule constrains
+_FREE_KEYS = {
+    "equation.nonlinearity": st.sampled_from(["source", "absorbing"]),
+    "operator.sigma": _nonnegative,
+    "potential.sign": st.sampled_from([1, -1]),
+    "potential.depth": _number,
+    "initial.amplitude": _number,
+    "initial.width": _positive,
+    "initial.lambda": _nonnegative,
+    "initial.k": st.integers(0, 50),
+    "integrator.scheme": st.sampled_from(["exponential_euler", "etdrk2"]),
+    "integrator.rel_tol": _positive,
+    "integrator.sup_cap": _positive,
+    "integrator.energy_cap": _positive,
+    "integrator.sample_interval": _positive,
+    "integrator.cutoff_radii": _positive | st.tuples(_positive, _positive),
+    "diagnostics.alpha": _positive,
+    "diagnostics.A": _positive,
+    "diagnostics.R": _positive,
+    "seed": st.integers(0, 2**31),
+}
+# the keys that cross-key rules tie together, drawn jointly by valid_mappings
+_RULE_KEYS = {
+    "equation.regime", "equation.p", "domain.kind", "domain.lower", "domain.upper",
+    "grid.n", "operator.kind", "potential.kind", "potential.alpha", "potential.coupling",
+    "potential.width", "initial.recipe", "initial.center", "integrator.t_max",
+    "integrator.dt_init", "integrator.dt_min", "integrator.dt_max", "sweep.key",
+    "sweep.values",
+}
+
+
+def _axes(values):
+    """A 1-tuple echoes as a scalar, so a single axis is written as one."""
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def _per_axis(strategy, dim):
+    return st.lists(strategy, min_size=dim, max_size=dim).map(_axes)
+
+
+@st.composite
+def valid_mappings(draw):
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["interval", "halfline", "box"])) if dim == 1 else "box"
+    regime = draw(st.sampled_from(["subcritical", "critical"])) if dim == 3 else "subcritical"
+    if kind == "halfline":
+        lower = [0.0]
+    else:
+        lower = draw(st.lists(st.floats(-100.0, 0.0), min_size=dim, max_size=dim))
+    upper = [lo + draw(st.floats(0.5, 100.0)) for lo in lower]
+    raw = {
+        "equation.regime": regime,
+        "domain.kind": kind,
+        "domain.upper": _axes(upper),
+        "grid.n": draw(st.integers(2, 64) | _per_axis(st.integers(2, 64), dim)),
+        "operator.kind": draw(st.sampled_from(
+            ["dirichlet_laplacian", "schrodinger"]
+            + (["robin_halfline"] if kind == "halfline" else []))),
+        "initial.recipe": draw(st.sampled_from(
+            ["zero", "gaussian", "eigenmode"]
+            + (["scaled_ground_state"] if regime == "subcritical" else []))),
+        "integrator.t_max": draw(_positive),
+    }
+    if kind != "halfline" or draw(st.booleans()):
+        raw["domain.lower"] = _axes(lower)
+    if regime == "subcritical":
+        p_max = (dim + 2.0) / (dim - 2.0) if dim >= 3 else 100.0
+        raw["equation.p"] = draw(st.floats(1.0, p_max, exclude_min=True, exclude_max=True))
+    elif draw(st.booleans()):
+        raw["equation.p"] = 5.0
+    if raw["operator.kind"] == "schrodinger":
+        raw["potential.kind"] = draw(st.sampled_from(["zero", "inverse_power", "gaussian_well"]))
+        raw["potential.alpha"] = draw(_positive)
+        raw["potential.coupling"] = draw(_nonnegative)
+        raw["potential.width"] = draw(_positive)
+    if draw(st.booleans()):
+        raw["initial.center"] = draw(_per_axis(_number, dim))
+    dt_min, dt_init, dt_max = sorted(draw(st.lists(_positive, min_size=3, max_size=3)))
+    raw.update({"integrator.dt_min": dt_min, "integrator.dt_init": dt_init,
+                "integrator.dt_max": dt_max})
+    for key in sorted(_FREE_KEYS):
+        if draw(st.booleans()):
+            raw[key] = draw(_FREE_KEYS[key])
+    if draw(st.booleans()):
+        raw["sweep.key"] = draw(st.sampled_from(sorted(_FREE_KEYS)))
+        raw["sweep.values"] = draw(st.just("") | _number | st.tuples(_number, _number))
+    return raw
+
+
+def test_generator_covers_every_schema_key():
+    assert not set(_FREE_KEYS) & _RULE_KEYS
+    assert set(_FREE_KEYS) | _RULE_KEYS == set(_SCHEMA)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_mappings())
+def test_echo_round_trip_property(raw):
+    cfg = ExperimentConfig.from_mapping(raw)
+    echoed = cfg.echo_text()
+    again = ExperimentConfig.from_mapping(parse_config_text(echoed))
+    assert again == cfg
+    assert again.echo_text() == echoed
