@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
-    result = run_experiment(cfg, out, seed=seed)
+def _cmd_solve(cfg: ExperimentConfig, out: str) -> int:
+    result = run_experiment(cfg, out)
     print(f"verdict = {result.summary['verdict']}")
     print(f"t_final = {_fmt_value(result.summary['t_final'])}")
     if "T_detect" in result.summary:
@@ -87,8 +87,7 @@ def _cmd_solve(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     return 0
 
 
-def _cmd_ground_state(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
-    del seed
+def _cmd_ground_state(cfg: ExperimentConfig, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     op = build_operator(cfg)
     mode = build_mode(cfg)
@@ -110,8 +109,7 @@ def _cmd_ground_state(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> i
     return 0
 
 
-def _cmd_classify(cfg: ExperimentConfig, out: Optional[str], seed: Optional[int]) -> int:
-    del seed
+def _cmd_classify(cfg: ExperimentConfig, out: Optional[str]) -> int:
     op = build_operator(cfg)
     mode = build_mode(cfg)
     if mode.sign <= 0:
@@ -141,11 +139,11 @@ def _cmd_classify(cfg: ExperimentConfig, out: Optional[str], seed: Optional[int]
     return 0
 
 
-def _cmd_verify(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
+def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     op = build_operator(cfg)
     shifted = op.assumption_class == "A"
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     for r_exp, name in ((2.0, "l2_to_l2_decay"), (math.inf, "l2_to_linf_decay")):
         rep = verify_l2lq_decay(op, EstimateSpec(r=r_exp), shifted=shifted, rng=rng)
@@ -193,8 +191,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out: str, seed: Optional[int], threads: int) -> int:
-    rows = sweep(cfg, out, threads=threads, seed=seed)
+def _cmd_sweep(cfg: ExperimentConfig, out: str, threads: int) -> int:
+    rows = sweep(cfg, out, threads=threads)
     n_err = sum(1 for row in rows if row["error"])
     print(f"swept {len(rows)} runs ({n_err} failed); wrote {os.path.join(out, 'sweep.csv')}")
     return 0
@@ -205,16 +203,18 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_experiment_config(args.config)
+        if args.seed is not None:
+            cfg = cfg.with_override("seed", args.seed)
         if args.command == "solve":
-            return _cmd_solve(cfg, args.out, args.seed)
+            return _cmd_solve(cfg, args.out)
         if args.command == "ground-state":
-            return _cmd_ground_state(cfg, args.out, args.seed)
+            return _cmd_ground_state(cfg, args.out)
         if args.command == "classify":
-            return _cmd_classify(cfg, args.out, args.seed)
+            return _cmd_classify(cfg, args.out)
         if args.command == "verify":
-            return _cmd_verify(cfg, args.out, args.seed)
+            return _cmd_verify(cfg, args.out)
         if args.command == "sweep":
-            return _cmd_sweep(cfg, args.out, args.seed, args.threads)
+            return _cmd_sweep(cfg, args.out, args.threads)
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

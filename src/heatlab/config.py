@@ -195,7 +195,7 @@ _SCHEMA = {
     "diagnostics.R": ("diag_R", _positive(_number), None),
     "sweep.key": ("sweep_key", _text, None),
     "sweep.values": ("sweep_values", _values, ()),
-    "seed": ("seed", _integer, 0),
+    "seed": ("seed", _nonnegative(_integer), 0),
 }
 
 

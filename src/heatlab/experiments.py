@@ -177,18 +177,13 @@ def write_constants(
         fh.write(cfg.echo_text())
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one configured experiment and write its artifacts into out_dir.
 
     A failed constants solve is noted in summary.txt, unless the initial
     data is the ground state itself: then the error propagates.
     """
     os.makedirs(out_dir, exist_ok=True)
-    seed_val = cfg.seed if seed is None else int(seed)
     op = build_operator(cfg)
     mode = build_mode(cfg)
 
@@ -218,7 +213,7 @@ def run_experiment(
     v = verdict(traj)
 
     summary: dict = {}
-    summary["seed"] = seed_val
+    summary["seed"] = cfg.seed
     summary["verdict"] = v.kind
     if v.rate_stat is not None:
         summary["rate_stat"] = v.rate_stat
@@ -298,7 +293,7 @@ SWEEP_HEADER = "index,value,verdict,T_detect,t_final,rate_stat,concavity_margin,
 
 
 def _sweep_worker(args) -> dict:
-    cfg, value, run_dir, index, seed = args
+    cfg, value, run_dir, index = args
     row = {
         "index": index,
         "value": value,
@@ -311,7 +306,7 @@ def _sweep_worker(args) -> dict:
     }
     try:
         sub = cfg.with_override(cfg.sweep_key, value)
-        result = run_experiment(sub, run_dir, seed=seed)
+        result = run_experiment(sub, run_dir)
         row["verdict"] = result.summary["verdict"]
         row["T_detect"] = result.summary.get("T_detect", "")
         row["t_final"] = result.summary["t_final"]
@@ -322,19 +317,13 @@ def _sweep_worker(args) -> dict:
     return row
 
 
-def sweep(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    threads: int = 1,
-    seed: Optional[int] = None,
-) -> list:
+def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
     """Run the configured sweep axis, one run per value, aggregate sweep.csv."""
     if cfg.sweep_key is None:
         raise ConfigError("sweep.key", "sweep requires sweep.key and sweep.values")
     os.makedirs(out_dir, exist_ok=True)
-    seed_val = cfg.seed if seed is None else int(seed)
     jobs = [
-        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i, seed_val)
+        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i)
         for i, value in enumerate(cfg.sweep_values)
     ]
     if threads > 1 and len(jobs) > 1:

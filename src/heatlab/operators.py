@@ -10,11 +10,21 @@ Three operator families are shipped:
 * robin_halfline: -d^2/dx^2 on a truncated half line with u'(0) = sigma*u(0),
   sigma >= 0, Dirichlet at the truncation edge.
 
-Every family is assembled as the standard second-order finite-difference
-matrix and diagonalised densely (1D matrices are tridiagonal and use the
-dedicated LAPACK driver).  The eigendecomposition is the single source of
-operator calculus downstream: semigroups, fractional powers and energy norms
-are all spectral multipliers in the returned basis.
+Every family is discretised by the standard second-order finite-difference
+stencil, and assemble returns its eigendecomposition, which is the single
+source of operator calculus downstream: semigroups, fractional powers and
+energy norms are all spectral multipliers in the returned eigenbasis.  Two
+paths compute it:
+
+* structured: the Dirichlet Laplacian, and a schrodinger operator whose
+  potential is zero, on any grid.  The eigenvectors are the orthonormal
+  tensor sine transform (DST-I) and the eigenvalues have the closed form
+  sum_i (4 / h_i^2) sin^2(k_i pi / (2 (n_i + 1))), so no matrix is built
+  and the coefficient transforms are fast transforms (Strang, SIAM Rev. 41,
+  1999; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+* dense: Robin and every nonzero potential.  The matrix is diagonalised
+  with LAPACK (tridiagonal eigensolver in 1D) and the transforms are matvecs
+  with the stored basis.
 
 The `assumption_class` tag records which decay regime a family is certified
 for: "B" means a pointwise Gaussian kernel bound holds (which implies the
@@ -24,10 +34,12 @@ available.  Families outside the certified list are tagged "neither".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse
 
@@ -192,13 +204,21 @@ def classify_assumption(spec: OperatorSpec, dim: int) -> str:
 
 @dataclass
 class SpectralOperator:
-    """Dense eigendecomposition of an assembled generator.
+    """Eigendecomposition of an assembled generator.
 
-    mu holds the eigenvalues in ascending order.  basis columns are
-    orthonormal in the unweighted Euclidean sense; the weighted-orthonormal
-    eigenvectors exposed by eigenvector() are basis[:, k] / sqrt(w).
-    Coefficient transforms are exact adjoints of each other under the
-    weighted inner product.
+    mu holds the eigenvalues in ascending order.  Coefficient k of a field is
+    its weighted inner product with the k-th weighted-orthonormal
+    eigenvector, so the transforms are exact adjoints of each other under
+    the weighted inner product and c.c is the squared L^2 norm.
+
+    On the dense path, basis is the N x N eigenvector matrix: its columns
+    are orthonormal in the unweighted Euclidean sense and eigenvector(k) is
+    basis[:, k] / sqrt(w); order is None.  On the structured path (see the
+    module docstring) the transforms are the orthonormal DST-I of the field
+    reshaped to the grid, basis is an N x 0 array because no matrix exists,
+    and order is the stable ascending permutation of the closed-form
+    eigenvalues in DST output order: to_coeffs gathers with it and
+    from_coeffs scatters with it.
     """
 
     spec: OperatorSpec
@@ -206,6 +226,7 @@ class SpectralOperator:
     mu: np.ndarray
     basis: np.ndarray
     assumption_class: str = field(default="neither")
+    order: Optional[np.ndarray] = None
 
     @property
     def n_modes(self) -> int:
@@ -218,13 +239,23 @@ class SpectralOperator:
     def to_coeffs(self, values) -> np.ndarray:
         if isinstance(values, Field):
             values = values.values
-        return np.sqrt(self.grid.weight) * (self.basis.T @ values)
+        if self.order is None:
+            return np.sqrt(self.grid.weight) * (self.basis.T @ values)
+        sines = scipy.fft.dstn(np.reshape(values, self.grid.n), type=1, norm="ortho")
+        return np.sqrt(self.grid.weight) * sines.ravel()[self.order]
 
     def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.basis @ coeffs) / np.sqrt(self.grid.weight)
+        if self.order is None:
+            return (self.basis @ coeffs) / np.sqrt(self.grid.weight)
+        sines = np.empty(self.n_modes, dtype=np.result_type(coeffs, float))
+        sines[self.order] = coeffs
+        out = scipy.fft.dstn(sines.reshape(self.grid.n), type=1, norm="ortho")
+        return out.ravel() / np.sqrt(self.grid.weight)
 
     def eigenvector(self, k: int) -> Field:
-        return Field(self.basis[:, k] / np.sqrt(self.grid.weight), self.grid)
+        unit = np.zeros(self.n_modes)
+        unit[k] = 1.0
+        return Field(self.from_coeffs(unit), self.grid)
 
     def apply_multiplier(self, multiplier: np.ndarray, values):
         """Apply the spectral multiplier g(L): values -> sum g(mu_k) c_k e_k.
@@ -238,6 +269,12 @@ class SpectralOperator:
 
     def matvec(self, values):
         return self.apply_multiplier(self.mu, values)
+
+
+def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues (4/h^2) sin^2(k pi / (2(n+1))), k = 1..n, of the 1D stencil."""
+    k = np.arange(1, n + 1)
+    return (4.0 / h**2) * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
 
 
 def _laplacian_1d_bands(grid: Grid, spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +323,17 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
 
     v = potential_on_grid(spec.potential, grid) if spec.kind == "schrodinger" else None
 
-    if grid.dim == 1:
+    order = None
+    if spec.kind == "dirichlet_laplacian" or (
+        spec.kind == "schrodinger" and spec.potential.is_zero()
+    ):
+        # Kronecker sum of the per-axis spectra, in DST output (C) order
+        axes = [_dirichlet_axis_eigenvalues(n, h) for n, h in zip(grid.n, grid.h)]
+        mu = functools.reduce(np.add.outer, axes).ravel()
+        order = np.argsort(mu, kind="stable")
+        mu = mu[order]
+        basis = np.empty((grid.n_total, 0))
+    elif grid.dim == 1:
         diag, off = _laplacian_1d_bands(grid, spec)
         if v is not None:
             diag = diag + v
@@ -303,7 +350,9 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
         mu, basis = scipy.linalg.eigh(a)
 
     klass = spec.assumption_class or classify_assumption(spec, grid.dim)
-    op = SpectralOperator(spec=spec, grid=grid, mu=mu, basis=basis, assumption_class=klass)
+    op = SpectralOperator(
+        spec=spec, grid=grid, mu=mu, basis=basis, assumption_class=klass, order=order
+    )
 
     if klass == "B" and mu[0] < -1e-10 * max(abs(mu[-1]), 1.0):
         raise AssemblyError(
@@ -314,13 +363,17 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
 
 
 def _check_reconstruction(op: SpectralOperator, diag_potential) -> None:
-    """Probe-based check that U diag(mu) U^T reproduces the stencil action."""
+    """Probe-based check that the transforms and mu reproduce the stencil action.
+
+    On the structured path this is what ties the DST and the closed-form
+    eigenvalues to the finite-difference operator.
+    """
     rng = np.random.default_rng(0)
     n = op.grid.n_total
     for _ in range(2):
         x = rng.standard_normal(n)
         ax = _stencil_apply(op, x, diag_potential)
-        err = np.linalg.norm(op.basis @ (op.mu * (op.basis.T @ x)) - ax)
+        err = np.linalg.norm(op.matvec(x) - ax)
         scale = max(np.linalg.norm(ax), 1.0)
         if err > 1e-8 * scale:
             raise AssemblyError(f"eigendecomposition reconstruction residual {err/scale:.2e}")

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .grids import Field, lp_norm
-from .operators import SpectralOperator
+from .operators import SpectralOperator, _dirichlet_axis_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,18 @@ def heat_kernel_column(op: SpectralOperator, t: float, y_index: int) -> Field:
 
     The semigroup matrix column at node y divided by the node weight, so that
     sum_x w * K(t; x, y) * f(y) reproduces the matrix action of e^{-tL}.
+    Without a stored basis the column is the semigroup applied to the unit
+    vector at y.
     """
     if t <= 0:
         raise ValueError("kernel time must be > 0")
-    col = op.basis @ (np.exp(-t * op.mu) * op.basis[y_index, :])
+    mult = np.exp(-t * op.mu)
+    if op.order is None:
+        col = op.basis @ (mult * op.basis[y_index, :])
+    else:
+        unit = np.zeros(op.grid.n_total)
+        unit[y_index] = 1.0
+        col = op.apply_multiplier(mult, unit)
     return Field(col / op.grid.weight, op.grid)
 
 
@@ -110,13 +119,30 @@ def smoothing_norm_2_to_inf(op: SpectralOperator, t: float, shifted: bool = Fals
 
     Row x of the semigroup matrix has squared Euclidean norm
     sum_k basis[x,k]^2 e^{-2 t mu_k}; the 2->inf norm is the largest row
-    norm divided by sqrt(w).
+    norm divided by sqrt(w).  On the structured path eigenvectors and
+    e^{-2 t mu} are both products over axes, so the largest row norm is the
+    product of the per-axis largest row norms.
     """
     if t <= 0:
         raise ValueError("need t > 0")
-    decay = np.exp(-2.0 * t * (op.mu + _shift_value(shifted)))
-    row_sq = (op.basis**2) @ decay
-    return float(np.sqrt(np.max(row_sq) / op.grid.weight))
+    if op.order is None:
+        decay = np.exp(-2.0 * t * (op.mu + _shift_value(shifted)))
+        row_sq = (op.basis**2) @ decay
+        return float(np.sqrt(np.max(row_sq) / op.grid.weight))
+    max_sq = math.exp(-2.0 * t * _shift_value(shifted))
+    for n, h in zip(op.grid.n, op.grid.h):
+        max_sq *= np.max(_sine_row_sq(np.exp(-2.0 * t * _dirichlet_axis_eigenvalues(n, h))))
+    return float(np.sqrt(max_sq / op.grid.weight))
+
+
+def _sine_row_sq(d: np.ndarray) -> np.ndarray:
+    """Rows sum_k s[x,k]^2 d_k of the orthonormal DST-I matrix s, k, x = 1..n.
+
+    s[x,k]^2 = (1 - cos(2 pi x k / (n+1))) / (n+1), so the cosine sums are
+    the real part of one FFT of length n + 1.
+    """
+    cos_sums = scipy.fft.fft(np.concatenate(([0.0], d))).real[1:]
+    return (np.sum(d) - cos_sums) / (d.size + 1)
 
 
 def default_decay_t_grid(op: SpectralOperator, n_points: int = 12) -> np.ndarray:

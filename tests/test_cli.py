@@ -221,6 +221,42 @@ def test_seed_override_lands_in_summary(tmp_path):
         assert "seed = 42" in fh.read()
 
 
+@pytest.mark.parametrize(
+    "line, detected",
+    [
+        # |u|^2 u of every stage overflows, so each attempt is rejected until
+        # dt falls below dt_min; the datum is already past 0.01 * sup_cap
+        ("initial.amplitude = 1.0e60", True),
+        # no step can meet the tolerance: dt collapses while nothing grows
+        ("integrator.rel_tol = 1.0e-30", False),
+    ],
+    ids=["stage_overflow", "dt_collapse"],
+)
+def test_failed_steps_end_in_named_outcome(tmp_path, line, detected):
+    key = line.split(" = ")[0]
+    text = "".join(ln + "\n" for ln in SMALL_RUN.splitlines() if not ln.startswith(key))
+    cfg = write_cfg(tmp_path, text + line + "\n")
+    out = str(tmp_path / "out")
+    assert main(["solve", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "summary.txt"), encoding="utf-8") as fh:
+        summary = fh.read()
+    assert "end_reason = dt_underflow" in summary
+    assert ("T_detect = " in summary) == detected
+    with open(os.path.join(out, "trajectory.csv"), encoding="utf-8") as fh:
+        assert "nan" not in fh.read().lower()
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # both the config key and the --seed override go through the seed schema check
+    for text, extra in ((SMALL_RUN + "seed = -1\n", []), (SMALL_RUN, ["--seed", "-1"])):
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["verify", cfg, "--out", str(tmp_path / "ver")] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "'seed'" in err
+
+
 @pytest.fixture
 def count_solves(monkeypatch):
     """Count the Nehari fixed-point solves (one per ground state or S)."""

@@ -2,20 +2,27 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import heatlab
+from heatlab.evolution import IntegratorConfig, integrate
 from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
 from heatlab.operators import (
     AssemblyError,
     OperatorSpec,
     PotentialSpec,
     ZERO_POTENTIAL,
+    _check_reconstruction,
     assemble,
     classify_assumption,
     validate_potential,
 )
+from heatlab.semigroup import heat_kernel_column, smoothing_norm_2_to_inf
+from heatlab.variational import EquationMode
 
 
 def test_two_node_matrix_eigenvalues():
@@ -225,3 +232,137 @@ def test_potential_sign_and_coupling_validation():
     with pytest.raises(ValueError):
         PotentialSpec(kind="inverse_power", alpha=1.0, coupling=1.0, sign=0)
     assert ZERO_POTENTIAL.is_zero()
+
+
+# --- structured (tensor DST-I) path against the dense oracle -----------------
+
+ORACLE_GRIDS = {
+    "line_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # n + 1 = 1601 is prime
+    "line_1599": (DomainSpec.interval(-20.0, 20.0), 1599),  # smooth n + 1
+    "box_7x9": (DomainSpec.box((0.0, 0.0), (1.0, 2.0)), (7, 9)),
+    "cube_13": (DomainSpec.box(-5.0, 5.0, 3), 13),
+    "box_6x7x8": (DomainSpec.box((-1.0, -2.0, -3.0), (2.0, 2.0, 2.0)), (6, 7, 8)),
+    "halfline": (DomainSpec.halfline(10.0), 200),
+}
+
+
+def _dense_oracle(grid):
+    # an all-zero tabulated potential is the same operator on the dense path
+    zero = PotentialSpec(kind="tabulated_bounded", values=np.zeros(grid.n_total))
+    return assemble(OperatorSpec(kind="schrodinger", potential=zero), grid)
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_GRIDS))
+def oracle_pair(request):
+    grid = build_grid(*ORACLE_GRIDS[request.param])
+    structured = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    dense = _dense_oracle(grid)
+    assert structured.order is not None and structured.basis.shape == (grid.n_total, 0)
+    assert dense.order is None and dense.basis.shape == (grid.n_total, grid.n_total)
+    return structured, dense
+
+
+def test_structured_spectrum_matches_oracle(oracle_pair):
+    structured, dense = oracle_pair
+    # relative to the spectral scale: a dense eigensolver resolves mu_k to
+    # eps * max|mu| in absolute terms, so the smallest eigenvalues of the
+    # 1-d grids differ by ~3e-10 of themselves; the closed form is exact to roundoff
+    scale = np.max(np.abs(dense.mu))
+    assert np.max(np.abs(structured.mu - dense.mu)) <= 1e-12 * scale
+
+
+def test_structured_semigroup_matches_oracle(oracle_pair):
+    structured, dense = oracle_pair
+    n_total = structured.grid.n_total
+    v = np.random.default_rng(7).standard_normal(n_total)
+    for t in (1e-3, 1e-2, 0.1):
+        # whole multiplier actions: 3-d eigenspaces are degenerate, so single
+        # coefficients of the two bases need not agree
+        a = structured.apply_multiplier(np.exp(-t * structured.mu), v)
+        b = dense.apply_multiplier(np.exp(-t * dense.mu), v)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        for y in (0, n_total // 3, n_total - 1):
+            ka = heat_kernel_column(structured, t, y).values
+            kb = heat_kernel_column(dense, t, y).values
+            assert np.max(np.abs(ka - kb)) <= 1e-12 * np.max(np.abs(kb))
+        for shifted in (False, True):
+            na = smoothing_norm_2_to_inf(structured, t, shifted=shifted)
+            nb = smoothing_norm_2_to_inf(dense, t, shifted=shifted)
+            assert math.isclose(na, nb, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["line_1600", "box_6x7x8"])
+def test_structured_smoothing_norm_matches_sine_matrix(name):
+    # The eigh oracle's long-time row norms carry its eigenvector error
+    # (eps * max|mu| / spectral gap; 1.9e-12 relative at t = 1 on line_1600),
+    # so long times are checked against the explicit orthonormal sine matrix.
+    grid = build_grid(*ORACLE_GRIDS[name])
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    for t in (1e-3, 0.1, 1.0, 10.0):
+        row_sq = np.ones(1)
+        for n, h in zip(grid.n, grid.h):
+            k = np.arange(1, n + 1)
+            sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+            mu = (4.0 / h**2) * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
+            row_sq = np.kron(row_sq, (sines**2) @ np.exp(-2.0 * t * mu))
+        for shifted in (False, True):
+            shift = math.exp(-2.0 * t) if shifted else 1.0
+            exact = math.sqrt(shift * np.max(row_sq) / grid.weight)
+            got = smoothing_norm_2_to_inf(op, t, shifted=shifted)
+            assert math.isclose(got, exact, rel_tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def transform_ops():
+    ops = []
+    for grid in (
+        build_grid(DomainSpec.interval(0.0, 3.0), 37),
+        build_grid(DomainSpec.box(-1.0, 1.0, 3), (3, 4, 5)),
+    ):
+        ops += [assemble(OperatorSpec(kind="dirichlet_laplacian"), grid), _dense_oracle(grid)]
+    return ops
+
+
+def _vectors(size):
+    # entries below 1e-6 in magnitude become 0, so no squared norm underflows
+    finite = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 1e-6 else 0.0)
+    return hnp.arrays(np.float64, size, elements=finite)
+
+
+# the vector lengths are the grid sizes, so Hypothesis's smallest example is large
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.large_base_example],
+)
+@given(data=st.data())
+def test_transform_properties(transform_ops, data):
+    # Parseval, adjointness and inversion on both transform implementations
+    for op in transform_ops:
+        w = op.grid.weight
+        u = data.draw(_vectors(op.grid.n_total))
+        c = data.draw(_vectors(op.n_modes))
+        cu = op.to_coeffs(u)
+        assert math.isclose(cu @ cu, w * (u @ u), rel_tol=1e-12)
+        lhs, rhs = cu @ c, w * (u @ op.from_coeffs(c))
+        assert abs(lhs - rhs) <= 1e-12 * math.sqrt(w) * np.linalg.norm(u) * np.linalg.norm(c)
+        back = op.from_coeffs(cu)
+        assert np.linalg.norm(back - u) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_unlocked_31_cube():
+    # 29,791 nodes: the dense basis alone would take 7.1 GB
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 31)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    assert op.n_modes == 31**3 and op.basis.nbytes == 0
+    h = grid.h[0]
+    axis = (4.0 / h**2) * np.sin(np.arange(1, 32) * np.pi / 64.0) ** 2
+    closed = np.sort((axis[:, None, None] + axis[None, :, None] + axis[None, None, :]).ravel())
+    assert np.allclose(op.mu, closed, rtol=1e-14, atol=0.0)
+    _check_reconstruction(op, diag_potential=None)
+    u0 = field_from_function(grid, lambda x: 0.3 * np.exp(-np.sum(x**2, axis=-1) / 2.0))
+    traj = integrate(u0, op, EquationMode.critical(3), IntegratorConfig(t_max=0.01))
+    assert traj.end_reason == "t_max"
+    assert math.isclose(traj.t_final, 0.01, rel_tol=1e-12)
