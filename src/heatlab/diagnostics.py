@@ -25,7 +25,7 @@ import numpy as np
 from .evolution import Trajectory, _nonuniform_derivative
 from .grids import Field, lp_norm
 from .operators import SpectralOperator
-from .semigroup import apply_semigroup
+from .semigroup import _semigroup_orbit
 from .variational import EquationMode, VariationalConstants
 
 _NEHARI_BAND = 1e-8  # |J| <= band * ||u||_E^2 counts as "on the manifold"
@@ -241,14 +241,16 @@ def linear_profile_smallness(
         raise ValueError("the space-time profile norm is a critical-regime notion")
     if op.mu_min <= 0:
         raise ValueError("needs a strictly positive spectrum (certified kernel-bound family)")
+    if n_slices < 2:
+        raise ValueError("need n_slices >= 2")
     q = 2.0 * mode.p_critical
     t_end = 10.0 / op.mu_min if t_cap is None else float(t_cap)
     ts = np.concatenate([[0.0], np.geomspace(1e-6 * t_end, t_end, n_slices)])
-    vals = np.array(
-        [lp_norm(apply_semigroup(op, float(t), u0), q) ** q for t in ts]
-    )
+    vals = []
+    for u in _semigroup_orbit(op, u0, ts):  # ts ends at exactly t_end
+        vals.append(lp_norm(u, q) ** q)
     main = float(np.trapezoid(vals, ts))
     c_grid = op.grid.weight ** (1.0 / q - 0.5)
-    l2_end = lp_norm(apply_semigroup(op, t_end, u0), 2.0)
+    l2_end = lp_norm(u, 2.0)
     tail = (c_grid * l2_end) ** q / (q * op.mu_min)
     return (main + tail) ** (1.0 / q)

@@ -27,6 +27,8 @@ import scipy.fft
 from .grids import Field, lp_norm
 from .operators import SpectralOperator, _dirichlet_axis_eigenvalues
 
+_ROW_BLOCK = 256  # basis rows per product in smoothing_norm_2_to_inf
+
 
 @dataclass(frozen=True)
 class EstimateSpec:
@@ -76,10 +78,17 @@ def _shift_value(shifted: bool) -> float:
 
 def apply_semigroup(op: SpectralOperator, t: float, f: Field, shifted: bool = False) -> Field:
     """e^{-t(L + shift)} f with shift = 1 when `shifted` (the mass term)."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    mult = np.exp(-t * (op.mu + _shift_value(shifted)))
-    return Field(op.apply_multiplier(mult, f.values), op.grid)
+    return next(_semigroup_orbit(op, f, (t,), shifted))
+
+
+def _semigroup_orbit(op: SpectralOperator, f: Field, times, shifted: bool = False):
+    """Yield e^{-t(L + shift)} f for each t in times, from one forward transform."""
+    c = op.to_coeffs(f.values)
+    shift = _shift_value(shifted)
+    for t in times:
+        if t < 0:
+            raise ValueError("semigroup time must be >= 0")
+        yield Field(op.from_coeffs(np.exp(-t * (op.mu + shift)) * c), op.grid)
 
 
 def apply_power(op: SpectralOperator, s: float, f: Field, homogeneous: bool = False) -> Field:
@@ -114,35 +123,53 @@ def heat_kernel_column(op: SpectralOperator, t: float, y_index: int) -> Field:
     return Field(col / op.grid.weight, op.grid)
 
 
-def smoothing_norm_2_to_inf(op: SpectralOperator, t: float, shifted: bool = False) -> float:
+def smoothing_norm_2_to_inf(
+    op: SpectralOperator, t: float | np.ndarray, shifted: bool = False
+) -> float | np.ndarray:
     """Exact operator norm of e^{-t(L+shift)} from L^2 to sup norm.
 
-    Row x of the semigroup matrix has squared Euclidean norm
-    sum_k basis[x,k]^2 e^{-2 t mu_k}; the 2->inf norm is the largest row
-    norm divided by sqrt(w).  On the structured path eigenvectors and
-    e^{-2 t mu} are both products over axes, so the largest row norm is the
-    product of the per-axis largest row norms.
+    t is a positive time or a 1-d array of them: a scalar gives a float, an
+    array gives an array of the same length.  Row x of the semigroup matrix
+    has squared Euclidean norm sum_k basis[x,k]^2 e^{-2 t mu_k}; the 2->inf
+    norm is the largest row norm divided by sqrt(w).  On the dense path the
+    row norms of every time come from one product (basis**2) @ decay with
+    decay[k, j] = e^{-2 t_j (mu_k + shift)}, taken over fixed blocks of
+    _ROW_BLOCK rows so that no N x N temporary is built, with a running
+    per-time maximum over the blocks.  On the structured path eigenvectors
+    and e^{-2 t mu} are both products over axes, so the largest row norm is
+    the product of the per-axis largest row norms.
     """
-    if t <= 0:
-        raise ValueError("need t > 0")
+    times = np.asarray(t, dtype=float)
+    scalar = times.ndim == 0
+    times = np.atleast_1d(times)
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times > 0)):
+        raise ValueError("need finite t > 0")
+    shift = _shift_value(shifted)
     if op.order is None:
-        decay = np.exp(-2.0 * t * (op.mu + _shift_value(shifted)))
-        row_sq = (op.basis**2) @ decay
-        return float(np.sqrt(np.max(row_sq) / op.grid.weight))
-    max_sq = math.exp(-2.0 * t * _shift_value(shifted))
-    for n, h in zip(op.grid.n, op.grid.h):
-        max_sq *= np.max(_sine_row_sq(np.exp(-2.0 * t * _dirichlet_axis_eigenvalues(n, h))))
-    return float(np.sqrt(max_sq / op.grid.weight))
+        decay = np.exp(-2.0 * np.outer(op.mu + shift, times))
+        max_sq = np.zeros(times.size)
+        for start in range(0, op.grid.n_total, _ROW_BLOCK):
+            block = op.basis[start : start + _ROW_BLOCK]
+            max_sq = np.maximum(max_sq, np.max((block**2) @ decay, axis=0))
+    else:
+        max_sq = np.exp(-2.0 * times * shift)
+        for n, h in zip(op.grid.n, op.grid.h):
+            axis_decay = np.exp(-2.0 * np.outer(_dirichlet_axis_eigenvalues(n, h), times))
+            max_sq = max_sq * np.max(_sine_row_sq(axis_decay), axis=0)
+    norms = np.sqrt(max_sq / op.grid.weight)
+    return float(norms[0]) if scalar else norms
 
 
 def _sine_row_sq(d: np.ndarray) -> np.ndarray:
     """Rows sum_k s[x,k]^2 d_k of the orthonormal DST-I matrix s, k, x = 1..n.
 
     s[x,k]^2 = (1 - cos(2 pi x k / (n+1))) / (n+1), so the cosine sums are
-    the real part of one FFT of length n + 1.
+    the real part of one FFT of length n + 1.  d is (n, T), one column per
+    time, and so is the result.
     """
-    cos_sums = scipy.fft.fft(np.concatenate(([0.0], d))).real[1:]
-    return (np.sum(d) - cos_sums) / (d.size + 1)
+    padded = np.concatenate((np.zeros((1, d.shape[1])), d))
+    cos_sums = scipy.fft.fft(padded, axis=0).real[1:]
+    return (np.sum(d, axis=0) - cos_sums) / (d.shape[0] + 1)
 
 
 def default_decay_t_grid(op: SpectralOperator, n_points: int = 12) -> np.ndarray:
@@ -218,15 +245,14 @@ def verify_l2lq_decay(
     for f in probes:
         scale = lp_norm(f, 2.0)
         norms = np.array(
-            [lp_norm(apply_semigroup(op, t, f, shifted=shifted), est.r) for t in t_grid]
+            [lp_norm(u, est.r) for u in _semigroup_orbit(op, f, t_grid, shifted)]
         ) / max(scale, 1e-300)
         norms = np.maximum(norms, 1e-300)
         slopes.append(float(np.polyfit(np.log(t_grid), np.log(norms), 1)[0]))
         worst = np.maximum(worst, norms)
     shift_val = 1.0 if shifted else 0.0
     if est.r == np.inf:
-        exact = np.array([smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in t_grid])
-        worst = np.maximum(worst, exact)
+        worst = np.maximum(worst, smoothing_norm_2_to_inf(op, t_grid, shifted=shifted))
     elif est.r == 2.0:
         worst = np.maximum(worst, np.exp(-t_grid * (op.mu_min + shift_val)))
 

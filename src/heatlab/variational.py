@@ -416,10 +416,11 @@ def sobolev_bound_from_semigroup(
 
     and the 2 -> p+1 norm interpolates between the exact 2 -> 2 norm
     e^{-t(1+mu_1)} and the exact 2 -> sup norm.  Both endpoint norms are
-    computed exactly on the grid, the time integral by log-space trapezoid
-    with rigorous small-t and large-t remainders added, so the result is a
-    genuine upper bound for the measured ratio (up to quadrature error on a
-    smooth integrand).  Subcritical mode only.
+    computed exactly on the grid (the 2 -> sup norm over all n_points times
+    in one call of smoothing_norm_2_to_inf), the time integral by log-space
+    trapezoid with rigorous small-t and large-t remainders added, so the
+    result is a genuine upper bound for the measured ratio (up to quadrature
+    error on a smooth integrand).  Subcritical mode only.
     """
     _require_source(mode, "Sobolev semigroup bound")
     if mode.regime != "subcritical":
@@ -432,13 +433,10 @@ def sobolev_bound_from_semigroup(
     t_max = 40.0 / rate2
     u_grid = np.linspace(math.log(t_min), math.log(t_max), n_points)
     t_grid = np.exp(u_grid)
-    vals = np.array(
-        [
-            t ** (-0.5)
-            * (math.exp(-t * rate2) ** theta)
-            * smoothing_norm_2_to_inf(op, t, shifted=True) ** (1.0 - theta)
-            for t in t_grid
-        ]
+    vals = (
+        t_grid ** (-0.5)
+        * np.exp(-t_grid * rate2) ** theta
+        * smoothing_norm_2_to_inf(op, t_grid, shifted=True) ** (1.0 - theta)
     )
     main = float(np.trapezoid(vals * t_grid, u_grid))  # dt = t du
     # below t_min: 2->inf norm is bounded by 1/sqrt(w) on a finite grid

@@ -45,6 +45,17 @@ def small_op():
 
 
 @pytest.fixture(scope="session")
+def well_op():
+    """Dense-path line operator: the attractive Gaussian well -2 exp(-x^2)."""
+    dom = heatlab.DomainSpec.interval(-20.0, 20.0)
+    grid = heatlab.build_grid(dom, 400)
+    pot = heatlab.PotentialSpec(
+        kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-np.sum(x * x, axis=-1))
+    )
+    return heatlab.assemble(heatlab.OperatorSpec(kind="schrodinger", potential=pot), grid)
+
+
+@pytest.fixture(scope="session")
 def pi_op():
     """Operator on (0, pi), where sine-mode quantities have closed forms."""
     dom = heatlab.DomainSpec.interval(0.0, np.pi)

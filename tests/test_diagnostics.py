@@ -268,11 +268,28 @@ def test_linear_profile_homogeneity(box3_op):
     assert math.isclose(scaled, 3.0 * base, rel_tol=1e-10)
 
 
+def test_linear_profile_matches_per_time_semigroup(box3_op):
+    op = box3_op
+    mode = EquationMode.critical(3)
+    q = 2.0 * mode.p_critical
+    u0 = heatlab.Field(np.random.default_rng(9).standard_normal(op.grid.n_total), op.grid)
+    for t_cap in (None, 2.5):
+        t_end = 10.0 / op.mu_min if t_cap is None else t_cap
+        ts = np.concatenate([[0.0], np.geomspace(1e-6 * t_end, t_end, 50)])
+        vals = [heatlab.lp_norm(heatlab.apply_semigroup(op, float(t), u0), q) ** q for t in ts]
+        l2_end = heatlab.lp_norm(heatlab.apply_semigroup(op, t_end, u0), 2.0)
+        tail = (op.grid.weight ** (1.0 / q - 0.5) * l2_end) ** q / (q * op.mu_min)
+        expected = (float(np.trapezoid(vals, ts)) + tail) ** (1.0 / q)
+        assert linear_profile_smallness(u0, op, mode, t_cap=t_cap, n_slices=50) == expected
+
+
 def test_linear_profile_mode_and_spectrum_guards(box3_op):
     rng = np.random.default_rng(8)
     u0 = heatlab.Field(rng.standard_normal(box3_op.grid.n_total), box3_op.grid)
     with pytest.raises(ValueError, match="critical"):
         linear_profile_smallness(u0, box3_op, EquationMode.subcritical(3.0, 1))
+    with pytest.raises(ValueError, match="n_slices"):
+        linear_profile_smallness(u0, box3_op, EquationMode.critical(3), n_slices=1)
     deep = heatlab.assemble(
         heatlab.OperatorSpec(
             kind="schrodinger",

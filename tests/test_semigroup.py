@@ -1,6 +1,7 @@
 """Heat propagators, fractional powers, kernel and decay verifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,93 @@ def test_smoothing_norm_is_sharp_2_to_inf(small_op):
         assert ratio <= bound * (1.0 + 1e-10)
     # the bound is attained by the aligned probe, so random probes get close
     assert worst > 0.2 * bound
+
+
+SMOOTHING_TIMES = np.geomspace(1e-4, 20.0, 40)
+
+
+def test_smoothing_norm_array_matches_scalar_loop_dense(well_op):
+    op = well_op
+    assert op.order is None and op.grid.n_total == 400  # two row blocks, one partial
+    for shifted in (False, True):
+        got = smoothing_norm_2_to_inf(op, SMOOTHING_TIMES, shifted=shifted)
+        assert isinstance(got, np.ndarray) and got.shape == SMOOTHING_TIMES.shape
+        loop = np.array([smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in SMOOTHING_TIMES])
+        assert np.max(np.abs(got - loop) / loop) <= 1e-13
+        # the whole-matrix formula, one time at a time
+        shift = 1.0 if shifted else 0.0
+        ref = np.array(
+            [
+                math.sqrt(
+                    np.max((op.basis**2) @ np.exp(-2.0 * t * (op.mu + shift))) / op.grid.weight
+                )
+                for t in SMOOTHING_TIMES
+            ]
+        )
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def test_smoothing_norm_scalar_and_invalid_times(small_op, well_op):
+    for op in (small_op, well_op):
+        one = smoothing_norm_2_to_inf(op, 0.3)
+        assert type(one) is float
+        assert one == smoothing_norm_2_to_inf(op, np.array([0.3]))[0]
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                smoothing_norm_2_to_inf(op, bad)
+            with pytest.raises(ValueError):
+                smoothing_norm_2_to_inf(op, np.array([0.1, bad, 1.0]))
+        with pytest.raises(ValueError):
+            smoothing_norm_2_to_inf(op, np.ones((2, 2)))
+
+
+def test_dense_smoothing_norm_builds_no_square_temporary():
+    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 1200)
+    pot = PotentialSpec(kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-x[..., 0] ** 2))
+    op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+    assert op.order is None
+    times = np.geomspace(1e-3, 10.0, 50)
+    n = grid.n_total
+    tracemalloc.start()
+    try:
+        smoothing_norm_2_to_inf(op, times, shifted=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole basis**2 alone would be n * n * 8 bytes
+    assert peak < n * n * 8 / 2
+
+
+def _decay_reference(op, est, shifted, probes):
+    """verify_l2lq_decay's slopes with one apply_semigroup per (probe, t)."""
+    t_grid = np.asarray(est.t_grid, dtype=float)
+    beta = 0.5 * (0.5 - (0.0 if est.r == math.inf else 1.0 / est.r))
+    slopes, worst = [], np.zeros_like(t_grid)
+    for f in probes:
+        norms = np.array(
+            [heatlab.lp_norm(apply_semigroup(op, t, f, shifted=shifted), est.r) for t in t_grid]
+        ) / max(heatlab.lp_norm(f, 2.0), 1e-300)
+        norms = np.maximum(norms, 1e-300)
+        slopes.append(float(np.polyfit(np.log(t_grid), np.log(norms), 1)[0]))
+        worst = np.maximum(worst, norms)
+    shift = 1.0 if shifted else 0.0
+    if est.r == math.inf:
+        worst = np.maximum(worst, smoothing_norm_2_to_inf(op, t_grid, shifted=shifted))
+    else:
+        worst = np.maximum(worst, np.exp(-t_grid * (op.mu_min + shift)))
+    slope = float(np.polyfit(np.log(t_grid), np.log(worst), 1)[0])
+    return slope, float(np.max(worst * t_grid**beta)), tuple(slopes)
+
+
+def test_decay_verifier_matches_per_time_semigroup(small_op, well_op):
+    for op, shifted in ((small_op, False), (well_op, True)):
+        probes = decay_probe_family(op)
+        for r in (2.0, math.inf):
+            est = EstimateSpec(r=r, t_grid=np.geomspace(0.1, 5.0, 8))
+            rep = verify_l2lq_decay(op, est, shifted=shifted, probes=probes)
+            assert (rep.slope, rep.prefactor, rep.probe_slopes) == _decay_reference(
+                op, est, shifted, probes
+            )
 
 
 def test_spacetime_identity_exact(small_op):

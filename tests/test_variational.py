@@ -233,13 +233,15 @@ def test_critical_constant_small_box():
         assert rep.lp / rep.energy_norm <= consts.S * (1.0 + 1e-9)
 
 
-def test_semigroup_route_bounds_sobolev_constant(small_op):
+def test_semigroup_route_bounds_sobolev_constant(small_op, well_op):
     mode = EquationMode.subcritical(3.0, 1)
-    s_meas = best_sobolev_constant(small_op, mode)
-    s_bound = sobolev_bound_from_semigroup(small_op, mode)
-    assert s_bound >= s_meas
-    # the interpolation route is crude but should stay within a small factor
-    assert s_bound < 3.0 * s_meas
+    # structured path, then the dense path (a Gaussian well, mu_1 < 0)
+    for op in (small_op, well_op):
+        s_meas = best_sobolev_constant(op, mode)
+        s_bound = sobolev_bound_from_semigroup(op, mode)
+        assert s_bound >= s_meas
+        # the interpolation route is crude but should stay within a small factor
+        assert s_bound < 3.0 * s_meas
     with pytest.raises(ValueError):
         sobolev_bound_from_semigroup(small_op, EquationMode.critical(3))
 
