@@ -247,10 +247,11 @@ def linear_profile_smallness(
     t_end = 10.0 / op.mu_min if t_cap is None else float(t_cap)
     ts = np.concatenate([[0.0], np.geomspace(1e-6 * t_end, t_end, n_slices)])
     vals = []
-    for u in _semigroup_orbit(op, u0, ts):  # ts ends at exactly t_end
-        vals.append(lp_norm(u, q) ** q)
+    for block in _semigroup_orbit(op, u0, ts):  # ts ends at exactly t_end
+        for u in block.T:
+            vals.append(lp_norm(Field(u, op.grid), q) ** q)
     main = float(np.trapezoid(vals, ts))
     c_grid = op.grid.weight ** (1.0 / q - 0.5)
-    l2_end = lp_norm(u, 2.0)
+    l2_end = lp_norm(Field(u, op.grid), 2.0)
     tail = (c_grid * l2_end) ** q / (q * op.mu_min)
     return (main + tail) ** (1.0 / q)

@@ -214,15 +214,37 @@ class _Accumulators:
         self.q = q_crit  # None outside the critical regime
 
     def advance(self, dt: float, prev: dict, cur: dict, mid: tuple):
+        """Add one accepted step to both time integrals.
+
+        An overflowed (inf) rate raises FloatingPointError and leaves the
+        integrals as they were, so an overflow never enters them.
+        """
         mid_diss, mid_s = mid
-        self.diss += dt / 6.0 * (prev["diss_rate"] + 4.0 * mid_diss + cur["diss_rate"])
+        diss = self.diss + dt / 6.0 * (prev["diss_rate"] + 4.0 * mid_diss + cur["diss_rate"])
+        s_int = self.s_int
         if self.q is not None:
-            self.s_int += dt / 6.0 * (prev["s_rate"] + 4.0 * mid_s + cur["s_rate"])
+            s_int += dt / 6.0 * (prev["s_rate"] + 4.0 * mid_s + cur["s_rate"])
+        if not (math.isfinite(diss) and math.isfinite(s_int)):
+            raise FloatingPointError("dissipation or space-time integral overflows")
+        self.diss, self.s_int = diss, s_int
 
     def s_norm(self) -> float:
         if self.q is None or self.s_int <= 0.0:
             return 0.0
         return self.s_int ** (1.0 / self.q)
+
+
+def _sq_norm(v: np.ndarray) -> float:
+    """v . v, or inf past double range (trapped, not warned).
+
+    The dissipation rates go through here; _Accumulators.advance refuses an
+    inf, so the accepted step ends as an overflow instead.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return float(v @ v)
+    except FloatingPointError:
+        return math.inf
 
 
 def _state_stats(
@@ -248,7 +270,7 @@ def _state_stats(
         "sup": float(np.max(abs_u)) if abs_u.size else 0.0,
         "energy": 0.5 * en_sq - st.sign * lp_p1 / (p + 1.0),
         "nehari": en_sq - st.sign * lp_p1,
-        "diss_rate": float(ut @ ut),
+        "diss_rate": _sq_norm(ut),
         "s_rate": weight * float(np.sum(abs_u**q_crit)) if q_crit is not None else 0.0,
         "cutoff": {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()},
     }
@@ -356,9 +378,8 @@ def integrate(
         t += dt
         c = half
         try:
-            ut_mid = st.a * mid - n_half
             mid_rates = (
-                float(ut_mid @ ut_mid),
+                _sq_norm(st.a * mid - n_half),
                 weight * float(np.sum(np.abs(u_mid) ** q_crit))
                 if q_crit is not None
                 else 0.0,
@@ -366,11 +387,11 @@ def integrate(
             u_phys = st.physical(c)
             n0 = st.n_hat(u_phys)
             stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
+            acc.advance(dt, prev_stats, stats, mid_rates)
         except FloatingPointError:
-            # the accepted state itself overflows the nonlinearity: explosion
+            # the accepted state overflows the nonlinearity or a rate: explosion
             stats = prev_stats
             return finish("sup_cap", detect=True)
-        acc.advance(dt, prev_stats, stats, mid_rates)
         traj.accepted += 1
 
         if cfg.sample_interval is None or t >= next_sample - 1e-14:

@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.fft
 
-from .grids import Field, lp_norm
-from .operators import SpectralOperator, _dirichlet_axis_eigenvalues
+from .grids import Field
+from .operators import _ROW_BLOCK, SpectralOperator, _dirichlet_axis_eigenvalues
 
-_ROW_BLOCK = 256  # basis rows per product in smoothing_norm_2_to_inf
+_COLUMN_BLOCK = 128  # time x field columns per from_coeffs in _semigroup_orbit
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,36 @@ def _shift_value(shifted: bool) -> float:
 
 def apply_semigroup(op: SpectralOperator, t: float, f: Field, shifted: bool = False) -> Field:
     """e^{-t(L + shift)} f with shift = 1 when `shifted` (the mass term)."""
-    return next(_semigroup_orbit(op, f, (t,), shifted))
+    return Field(next(_semigroup_orbit(op, f, (t,), shifted))[:, 0], op.grid)
 
 
-def _semigroup_orbit(op: SpectralOperator, f: Field, times, shifted: bool = False):
-    """Yield e^{-t(L + shift)} f for each t in times, from one forward transform."""
-    c = op.to_coeffs(f.values)
-    shift = _shift_value(shifted)
-    for t in times:
-        if t < 0:
-            raise ValueError("semigroup time must be >= 0")
-        yield Field(op.from_coeffs(np.exp(-t * (op.mu + shift)) * c), op.grid)
+def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
+    """Yield e^{-t(L + shift)} f over a time grid, one array per block of times.
+
+    f is a Field or an (N, m) stack of field values, one field per column.
+    All fields go through one forward transform.  The times are then taken
+    in consecutive blocks of k times, with k * m at most _COLUMN_BLOCK (and
+    k >= 1), and each block costs one from_coeffs of k * m columns: on the
+    dense path one product with the basis instead of k * m matvecs.  A block
+    is yielded as an (N, k) array for a Field, column j at the block's j-th
+    time, and as an (N, k, m) array for a stack.
+    """
+    values = f.values if isinstance(f, Field) else np.asarray(f)
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("semigroup time must be >= 0")
+    c = op.to_coeffs(values)
+    n = c.shape[0]
+    c = c.reshape(n, -1)
+    m = c.shape[1]
+    rate = op.mu + _shift_value(shifted)
+    step = max(1, _COLUMN_BLOCK // m)
+    for start in range(0, times.size, step):
+        block_t = times[start : start + step]
+        decayed = np.exp(np.outer(rate, -block_t))[:, :, None] * c[:, None, :]
+        out = op.from_coeffs(decayed.reshape(n, -1)).reshape(n, block_t.size, m)
+        del decayed  # not held across the yield
+        yield out if values.ndim == 2 else out[:, :, 0]
 
 
 def apply_power(op: SpectralOperator, s: float, f: Field, homogeneous: bool = False) -> Field:
@@ -216,7 +235,11 @@ def verify_l2lq_decay(
     t^(-beta) ||f||_2 with beta = (d/2)(1/2 - 1/r).  The fit runs on the
     pointwise maximum over the unit probe family (near-delta bumps plus
     random fields); for r = 2 and r = inf the exact operator norm joins the
-    maximum, so the curve is the discrete operator norm itself there.
+    maximum, so the curve is the discrete operator norm itself there.  The
+    probes are stacked and transformed once, and the whole (time, probe)
+    grid of the flow comes from one product per block of _semigroup_orbit
+    (a single block for the default 12 times and 10 probes); the L^r norms
+    are taken column-wise from that block.
 
     Pass logic: the fitted slope matches -beta within 0.1, or the running
     constant norm * t^beta never exceeds its left-anchor value by more than
@@ -240,23 +263,21 @@ def verify_l2lq_decay(
 
     if probes is None:
         probes = decay_probe_family(op, rng=rng)
-    slopes = []
-    worst = np.zeros_like(t_grid)
-    for f in probes:
-        scale = lp_norm(f, 2.0)
-        norms = np.array(
-            [lp_norm(u, est.r) for u in _semigroup_orbit(op, f, t_grid, shifted)]
-        ) / max(scale, 1e-300)
-        norms = np.maximum(norms, 1e-300)
-        slopes.append(float(np.polyfit(np.log(t_grid), np.log(norms), 1)[0]))
-        worst = np.maximum(worst, norms)
+    w = op.grid.weight
+    stack = np.stack([f.values for f in probes], axis=1)
+    orbit = _semigroup_orbit(op, stack, t_grid, shifted)
+    norms = np.concatenate([_column_norms(u, est.r, w) for u in orbit])  # (time, probe)
+    norms = np.maximum(norms / np.maximum(_column_norms(stack, 2.0, w), 1e-300), 1e-300)
+    log_t = np.log(t_grid)
+    slopes = tuple(float(b) for b in np.polyfit(log_t, np.log(norms), 1)[0])
+    worst = np.max(norms, axis=1)
     shift_val = 1.0 if shifted else 0.0
     if est.r == np.inf:
         worst = np.maximum(worst, smoothing_norm_2_to_inf(op, t_grid, shifted=shifted))
     elif est.r == 2.0:
         worst = np.maximum(worst, np.exp(-t_grid * (op.mu_min + shift_val)))
 
-    slope = float(np.polyfit(np.log(t_grid), np.log(worst), 1)[0])
+    slope = float(np.polyfit(log_t, np.log(worst), 1)[0])
     env = worst * t_grid**beta
     prefactor = float(np.max(env))
     ok = slope >= target - 0.1 or bool(np.all(env <= env[0] * 1.05))
@@ -267,8 +288,16 @@ def verify_l2lq_decay(
         prefactor=prefactor,
         target_slope=target,
         passed=ok and math.isfinite(prefactor),
-        probe_slopes=tuple(slopes),
+        probe_slopes=slopes,
     )
+
+
+def _column_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
+    """Discrete L^r norms (sum w |u|^r)^(1/r) over axis 0, as grids.lp_norm."""
+    a = np.abs(u)
+    if r == np.inf:
+        return np.max(a, axis=0)
+    return (weight * np.sum(a**r, axis=0)) ** (1.0 / r)
 
 
 def verify_spacetime(op: SpectralOperator, f: Field, tol: float = 1e-12) -> float:

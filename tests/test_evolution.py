@@ -1,6 +1,7 @@
 """Time stepping: schemes, adaptivity, detection, identities, Picard."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ def test_step_limit_ends_run_without_false_detection(small_op, cubic_mode):
     assert traj.end_reason == "step_limit"
     assert traj.T_detect is None  # nothing grew, so no detection
     assert traj.accepted + traj.rejected <= 8
+
+
+def test_accepted_state_with_overflowing_rate_ends_named(small_op, cubic_mode):
+    # a 1e60 bump: |u|^2 u is finite, but ||u_t||^2 is past double range, and a
+    # dt_min of 1e-200 lets the controller accept a step from it
+    u0 = small_bump(small_op, 1e60)
+    cfg = IntegratorConfig(t_max=1.0, dt_init=1e-200, dt_min=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(u0, small_op, cubic_mode, cfg)
+    assert traj.end_reason == "sup_cap" and traj.T_detect == traj.t_final > 0.0
+    assert np.all(np.isfinite(traj.column("dissipation_cum")))
+    assert np.all(np.isfinite(traj.column("s_norm_cum")))
 
 
 def test_absorbing_flow_dissipates_large_data(small_op):

@@ -1,6 +1,7 @@
 """Operator assembly, certified families, spectral transforms."""
 
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -17,8 +18,10 @@ from heatlab.operators import (
     PotentialSpec,
     ZERO_POTENTIAL,
     _check_reconstruction,
+    _dense_matrix,
     assemble,
     classify_assumption,
+    potential_on_grid,
     validate_potential,
 )
 from heatlab.semigroup import heat_kernel_column, smoothing_norm_2_to_inf
@@ -345,17 +348,83 @@ def _vectors(size):
 )
 @given(data=st.data())
 def test_transform_properties(transform_ops, data):
-    # Parseval, adjointness and inversion on both transform implementations
+    # Parseval, adjointness and inversion on both transform implementations,
+    # column by column on an (N, m) stack, which also matches single calls
     for op in transform_ops:
         w = op.grid.weight
-        u = data.draw(_vectors(op.grid.n_total))
-        c = data.draw(_vectors(op.n_modes))
+        m = data.draw(st.integers(1, 3))
+        u = data.draw(_vectors((op.grid.n_total, m)))
+        c = data.draw(_vectors((op.n_modes, m)))
         cu = op.to_coeffs(u)
-        assert math.isclose(cu @ cu, w * (u @ u), rel_tol=1e-12)
-        lhs, rhs = cu @ c, w * (u @ op.from_coeffs(c))
-        assert abs(lhs - rhs) <= 1e-12 * math.sqrt(w) * np.linalg.norm(u) * np.linalg.norm(c)
+        fc = op.from_coeffs(c)
         back = op.from_coeffs(cu)
-        assert np.linalg.norm(back - u) <= 1e-12 * np.linalg.norm(u)
+        for j in range(m):
+            uj, cj, cuj = u[:, j], c[:, j], cu[:, j]
+            assert np.linalg.norm(op.to_coeffs(uj) - cuj) <= 1e-14 * np.linalg.norm(cuj)
+            assert math.isclose(cuj @ cuj, w * (uj @ uj), rel_tol=1e-12)
+            lhs, rhs = cuj @ cj, w * (uj @ fc[:, j])
+            assert abs(lhs - rhs) <= 1e-12 * math.sqrt(w) * np.linalg.norm(uj) * np.linalg.norm(cj)
+            assert np.linalg.norm(back[:, j] - uj) <= 1e-12 * np.linalg.norm(uj)
+
+
+@pytest.fixture(scope="module", params=["structured_1d_37", "structured_3d_345", "dense_well"])
+def batch_op(request, well_op):
+    if request.param == "dense_well":
+        return well_op
+    grids = {
+        "structured_1d_37": (DomainSpec.interval(0.0, 3.0), 37),
+        "structured_3d_345": (DomainSpec.box(-1.0, 1.0, 3), (3, 4, 5)),
+    }
+    return assemble(OperatorSpec(kind="dirichlet_laplacian"), build_grid(*grids[request.param]))
+
+
+def test_batched_transforms_match_single_calls(batch_op):
+    op = batch_op
+    stack = np.random.default_rng(21).standard_normal((op.grid.n_total, 6))
+    for transform in (op.to_coeffs, op.from_coeffs):
+        batched = transform(stack)
+        assert batched.shape == stack.shape
+        for j in range(stack.shape[1]):
+            single = transform(stack[:, j])
+            err = np.max(np.abs(batched[:, j] - single))
+            assert err <= 1e-14 * np.max(np.abs(single))
+            if op.order is not None:  # the DST of a stack is bitwise per column
+                assert np.array_equal(batched[:, j], single)
+
+
+def test_dense_3d_eigenvectors_orthogonal_and_accurate():
+    # the 12^3 Hardy operator has degenerate cubic-symmetry clusters, where
+    # an MRRR eigensolver loses orthogonality (max|V^T V - I| ~ 5e-12)
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 12)
+    pot = PotentialSpec(kind="inverse_power", alpha=2.0, coupling=0.25, sign=-1)
+    op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+    v = op.basis
+    gram = v.T @ v
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.max(np.abs(gram)) <= 1e-13
+    del gram
+    a = _dense_matrix(grid)
+    a[np.diag_indices_from(a)] += potential_on_grid(pot, grid)
+    # Frobenius norms
+    assert np.linalg.norm(a @ v - v * op.mu) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_dense_assembly_peak_memory():
+    # the matrix, overwritten by its eigenvectors, plus the divide-and-conquer
+    # workspace of 2 N^2 doubles; a C-ordered matrix would be copied once more
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 10)
+    well = PotentialSpec(
+        kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-np.sum(x * x, axis=-1))
+    )
+    n = grid.n_total
+    tracemalloc.start()
+    try:
+        op = assemble(OperatorSpec(kind="schrodinger", potential=well), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.order is None and n == 1000
+    assert peak <= 3.5 * n * n * 8
 
 
 def test_unlocked_31_cube():
