@@ -164,14 +164,20 @@ class _Stepper:
             nl = self.sign * np.abs(u_phys) ** (self.p - 1.0) * u_phys
         return self.op.to_coeffs(nl)
 
-    def step(self, c: np.ndarray, n0: np.ndarray, dt: float, scheme: str) -> np.ndarray:
+    def multipliers(self, dt: float, scheme: str) -> tuple:
+        """(e^z, dt phi1(z), dt phi2(z)) at z = -dt a; phi2 only for ETDRK2."""
         z = -dt * self.a
-        ez = np.exp(z)
-        stage = ez * c + dt * _phi1(z) * n0
+        dt_phi2 = dt * _phi2(z) if scheme == "etdrk2" else None
+        return np.exp(z), dt * _phi1(z), dt_phi2
+
+    def step(self, c: np.ndarray, n0: np.ndarray, mult: tuple, scheme: str) -> np.ndarray:
+        """One step with the multipliers of its size (see multipliers)."""
+        ez, dt_phi1, dt_phi2 = mult
+        stage = ez * c + dt_phi1 * n0
         if scheme == "exponential_euler":
             return stage
         n1 = self.n_hat(self.physical(stage))
-        return stage + dt * _phi2(z) * (n1 - n0)
+        return stage + dt_phi2 * (n1 - n0)
 
 
 def step(
@@ -188,7 +194,9 @@ def step(
         raise ValueError("dt must be positive")
     st = _Stepper(op, mode)
     c = op.to_coeffs(u.values)
-    return Field(st.physical(st.step(c, st.n_hat(u.values), dt, scheme)), u.grid)
+    return Field(
+        st.physical(st.step(c, st.n_hat(u.values), st.multipliers(dt, scheme), scheme)), u.grid
+    )
 
 
 def _cutoff_profiles(op: SpectralOperator, radii: tuple[float, ...]) -> dict[float, np.ndarray]:
@@ -247,6 +255,19 @@ def _sq_norm(v: np.ndarray) -> float:
         return math.inf
 
 
+def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
+    """weight * sum |u|^q, or inf past double range (trapped, not warned).
+
+    The critical space-time integrand goes through here, so an overflow
+    reaches _Accumulators.advance as an inf rate, as in _sq_norm.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return weight * float(np.sum(abs_u**q))
+    except FloatingPointError:
+        return math.inf
+
+
 def _state_stats(
     st: _Stepper,
     c: np.ndarray,
@@ -271,7 +292,7 @@ def _state_stats(
         "energy": 0.5 * en_sq - st.sign * lp_p1 / (p + 1.0),
         "nehari": en_sq - st.sign * lp_p1,
         "diss_rate": _sq_norm(ut),
-        "s_rate": weight * float(np.sum(abs_u**q_crit)) if q_crit is not None else 0.0,
+        "s_rate": _lq_integral(abs_u, q_crit, weight) if q_crit is not None else 0.0,
         "cutoff": {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()},
     }
     return stats
@@ -353,11 +374,12 @@ def integrate(
             return finish("step_limit", detect=exploding())
         dt = min(dt, cfg.t_max - t)
         try:
-            full = st.step(c, n0, dt, cfg.scheme)
-            mid = st.step(c, n0, 0.5 * dt, cfg.scheme)
+            full = st.step(c, n0, st.multipliers(dt, cfg.scheme), cfg.scheme)
+            half_mult = st.multipliers(0.5 * dt, cfg.scheme)
+            mid = st.step(c, n0, half_mult, cfg.scheme)
             u_mid = st.physical(mid)
             n_half = st.n_hat(u_mid)
-            half = st.step(mid, n_half, 0.5 * dt, cfg.scheme)
+            half = st.step(mid, n_half, half_mult, cfg.scheme)
             diff = float(np.linalg.norm(full - half))
             scale = max(float(np.linalg.norm(half)), 1e-300)
             err = diff / scale
@@ -380,9 +402,7 @@ def integrate(
         try:
             mid_rates = (
                 _sq_norm(st.a * mid - n_half),
-                weight * float(np.sum(np.abs(u_mid) ** q_crit))
-                if q_crit is not None
-                else 0.0,
+                _lq_integral(np.abs(u_mid), q_crit, weight) if q_crit is not None else 0.0,
             )
             u_phys = st.physical(c)
             n0 = st.n_hat(u_phys)

@@ -177,28 +177,51 @@ def write_constants(
         fh.write(cfg.echo_text())
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
+@dataclass
+class RunSetup:
+    """The operator, mode and threshold constants a run starts from.
+
+    consts is None when they were not computed or their solve failed;
+    consts_note says which, and consts_error keeps the failure.
+    """
+
+    op: SpectralOperator
+    mode: EquationMode
+    consts: Optional[VariationalConstants]
+    consts_note: str
+    consts_error: Optional[Exception] = None
+
+
+def prepare_run(cfg: ExperimentConfig) -> RunSetup:
+    """Assemble the operator and solve the constants; no initial.* key is read."""
+    op = build_operator(cfg)
+    mode = build_mode(cfg)
+    if mode.sign < 0:
+        return RunSetup(op, mode, None, "not applicable (absorbing nonlinearity)")
+    if mode.sign == 0:
+        return RunSetup(op, mode, None, "not computed")
+    try:
+        return RunSetup(op, mode, mountain_pass_level(op, mode), "ok")
+    except (ConvergenceError, ValueError) as exc:
+        return RunSetup(op, mode, None, f"failed: {exc}", exc)
+
+
+def run_experiment(
+    cfg: ExperimentConfig, out_dir: str, setup: Optional[RunSetup] = None
+) -> ExperimentResult:
     """Run one configured experiment and write its artifacts into out_dir.
 
+    setup, when given, must come from prepare_run on a config that differs
+    from cfg at most in initial.* keys; by default it is built from cfg.
     A failed constants solve is noted in summary.txt, unless the initial
     data is the ground state itself: then the error propagates.
     """
     os.makedirs(out_dir, exist_ok=True)
-    op = build_operator(cfg)
-    mode = build_mode(cfg)
-
-    consts: Optional[VariationalConstants] = None
-    consts_note = "not computed"
-    if mode.sign > 0:
-        try:
-            consts = mountain_pass_level(op, mode)
-            consts_note = "ok"
-        except (ConvergenceError, ValueError) as exc:
-            if cfg.recipe == "scaled_ground_state":
-                raise
-            consts_note = f"failed: {exc}"
-    elif mode.sign < 0:
-        consts_note = "not applicable (absorbing nonlinearity)"
+    if setup is None:
+        setup = prepare_run(cfg)
+    op, mode, consts, consts_note = setup.op, setup.mode, setup.consts, setup.consts_note
+    if setup.consts_error is not None and cfg.recipe == "scaled_ground_state":
+        raise setup.consts_error
     u0 = make_initial_data(cfg, op, consts)
 
     radii = cfg.cutoff_radii
@@ -293,7 +316,7 @@ SWEEP_HEADER = "index,value,verdict,T_detect,t_final,rate_stat,concavity_margin,
 
 
 def _sweep_worker(args) -> dict:
-    cfg, value, run_dir, index = args
+    cfg, value, run_dir, index, setup = args
     row = {
         "index": index,
         "value": value,
@@ -306,7 +329,7 @@ def _sweep_worker(args) -> dict:
     }
     try:
         sub = cfg.with_override(cfg.sweep_key, value)
-        result = run_experiment(sub, run_dir)
+        result = run_experiment(sub, run_dir, setup)
         row["verdict"] = result.summary["verdict"]
         row["T_detect"] = result.summary.get("T_detect", "")
         row["t_final"] = result.summary["t_final"]
@@ -318,15 +341,27 @@ def _sweep_worker(args) -> dict:
 
 
 def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
-    """Run the configured sweep axis, one run per value, aggregate sweep.csv."""
+    """Run the configured sweep axis, one run per value, aggregate sweep.csv.
+
+    A serial sweep over an initial.* key builds the operator, mode and
+    constants once and hands them to every row; a parallel sweep, or one
+    whose shared build fails, builds them per row.
+    """
     if cfg.sweep_key is None:
         raise ConfigError("sweep.key", "sweep requires sweep.key and sweep.values")
     os.makedirs(out_dir, exist_ok=True)
+    parallel = threads > 1 and len(cfg.sweep_values) > 1
+    setup = None
+    if not parallel and cfg.sweep_values and cfg.sweep_key.startswith("initial."):
+        try:
+            setup = prepare_run(cfg)
+        except Exception:  # every row rebuilds and records the error itself
+            setup = None
     jobs = [
-        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i)
+        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i, setup)
         for i, value in enumerate(cfg.sweep_values)
     ]
-    if threads > 1 and len(jobs) > 1:
+    if parallel:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:

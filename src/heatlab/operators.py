@@ -21,7 +21,12 @@ paths compute it:
   tensor sine transform (DST-I) and the eigenvalues have the closed form
   sum_i (4 / h_i^2) sin^2(k_i pi / (2 (n_i + 1))), so no matrix is built
   and the coefficient transforms are fast transforms (Strang, SIAM Rev. 41,
-  1999; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+  1999; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Each grid axis picks
+  its DST by a fixed rule on its node count n: when the largest prime
+  factor of n + 1 is at least 200 the axis runs a direct chirp-z sine
+  transform, one cyclic convolution of fast length >= 2n - 1, which beats
+  pocketfft's Bluestein fallback by about 2x at n = 1600 (table at
+  _uses_chirp); every other axis shares one scipy.fft.dstn call.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  In 1D
   the tridiagonal eigensolver runs on the bands; in d >= 2 the divide-and-
@@ -294,9 +299,111 @@ class SpectralOperator:
 
 
 def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
-    """Orthonormal DST-I over the first dim axes; a trailing axis is a batch."""
-    axes = None if x.ndim == dim else tuple(range(dim))
-    return scipy.fft.dstn(x, type=1, norm="ortho", axes=axes, overwrite_x=overwrite)
+    """Orthonormal DST-I over the first dim axes; a trailing axis is a batch.
+
+    Axes of chirp size (see _uses_chirp) run _chirp_dst; the others share
+    one scipy.fft.dstn call, so a grid with no chirp axis costs exactly
+    that one call.
+    """
+    chirp = [ax for ax in range(dim) if _uses_chirp(x.shape[ax])]
+    if not chirp:
+        axes = None if x.ndim == dim else tuple(range(dim))
+        return scipy.fft.dstn(x, type=1, norm="ortho", axes=axes, overwrite_x=overwrite)
+    rest = tuple(ax for ax in range(dim) if ax not in chirp)
+    if rest:
+        x = scipy.fft.dstn(x, type=1, norm="ortho", axes=rest, overwrite_x=overwrite)
+    for ax in chirp:
+        x = np.moveaxis(_chirp_dst(np.moveaxis(x, ax, 0)), 0, ax)
+    return x
+
+
+_CHIRP_MIN_FACTOR = 200  # smallest largest prime factor of n + 1 on the chirp path
+
+
+def _largest_prime_factor(m: int) -> int:
+    largest, p = 1, 2
+    while p * p <= m:
+        while m % p == 0:
+            largest, m = p, m // p
+        p += 1
+    return max(largest, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _uses_chirp(n: int) -> bool:
+    """Whether the length-n DST-I runs as a chirp-z transform (_chirp_dst).
+
+    pocketfft computes a DST-I from an FFT of length 2(n + 1); when n + 1
+    has a large prime factor that FFT falls back to Bluestein at a padded
+    length of at least 4(n + 1).  The direct chirp-z form needs only
+    next_fast_len(2n - 1).  Measured per call on a 2-core Xeon (scipy 1.17,
+    one worker), scipy.fft.dst against _chirp_dst:
+
+        n      largest prime of n + 1   dst (us)   chirp (us)   speed-up
+        128          43                   19.7        36.4        0.54
+        800          89                   52.7        80.4        0.66
+        1599          5                   46.0       137.0        0.34
+        2000         29                   48.5       112.8        0.43
+        3200         97                  111.0       170.1        0.65
+        100         101                   15.6        21.5        0.72
+        196         197                   33.0        25.8        1.28
+        256         257                   48.3        26.7        1.81
+        400         401                   50.6        32.8        1.54
+        640         641                   67.8        41.8        1.62
+        1200       1201                  131.8        71.3        1.85
+        1600       1601                  185.8        88.5        2.10
+        1800       1801                  228.9       106.7        2.14
+        2048        683                  245.8       110.1        2.23
+        3000       3001                  389.9       173.1        2.25
+        4000       4001                  507.0       211.3        2.40
+
+    The chirp wins once the largest prime factor passes about 200.
+    """
+    return _largest_prime_factor(n + 1) >= _CHIRP_MIN_FACTOR
+
+
+@functools.lru_cache(maxsize=16)
+def _chirp_plan(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Convolution length, input chirp, kernel spectrum and output chirp.
+
+    c_m = exp(i pi m^2 / (2(n + 1))) with m^2 reduced mod 4(n + 1), the
+    period of the phase, so the exponent stays below 2 pi for any n.  The
+    kernel conj(c_m), m = -(n - 1)..(n - 1), is wrapped onto a cyclic
+    length L >= 2n - 1 and its spectrum carries the 1/L of the inverse FFT;
+    the output chirp carries the orthonormal scale sqrt(2/(n + 1)).
+    """
+    m = np.arange(n + 1, dtype=np.int64)
+    c = np.exp((0.5j * np.pi / (n + 1)) * ((m * m) % (4 * (n + 1))))
+    size = scipy.fft.next_fast_len(2 * n - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = c[:n].conj()
+    kernel[size - n + 1 :] = c[n - 1 : 0 : -1].conj()
+    plan = (size, c[1:], scipy.fft.fft(kernel) / size, np.sqrt(2.0 / (n + 1)) * c[1:])
+    for arr in plan[1:]:
+        arr.flags.writeable = False
+    return plan
+
+
+def _chirp_dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0 as a chirp-z transform.
+
+    With jk = (j^2 + k^2 - (k - j)^2) / 2,
+
+        y_k = sqrt(2/(n+1)) Im[c_k sum_j x_j c_j conj(c_{k-j})],  j, k = 1..n,
+
+    one cyclic convolution (Rabiner, Schafer & Rader, IEEE Trans. Audio
+    Electroacoust. 17, 1969; Bluestein, ibid. 18, 1970).  Trailing axes are
+    a batch; each FFT runs along axis 0 over all of them, so a stacked call
+    equals the single calls bit for bit.
+    """
+    n = x.shape[0]
+    size, pre, kernel_hat, post = _chirp_plan(n)
+    lanes = (slice(None),) + (None,) * (x.ndim - 1)
+    a = scipy.fft.fft(x * pre[lanes], n=size, axis=0, overwrite_x=True)
+    a *= kernel_hat[lanes]
+    a = scipy.fft.ifft(a, axis=0, norm="forward", overwrite_x=True)[:n]
+    a *= post[lanes]
+    return np.ascontiguousarray(a.imag)
 
 
 def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:

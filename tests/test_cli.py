@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import heatlab.experiments as experiments
 import heatlab.variational as variational
 from heatlab.cli import VERIFY_HEADER, main
 from heatlab.config import load_experiment_config
@@ -290,6 +291,31 @@ def test_ground_state_command_solves_once(tmp_path, count_solves):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     assert main(["ground-state", cfg, "--out", str(tmp_path / "gs")]) == 0
     assert len(count_solves) == 1
+
+
+def test_serial_sweep_builds_operator_and_constants_once(tmp_path, monkeypatch, count_solves):
+    text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5, 0.9\n"
+    assemblies = []
+    original = experiments.assemble
+
+    def counting(*args, **kwargs):
+        assemblies.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "assemble", counting)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", out, "--threads", "1"]) == 0
+    assert len(assemblies) == 1 and len(count_solves) == 1
+    # every row writes what a standalone run of its config writes
+    cfg = load_experiment_config(str(tmp_path / "run.cfg"))
+    for i, lam in enumerate((0.5, 1.5, 0.9)):
+        alone = str(tmp_path / f"alone_{i}")
+        run_experiment(cfg.with_override("initial.lambda", lam), alone)
+        for name in ("trajectory.csv", "summary.txt", "constants.txt"):
+            with open(os.path.join(out, f"run_{i:03d}", name), "rb") as fa, open(
+                os.path.join(alone, name), "rb"
+            ) as fb:
+                assert fa.read() == fb.read(), (i, name)
 
 
 def test_rerun_artifacts_are_byte_identical(tmp_path):

@@ -19,7 +19,8 @@ from heatlab.evolution import (
     step,
     trajectory_rows,
 )
-from heatlab.grids import Field
+from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
+from heatlab.operators import OperatorSpec, assemble
 from heatlab.variational import EquationMode
 from conftest import sech_profile
 
@@ -191,6 +192,22 @@ def test_accepted_state_with_overflowing_rate_ends_named(small_op, cubic_mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = integrate(u0, small_op, cubic_mode, cfg)
+    assert traj.end_reason == "sup_cap" and traj.T_detect == traj.t_final > 0.0
+    assert np.all(np.isfinite(traj.column("dissipation_cum")))
+    assert np.all(np.isfinite(traj.column("s_norm_cum")))
+
+
+def test_overflowing_critical_integrand_ends_named():
+    # a 1e31 bump: |u|^10 is past double range at the start and at the step
+    # midpoint, so the space-time integrand overflows before any step is
+    # accepted; that must end as sup_cap, not as a RuntimeWarning
+    grid = build_grid(DomainSpec.box(-3.0, 3.0, 3), 7)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    u0 = field_from_function(grid, lambda x: 1e31 * np.exp(-np.sum(x * x, axis=-1)))
+    cfg = IntegratorConfig(t_max=1.0, dt_init=1e-200, dt_min=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(u0, op, EquationMode.critical(3), cfg)
     assert traj.end_reason == "sup_cap" and traj.T_detect == traj.t_final > 0.0
     assert np.all(np.isfinite(traj.column("dissipation_cum")))
     assert np.all(np.isfinite(traj.column("s_norm_cum")))

@@ -6,6 +6,7 @@ import tracemalloc
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,10 @@ from heatlab.operators import (
     PotentialSpec,
     ZERO_POTENTIAL,
     _check_reconstruction,
+    _chirp_dst,
     _dense_matrix,
+    _stencil_apply,
+    _uses_chirp,
     assemble,
     classify_assumption,
     potential_on_grid,
@@ -367,12 +371,16 @@ def test_transform_properties(transform_ops, data):
             assert np.linalg.norm(back[:, j] - uj) <= 1e-12 * np.linalg.norm(uj)
 
 
-@pytest.fixture(scope="module", params=["structured_1d_37", "structured_3d_345", "dense_well"])
+@pytest.fixture(
+    scope="module",
+    params=["structured_1d_37", "structured_1d_1600", "structured_3d_345", "dense_well"],
+)
 def batch_op(request, well_op):
     if request.param == "dense_well":
         return well_op
     grids = {
         "structured_1d_37": (DomainSpec.interval(0.0, 3.0), 37),
+        "structured_1d_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # chirp size
         "structured_3d_345": (DomainSpec.box(-1.0, 1.0, 3), (3, 4, 5)),
     }
     return assemble(OperatorSpec(kind="dirichlet_laplacian"), build_grid(*grids[request.param]))
@@ -390,6 +398,37 @@ def test_batched_transforms_match_single_calls(batch_op):
             assert err <= 1e-14 * np.max(np.abs(single))
             if op.order is not None:  # the DST of a stack is bitwise per column
                 assert np.array_equal(batched[:, j], single)
+
+
+@pytest.mark.parametrize("n", [256, 1200, 1600, 2048])
+def test_chirp_dst_matches_scipy_and_inverts(n):
+    assert _uses_chirp(n)
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    y = _chirp_dst(x)
+    ref = scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the orthonormal DST-I is its own inverse
+    assert np.max(np.abs(_chirp_dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_chirp_rule_follows_largest_prime_factor_of_n_plus_1():
+    # 1601 and 1201 are prime; 1600 = 2^6 5^2, 14 = 2 7 and 3201 = 3 11 97
+    assert _uses_chirp(1600) and _uses_chirp(1200)
+    assert not any(_uses_chirp(n) for n in (1599, 13, 3200))
+
+
+@pytest.mark.parametrize("shape", [(256, 12), (12, 256)])
+def test_grid_with_one_chirp_axis_matches_stencil(shape):
+    assert _uses_chirp(256) and not _uses_chirp(12)
+    grid = build_grid(DomainSpec.box((-1.0, -1.0), (1.0, 1.0)), shape)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)  # runs _check_reconstruction
+    x = np.random.default_rng(4).standard_normal(grid.n_total)
+    ax = _stencil_apply(op, x, None)
+    assert np.linalg.norm(op.matvec(x) - ax) <= 1e-12 * np.linalg.norm(ax)
+    ref = scipy.fft.dstn(x.reshape(grid.n), type=1, norm="ortho").ravel()[op.order]
+    assert np.max(np.abs(op.to_coeffs(x) - np.sqrt(grid.weight) * ref)) <= 1e-13 * np.sqrt(
+        grid.weight
+    ) * np.max(np.abs(ref))
 
 
 def test_dense_3d_eigenvectors_orthogonal_and_accurate():
