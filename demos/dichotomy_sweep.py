@@ -11,13 +11,13 @@ import numpy as np
 import heatlab
 from heatlab.diagnostics import concavity, verdict
 from heatlab.evolution import IntegratorConfig, integrate
-from heatlab.variational import EquationMode, ground_state, mountain_pass_level
+from heatlab.variational import EquationMode, mountain_pass_level
 
 grid = heatlab.build_grid(heatlab.DomainSpec.interval(-20.0, 20.0), 400)
 op = heatlab.assemble(heatlab.OperatorSpec(kind="dirichlet_laplacian"), grid)
 mode = EquationMode.subcritical(3.0, 1)
 consts = mountain_pass_level(op, mode)
-phi = ground_state(op, mode)
+phi = consts.ground_state
 
 print(f"level = {consts.level:.6f}, sweeping lambda over the ray\n")
 print("lam   verdict      detail")

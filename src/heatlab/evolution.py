@@ -521,7 +521,10 @@ def mass_identity_residual(traj: Trajectory) -> float:
     """Worst defect of J(u(t)) = -1/2 d/dt ||u||_2^2 at interior samples.
 
     The derivative is the three-point quadratic-fit formula on the nonuniform
-    sample times; the defect is normalised by max(|J| scale, 1).
+    sample times; the defect is normalised by max(|J| scale, 1).  On blow-up
+    runs it is a near-cancellation of large terms close to T_detect: a one-ulp
+    change in 10% of the transform outputs moves it by about 2e-8 relative,
+    so no gate or reproduction check on it can be tighter than about 1e-7.
     """
     t = traj.column("t")
     m = traj.column("mass")

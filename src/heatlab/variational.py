@@ -35,6 +35,8 @@ from .grids import Field, field_from_function, lp_norm
 from .operators import SpectralOperator
 
 NONLINEARITY = ("source", "absorbing", "none")
+_BOUND_TIMES = 300  # log-spaced times in sobolev_bound_from_semigroup's quadrature
+_BOUND_T_MIN = 1e-12  # its smallest time; the range below is a closed-form remainder
 
 
 class ConvergenceError(RuntimeError):
@@ -402,12 +404,7 @@ def classify(
     return replace(rep, membership="Mplus" if rep.nehari > 0 else "Mminus")
 
 
-def sobolev_bound_from_semigroup(
-    op: SpectralOperator,
-    mode: EquationMode,
-    n_points: int = 300,
-    t_min: float = 1e-12,
-) -> float:
+def sobolev_bound_from_semigroup(op: SpectralOperator, mode: EquationMode) -> float:
     """Upper bound for S from the integral formula of the inverse square root.
 
     (I+L)^(-1/2) = (1/sqrt(pi)) int_0^inf t^(-1/2) e^{-t} e^{-tL} dt gives
@@ -416,7 +413,7 @@ def sobolev_bound_from_semigroup(
 
     and the 2 -> p+1 norm interpolates between the exact 2 -> 2 norm
     e^{-t(1+mu_1)} and the exact 2 -> sup norm.  Both endpoint norms are
-    computed exactly on the grid (the 2 -> sup norm over all n_points times
+    computed exactly on the grid (the 2 -> sup norm over all _BOUND_TIMES times
     in one call of smoothing_norm_2_to_inf), the time integral by log-space
     trapezoid with rigorous small-t and large-t remainders added, so the
     result is a genuine upper bound for the measured ratio (up to quadrature
@@ -431,7 +428,7 @@ def sobolev_bound_from_semigroup(
     theta = 2.0 / (p + 1.0)  # L^2 interpolation weight
     rate2 = 1.0 + op.mu_min
     t_max = 40.0 / rate2
-    u_grid = np.linspace(math.log(t_min), math.log(t_max), n_points)
+    u_grid = np.linspace(math.log(_BOUND_T_MIN), math.log(t_max), _BOUND_TIMES)
     t_grid = np.exp(u_grid)
     vals = (
         t_grid ** (-0.5)
@@ -439,7 +436,7 @@ def sobolev_bound_from_semigroup(
         * smoothing_norm_2_to_inf(op, t_grid, shifted=True) ** (1.0 - theta)
     )
     main = float(np.trapezoid(vals * t_grid, u_grid))  # dt = t du
-    # below t_min: 2->inf norm is bounded by 1/sqrt(w) on a finite grid
-    head = 2.0 * math.sqrt(t_min) * op.grid.weight ** (-(1.0 - theta) / 2.0)
+    # below _BOUND_T_MIN: 2->inf norm is bounded by 1/sqrt(w) on a finite grid
+    head = 2.0 * math.sqrt(_BOUND_T_MIN) * op.grid.weight ** (-(1.0 - theta) / 2.0)
     tail = float(vals[-1]) / rate2  # integrand decays at least like e^{-rate2 t}
     return (main + head + tail) / math.sqrt(math.pi)

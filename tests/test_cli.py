@@ -328,3 +328,39 @@ def test_rerun_artifacts_are_byte_identical(tmp_path):
             os.path.join(second, name), "rb"
         ) as fb:
             assert fa.read() == fb.read(), name
+
+
+FAILED_SOLVE = "no convergence after 2000 iterations (residual 3.760e-01)"
+
+
+@pytest.fixture
+def failing_solve(monkeypatch):
+    """Make every Nehari fixed-point solve fail as a non-converging one does."""
+
+    def failing(*args, **kwargs):
+        raise variational.ConvergenceError("no convergence after 2000 iterations", 0.376)
+
+    monkeypatch.setattr(variational, "_nehari_fixed_point", failing)
+
+
+def test_solve_notes_failed_constants_for_gaussian_data(tmp_path, failing_solve):
+    out = tmp_path / "run"
+    assert main(["solve", write_cfg(tmp_path, SMALL_RUN), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert f"constants_status = failed: {FAILED_SOLVE}" in summary
+
+
+def test_solve_from_ground_state_fails_with_failed_constants(tmp_path, failing_solve, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP_RUN)
+    assert main(["solve", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {FAILED_SOLVE}" in capsys.readouterr().err
+
+
+def test_serial_sweep_records_failed_constants_in_every_row(tmp_path, failing_solve):
+    text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out), "--threads", "1"]) == 0
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert row.split(",")[-1] == f"ConvergenceError: {FAILED_SOLVE}"

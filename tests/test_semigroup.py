@@ -8,9 +8,10 @@ import pytest
 
 import heatlab
 from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
-from heatlab.operators import OperatorSpec, PotentialSpec, assemble
+from heatlab.operators import OperatorSpec, PotentialSpec, SpectralOperator, assemble
 from heatlab.semigroup import (
     EstimateSpec,
+    GaussReport,
     apply_power,
     apply_semigroup,
     decay_probe_family,
@@ -297,28 +298,9 @@ def test_decay_verifier_explicit_window_sees_quarter_rate(wide_op):
     assert abs(rep.slope - (-0.25)) < 0.05
 
 
-def test_decay_gamma_consistency(small_op):
-    # 1/gamma = (d/2)(1/q - 1/r) = 1/4 here, so gamma = 4 is the one value
-    est = EstimateSpec(r=math.inf, gamma=4.0)
-    rep = verify_l2lq_decay(small_op, est)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        verify_l2lq_decay(small_op, EstimateSpec(r=math.inf, gamma=0.5))
-
-
 def test_estimate_spec_validation():
     with pytest.raises(ValueError):
         EstimateSpec(r=1.5)
-    with pytest.raises(ValueError):
-        EstimateSpec(r=2.0, q=3.0)
-    with pytest.raises(ValueError):
-        verify_l2lq_decay_rejects_q3()
-
-
-def verify_l2lq_decay_rejects_q3():
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 10)
-    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
-    verify_l2lq_decay(op, EstimateSpec(r=4.0, q=3.0))
 
 
 def test_shifted_decay_for_class_a_operator(small_op):
@@ -362,3 +344,70 @@ def test_gaussian_bound_on_free_window(wide_op):
     assert rep.c > 0 and rep.C > 0
     # the fitted decay rate should resemble the free 1/(4t)
     assert 2.0 < rep.c < 8.0
+
+
+def test_gaussian_bound_makes_one_transform_each_way(monkeypatch, wide_op, well_op):
+    calls = {"to_coeffs": 0, "from_coeffs": 0}
+    for name in calls:
+        original = getattr(SpectralOperator, name)
+
+        def counting(self, values, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, values)
+
+        monkeypatch.setattr(SpectralOperator, name, counting)
+    for op in (wide_op, well_op):
+        calls.update(to_coeffs=0, from_coeffs=0)
+        verify_gaussian_bound(op, np.geomspace(0.25, 4.0, 5))  # 5 times x 6 columns
+        assert calls == {"to_coeffs": 1, "from_coeffs": 1}, op.order is None
+
+
+def _gaussian_reference(op, times):
+    """verify_gaussian_bound's report with one apply_semigroup per (t, y)."""
+    coords = op.grid.coords()
+    cols = np.linspace(0, op.grid.n_total - 1, 6).astype(int)
+    ts, ss, ks = [], [], []
+    for t in times:
+        for y in cols:
+            unit = np.zeros(op.grid.n_total)
+            unit[y] = 1.0
+            kern = apply_semigroup(op, t, Field(unit, op.grid)).values / op.grid.weight
+            mask = kern > 1e-12 * max(np.max(kern), 1e-300)
+            ts.append(np.full(mask.sum(), t))
+            ss.append(np.sum((coords - coords[y]) ** 2, axis=1)[mask])
+            ks.append(kern[mask])
+    t_all, s_all, k_all = (np.concatenate(a) for a in (ts, ss, ks))
+    z = np.log(k_all) + 0.5 * op.grid.dim * np.log(t_all)
+    x = s_all / t_all
+    train = slice(0, None, 2)
+    a = np.stack([np.ones_like(x[train]), -x[train]], axis=1)
+    inv_c = max(np.linalg.lstsq(a, z[train], rcond=None)[0][1], 1e-12)
+    log_c0 = float(np.max(z[train] + inv_c * x[train]))
+    violation = float(np.max(np.exp(z - (log_c0 - inv_c * x))))
+    return GaussReport(c=float(1.0 / inv_c), C=float(math.exp(log_c0)),
+                       max_violation=violation, n_samples=int(t_all.size))
+
+
+def test_gaussian_bound_matches_per_column_semigroup(wide_op):
+    # structured path: stacked transforms equal single ones bit for bit
+    assert wide_op.order is not None
+    times = np.geomspace(0.25, 4.0, 5)
+    assert verify_gaussian_bound(wide_op, times) == _gaussian_reference(wide_op, times)
+
+
+def test_dense_kernel_column_matches_basis_formula(well_op):
+    op = well_op
+    assert op.order is None
+    for t in (0.05, 1.0, 20.0):
+        for y in (0, 137, op.grid.n_total - 1):
+            col = heat_kernel_column(op, t, y).values
+            ref = op.basis @ (np.exp(-t * op.mu) * op.basis[y]) / op.grid.weight
+            assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_times_must_be_positive(small_op):
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="kernel time must be > 0"):
+            heat_kernel_column(small_op, bad, 5)
+        with pytest.raises(ValueError, match="kernel time must be > 0"):
+            verify_gaussian_bound(small_op, [0.5, bad, 1.0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab
 from heatlab.grids import DomainSpec, Field, build_grid
@@ -252,14 +254,27 @@ def test_projection_rejects_zero(small_op):
         nehari_projection(heatlab.zero_field(small_op.grid), small_op, mode)
 
 
-def test_scaling_homogeneity_of_functionals(small_op):
-    mode = EquationMode.subcritical(3.0, 1)
-    rng = np.random.default_rng(61)
-    u = Field(rng.standard_normal(small_op.grid.n_total), small_op.grid)
-    r1 = energy(u, small_op, mode)
-    r2 = energy(2.0 * u, small_op, mode)
-    assert math.isclose(r2.energy_norm, 2.0 * r1.energy_norm, rel_tol=1e-12)
-    assert math.isclose(r2.lp, 2.0 * r1.lp, rel_tol=1e-12)
-    assert math.isclose(
-        r2.nehari, 4.0 * r1.energy_norm**2 - 16.0 * r1.lp**4, rel_tol=1e-10
-    )
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.1, 10.0), p=st.floats(1.5, 5.0))
+def test_scaling_homogeneity_of_functionals(small_op, well_op, lam, p):
+    # the norms are 1-homogeneous; E and J are the two-term polynomials
+    # lam^2 a - lam^(p+1) b in lam, and E can cancel to near zero, so those
+    # are compared against the sum of the magnitudes of their two terms
+    mode = EquationMode.subcritical(p, 1)
+    for seed, op in ((61, small_op), (62, well_op)):
+        u = Field(np.random.default_rng(seed).standard_normal(op.grid.n_total), op.grid)
+        one = energy(u, op, mode)
+        scaled = energy(lam * u, op, mode)
+        assert math.isclose(scaled.energy_norm, lam * one.energy_norm, rel_tol=1e-12)
+        assert math.isclose(scaled.lp, lam * one.lp, rel_tol=1e-12)
+        quad = lam**2 * one.energy_norm**2
+        power = lam ** (p + 1.0) * one.lp ** (p + 1.0)
+        for got, a, b in ((scaled.energy, 0.5 * quad, power / (p + 1.0)),
+                          (scaled.nehari, quad, power)):
+            assert abs(got - (a - b)) <= 1e-10 * (abs(a) + abs(b))
+
+
+def test_ground_state_non_convergence_reports_residual(line_op, cubic_mode):
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as exc:
+        ground_state(line_op, cubic_mode, max_iter=1)
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
