@@ -19,14 +19,17 @@ paths compute it:
 * structured: the Dirichlet Laplacian, and a schrodinger operator whose
   potential is zero, on any grid.  The eigenvectors are the orthonormal
   tensor sine transform (DST-I) and the eigenvalues have the closed form
-  sum_i (4 / h_i^2) sin^2(k_i pi / (2 (n_i + 1))), so no matrix is built
-  and the coefficient transforms are fast transforms (Strang, SIAM Rev. 41,
-  1999; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Each grid axis picks
-  its DST by a fixed rule on its node count n: when the largest prime
-  factor of n + 1 is at least 200 the axis runs a direct chirp-z sine
-  transform, one cyclic convolution of fast length >= 2n - 1, which beats
-  pocketfft's Bluestein fallback by about 2x at n = 1600 (table at
-  _uses_chirp); every other axis shares one scipy.fft.dstn call.
+  sum_i (4 / h_i^2) sin^2(k_i pi / (2 (n_i + 1))), so no N x N matrix is
+  built (Strang, SIAM Rev. 41, 1999; Lynch, Rice & Thomas, Numer. Math. 6,
+  1964).  Each grid axis picks one of three DST paths by a fixed rule on
+  its node count n (tables at _axis_path): an axis of at most 256 nodes
+  multiplies by the cached n x n sine matrix, whose O(n^2) product beats
+  an FFT's fixed cost there (a 13^3 grid transforms about 4x faster than
+  with scipy.fft.dstn); a longer axis whose n + 1 has a prime factor of at
+  least 200 runs a direct chirp-z sine transform, one cyclic convolution of
+  fast length >= 2n - 1, which beats pocketfft's Bluestein fallback by
+  about 2x at n = 1600; every other axis is O(n log n) in one shared
+  scipy.fft.dstn call.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  In 1D
   the tridiagonal eigensolver runs on the bands; in d >= 2 the divide-and-
@@ -49,6 +52,7 @@ available.  Families outside the certified list are tagged "neither".
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -230,16 +234,18 @@ class SpectralOperator:
     are orthonormal in the unweighted Euclidean sense and eigenvector(k) is
     basis[:, k] / sqrt(w); order is None.  On the structured path (see the
     module docstring) the transforms are the orthonormal DST-I of the field
-    reshaped to the grid, basis is an N x 0 array because no matrix exists,
-    and order is the stable ascending permutation of the closed-form
-    eigenvalues in DST output order: to_coeffs gathers with it and
-    from_coeffs scatters with it.
+    reshaped to the grid, each axis by sine matrix, chirp-z or scipy.fft,
+    basis is an N x 0 array because no matrix exists, and order is the
+    stable ascending permutation of the closed-form eigenvalues in DST
+    output order: to_coeffs gathers with it and from_coeffs scatters with
+    it.  In 1-d the closed-form eigenvalues already ascend in DST order, so
+    order is the identity and both skip it.
 
     to_coeffs and from_coeffs take one vector of length N or an (N, m)
     stack, one field per column, and return the same shape.  A stack costs
     one basis product on the dense path and one DST over the grid axes on
     the structured path, and its columns equal m single calls to roundoff
-    (bit for bit on the structured path).
+    (bit for bit on the structured path, whichever path each axis takes).
     """
 
     spec: OperatorSpec
@@ -264,17 +270,22 @@ class SpectralOperator:
             return np.sqrt(self.grid.weight) * (self.basis.T @ values)
         values = np.asarray(values)
         sines = _grid_dst(values.reshape(self.grid.n + values.shape[1:]), self.grid.dim)
-        return np.sqrt(self.grid.weight) * sines.reshape(values.shape)[self.order]
+        sines = sines.reshape(values.shape)
+        if self.grid.dim > 1:  # in 1-d, order is the identity
+            sines = sines[self.order]
+        return np.sqrt(self.grid.weight) * sines
 
     def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         if self.order is None:
             out = self.basis @ coeffs
         else:
             coeffs = np.asarray(coeffs)
-            sines = np.empty(coeffs.shape, dtype=np.result_type(coeffs, float))
-            sines[self.order] = coeffs
+            sines = coeffs
+            if self.grid.dim > 1:  # in 1-d, order is the identity
+                sines = np.empty(coeffs.shape, dtype=np.result_type(coeffs, float))
+                sines[self.order] = coeffs
             shape = self.grid.n + coeffs.shape[1:]
-            out = _grid_dst(sines.reshape(shape), self.grid.dim, overwrite=True)
+            out = _grid_dst(sines.reshape(shape), self.grid.dim, overwrite=sines is not coeffs)
             out = out.reshape(coeffs.shape)
         out /= np.sqrt(self.grid.weight)  # out is new: no block-sized copy
         return out
@@ -301,23 +312,60 @@ class SpectralOperator:
 def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
     """Orthonormal DST-I over the first dim axes; a trailing axis is a batch.
 
-    Axes of chirp size (see _uses_chirp) run _chirp_dst; the others share
-    one scipy.fft.dstn call, so a grid with no chirp axis costs exactly
-    that one call.
+    Each axis runs the path _axis_path names: the "dst" axes share one
+    scipy.fft.dstn call, each "chirp" axis runs _chirp_dst, and the
+    "matmul" axes share one _sine_matmul call.
     """
-    chirp = [ax for ax in range(dim) if _uses_chirp(x.shape[ax])]
-    if not chirp:
-        axes = None if x.ndim == dim else tuple(range(dim))
-        return scipy.fft.dstn(x, type=1, norm="ortho", axes=axes, overwrite_x=overwrite)
-    rest = tuple(ax for ax in range(dim) if ax not in chirp)
-    if rest:
-        x = scipy.fft.dstn(x, type=1, norm="ortho", axes=rest, overwrite_x=overwrite)
-    for ax in chirp:
-        x = np.moveaxis(_chirp_dst(np.moveaxis(x, ax, 0)), 0, ax)
+    paths = [_axis_path(n) for n in x.shape[:dim]]
+    fft = tuple(ax for ax in range(dim) if paths[ax] == "dst")
+    if fft:
+        x = scipy.fft.dstn(x, type=1, norm="ortho", axes=fft, overwrite_x=overwrite)
+    for ax, path in enumerate(paths):
+        if path == "chirp" and ax == 0:
+            x = _chirp_dst(x)
+        elif path == "chirp":
+            x = np.moveaxis(_chirp_dst(np.moveaxis(x, ax, 0)), 0, ax)
+    if "matmul" in paths:
+        x = _sine_matmul(x, dim, [path == "matmul" for path in paths])
     return x
 
 
+_MATMUL_MAX_N = 256  # longest grid axis on the sine-matrix path
 _CHIRP_MIN_FACTOR = 200  # smallest largest prime factor of n + 1 on the chirp path
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_path(n: int) -> str:
+    """The DST-I path of a grid axis with n nodes: "matmul", "chirp" or "dst".
+
+    One fixed rule on n: axes of at most _MATMUL_MAX_N nodes multiply by the
+    sine matrix (_sine_matmul), longer axes run the chirp-z transform
+    (_chirp_dst) when _uses_chirp(n), and the rest run scipy.fft.  Measured
+    per call on one field of a 1-d grid, best of 7 x 400 calls, 2-core Xeon,
+    scipy 1.17, 2 OpenBLAS threads:
+
+           n   largest prime of n + 1   dst (us)   chirp (us)   matmul (us)   path
+          13              7                8.9        28.4          7.4      matmul
+          64             13               10.1        21.7          8.2      matmul
+         128             43               22.3        40.8          9.6      matmul
+         200             67               26.6        26.8         10.7      matmul
+         256            257               51.3        28.5         14.6      matmul
+         400            401               49.9        42.6         36.9      chirp
+         640            641               80.2        74.4        159.2      chirp
+        1600           1601              243.4       105.4        580.6      chirp
+
+    and for a whole grid, one field, scipy.fft.dstn against _grid_dst:
+
+        13^3: 79.0 us against 18.6 us;  31^3: 663.4 us against 129.5 us.
+
+    The product costs O(n^2) per line against O(n log n), but up to 256
+    nodes the FFTs' fixed costs dominate.  Past about 300 nodes a smooth
+    n + 1 lets scipy win (n = 350: 15.0 us against 29.1 us by matrix), and
+    the matrix takes n^2 doubles (512 KB at 256), so the bound stays at 256.
+    """
+    if n <= _MATMUL_MAX_N:
+        return "matmul"
+    return "chirp" if _uses_chirp(n) else "dst"
 
 
 def _largest_prime_factor(m: int) -> int:
@@ -329,37 +377,51 @@ def _largest_prime_factor(m: int) -> int:
     return max(largest, m)
 
 
-@functools.lru_cache(maxsize=None)
 def _uses_chirp(n: int) -> bool:
-    """Whether the length-n DST-I runs as a chirp-z transform (_chirp_dst).
+    """Whether the length-n DST-I beats scipy's as a chirp-z transform.
 
     pocketfft computes a DST-I from an FFT of length 2(n + 1); when n + 1
     has a large prime factor that FFT falls back to Bluestein at a padded
-    length of at least 4(n + 1).  The direct chirp-z form needs only
-    next_fast_len(2n - 1).  Measured per call on a 2-core Xeon (scipy 1.17,
-    one worker), scipy.fft.dst against _chirp_dst:
-
-        n      largest prime of n + 1   dst (us)   chirp (us)   speed-up
-        128          43                   19.7        36.4        0.54
-        800          89                   52.7        80.4        0.66
-        1599          5                   46.0       137.0        0.34
-        2000         29                   48.5       112.8        0.43
-        3200         97                  111.0       170.1        0.65
-        100         101                   15.6        21.5        0.72
-        196         197                   33.0        25.8        1.28
-        256         257                   48.3        26.7        1.81
-        400         401                   50.6        32.8        1.54
-        640         641                   67.8        41.8        1.62
-        1200       1201                  131.8        71.3        1.85
-        1600       1601                  185.8        88.5        2.10
-        1800       1801                  228.9       106.7        2.14
-        2048        683                  245.8       110.1        2.23
-        3000       3001                  389.9       173.1        2.25
-        4000       4001                  507.0       211.3        2.40
-
-    The chirp wins once the largest prime factor passes about 200.
+    length of at least 4(n + 1).  The direct chirp-z form (_chirp_dst) needs
+    only next_fast_len(2n - 1), and it wins once the largest prime factor
+    of n + 1 passes about 200 (table at _axis_path).  Axes short enough for
+    the sine matrix take that path instead.
     """
     return _largest_prime_factor(n + 1) >= _CHIRP_MIN_FACTOR
+
+
+@functools.lru_cache(maxsize=16)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The n x n orthonormal DST-I matrix sqrt(2/(n + 1)) sin(pi j k / (n + 1)).
+
+    jk is reduced mod 2(n + 1), the period of the sine, so every argument
+    stays below 2 pi.  The matrix is symmetric and its own inverse.
+    """
+    j = np.arange(1, n + 1, dtype=np.int64)
+    phase = np.outer(j, j) % (2 * (n + 1))
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
+    s.flags.writeable = False
+    return s
+
+
+def _sine_matmul(x: np.ndarray, dim: int, axes: list[bool]) -> np.ndarray:
+    """Orthonormal DST-I along the grid axes flagged in axes, by the sine matrix.
+
+    The batch axis goes first and a single field is a batch of one, so
+    every field runs the same BLAS calls, alone or in a stack, and a stack
+    equals its single calls bit for bit.  Each pass takes the leading grid
+    axis of every field as the rows of one (rest x n) @ (n x n) product with
+    the symmetric matrix, which also rotates that axis to the back; after
+    dim passes the axes are back in order.  An unflagged axis is only
+    rotated.
+    """
+    grid = x.shape[:dim]
+    m = math.prod(x.shape[dim:])
+    y = np.ascontiguousarray(x.reshape(-1, m).T)
+    for n, flagged in zip(grid, axes):
+        rows = y.reshape(m, n, -1).transpose(0, 2, 1)
+        y = rows @ _sine_matrix(n) if flagged else np.ascontiguousarray(rows)
+    return y.reshape(m, -1).T.reshape(x.shape)
 
 
 @functools.lru_cache(maxsize=16)

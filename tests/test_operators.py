@@ -18,9 +18,11 @@ from heatlab.operators import (
     OperatorSpec,
     PotentialSpec,
     ZERO_POTENTIAL,
+    _axis_path,
     _check_reconstruction,
     _chirp_dst,
     _dense_matrix,
+    _sine_matmul,
     _stencil_apply,
     _uses_chirp,
     assemble,
@@ -373,7 +375,13 @@ def test_transform_properties(transform_ops, data):
 
 @pytest.fixture(
     scope="module",
-    params=["structured_1d_37", "structured_1d_1600", "structured_3d_345", "dense_well"],
+    params=[
+        "structured_1d_37",
+        "structured_1d_1600",
+        "structured_3d_345",
+        "structured_3d_13",
+        "dense_well",
+    ],
 )
 def batch_op(request, well_op):
     if request.param == "dense_well":
@@ -382,6 +390,7 @@ def batch_op(request, well_op):
         "structured_1d_37": (DomainSpec.interval(0.0, 3.0), 37),
         "structured_1d_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # chirp size
         "structured_3d_345": (DomainSpec.box(-1.0, 1.0, 3), (3, 4, 5)),
+        "structured_3d_13": (DomainSpec.box(-5.0, 5.0, 3), 13),  # the critical_3d grid
     }
     return assemble(OperatorSpec(kind="dirichlet_laplacian"), build_grid(*grids[request.param]))
 
@@ -417,7 +426,7 @@ def test_chirp_rule_follows_largest_prime_factor_of_n_plus_1():
     assert not any(_uses_chirp(n) for n in (1599, 13, 3200))
 
 
-@pytest.mark.parametrize("shape", [(256, 12), (12, 256)])
+@pytest.mark.parametrize("shape", [(256, 12), (12, 256), (400, 12)])
 def test_grid_with_one_chirp_axis_matches_stencil(shape):
     assert _uses_chirp(256) and not _uses_chirp(12)
     grid = build_grid(DomainSpec.box((-1.0, -1.0), (1.0, 1.0)), shape)
@@ -429,6 +438,35 @@ def test_grid_with_one_chirp_axis_matches_stencil(shape):
     assert np.max(np.abs(op.to_coeffs(x) - np.sqrt(grid.weight) * ref)) <= 1e-13 * np.sqrt(
         grid.weight
     ) * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(256,), (257,), (12, 12, 12), (13, 13, 13), (6, 7, 8)])
+def test_sine_matmul_matches_scipy_and_inverts(shape):
+    x = np.random.default_rng(len(shape)).standard_normal(shape + (2,))
+    dim = len(shape)
+    y = _sine_matmul(x, dim, [True] * dim)
+    ref = scipy.fft.dstn(x, type=1, norm="ortho", axes=tuple(range(dim)))
+    assert y.shape == x.shape
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(_sine_matmul(y, dim, [True] * dim) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_axis_path_rule():
+    # up to 256 nodes the sine matrix; beyond, chirp-z when n + 1 has a prime
+    # factor >= 200 (263, 401 and 1601 are prime) and scipy's DST otherwise
+    # (258 = 2 3 43, 260 = 2^2 5 13, 1600 = 2^6 5^2, 3201 = 3 11 97)
+    assert all(_axis_path(n) == "matmul" for n in (1, 13, 31, 196, 256))
+    assert all(_axis_path(n) == "chirp" for n in (262, 400, 1600))
+    assert all(_axis_path(n) == "dst" for n in (257, 259, 1599, 3200))
+
+
+def test_grid_with_all_three_axis_paths_matches_stencil():
+    grid = build_grid(DomainSpec.box((-1.0, -2.0, -2.0), (1.0, 2.0, 2.0)), (3, 262, 259))
+    assert [_axis_path(n) for n in grid.n] == ["matmul", "chirp", "dst"]
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    x = np.random.default_rng(5).standard_normal(grid.n_total)
+    ax = _stencil_apply(op, x, None)
+    assert np.linalg.norm(op.matvec(x) - ax) <= 1e-12 * np.linalg.norm(ax)
 
 
 def test_dense_3d_eigenvectors_orthogonal_and_accurate():
