@@ -7,15 +7,16 @@ quoting, no interpolation.  parse_config_text -> ExperimentConfig.from_mapping
 validates everything up front (naming the offending key) so a bad config
 never reaches the numerics.
 
-_SCHEMA is the single list of keys: each row gives the ExperimentConfig
-field a key fills, the parser that type- and range-checks its value, and its
-default (_REQUIRED when the key must be given).  Rules that tie several keys
-together follow the table loop in from_mapping.
+The ExperimentConfig fields are the single list of keys: each field's
+metadata gives the dotted key it is filled from, the parser that type- and
+range-checks its value, and its default (_REQUIRED when the key must be
+given).  _SCHEMA maps each key to its field.  Rules that tie several keys
+together follow the key loop in from_mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Tuple, Union
 
 Scalar = Union[int, float, bool, str]
@@ -151,95 +152,66 @@ _grid_counts = _checked(
 )
 _sign = _checked(_integer, lambda v: v in (1, -1), "sign is +1 (repulsive) or -1 (attractive)")
 
-# key -> (ExperimentConfig field, parser, default).  A default of None means
-# "not set"; domain.lower (required unless the domain is a halfline) and
-# equation.p (required unless the regime is critical) are checked after the
-# table loop.
-_SCHEMA = {
-    "equation.regime": ("regime", _choice("subcritical", "critical"), _REQUIRED),
-    "equation.p": ("p", _number, None),
-    "equation.nonlinearity": ("nonlinearity", _choice("source", "absorbing"), "source"),
-    "domain.kind": ("domain_kind", _choice("interval", "box", "halfline"), _REQUIRED),
-    "domain.lower": ("lower", _each(_number), None),
-    "domain.upper": ("upper", _each(_number), _REQUIRED),
-    "grid.n": ("n", _grid_counts, _REQUIRED),
-    "operator.kind": ("operator_kind",
-                      _choice("dirichlet_laplacian", "schrodinger", "robin_halfline"),
-                      "dirichlet_laplacian"),
-    "operator.sigma": ("sigma", _nonnegative(_number), 0.0),
-    "potential.kind": ("potential_kind", _choice("zero", "inverse_power", "gaussian_well"), "zero"),
-    "potential.alpha": ("potential_alpha", _number, 0.0),
-    "potential.coupling": ("potential_coupling", _number, 0.0),
-    "potential.sign": ("potential_sign", _sign, 1),
-    "potential.depth": ("potential_depth", _number, 1.0),
-    "potential.width": ("potential_width", _number, 1.0),
-    "initial.recipe": ("recipe", _choice("zero", "gaussian", "scaled_ground_state", "eigenmode"),
-                       _REQUIRED),
-    "initial.amplitude": ("amplitude", _number, 1.0),
-    "initial.center": ("center", _each(_number), (0.0,)),
-    "initial.width": ("width", _positive(_number), None),
-    "initial.lambda": ("lam", _nonnegative(_number), 1.0),
-    "initial.k": ("mode_index", _nonnegative(_integer), 0),
-    "integrator.scheme": ("scheme", _choice("exponential_euler", "etdrk2"), "etdrk2"),
-    "integrator.t_max": ("t_max", _positive(_number), _REQUIRED),
-    "integrator.dt_init": ("dt_init", _positive(_number), 1e-3),
-    "integrator.dt_min": ("dt_min", _positive(_number), 1e-13),
-    "integrator.dt_max": ("dt_max", _positive(_number), 0.5),
-    "integrator.rel_tol": ("rel_tol", _positive(_number), 1e-6),
-    "integrator.sup_cap": ("sup_cap", _positive(_number), 1e6),
-    "integrator.energy_cap": ("energy_cap", _positive(_number), 1e12),
-    "integrator.sample_interval": ("sample_interval", _positive(_number), None),
-    "integrator.cutoff_radii": ("cutoff_radii", _positive(_each(_number)), ()),
-    "diagnostics.alpha": ("diag_alpha", _positive(_number), 0.1),
-    "diagnostics.A": ("diag_A", _positive(_number), None),
-    "diagnostics.R": ("diag_R", _positive(_number), None),
-    "sweep.key": ("sweep_key", _text, None),
-    "sweep.values": ("sweep_values", _values, ()),
-    "seed": ("seed", _nonnegative(_integer), 0),
-}
+
+def _key(key: str, parse: Callable, default=_REQUIRED):
+    """A config field: its dotted key, its parser and its default, as metadata."""
+    return field(metadata={"key": key, "parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, still independent of any assembly."""
+    """Validated experiment description, still independent of any assembly.
 
-    regime: str
-    p: Optional[float]
-    nonlinearity: str
-    domain_kind: str
-    lower: Tuple[float, ...]
-    upper: Tuple[float, ...]
-    n: Tuple[int, ...]
-    operator_kind: str
-    sigma: float
-    potential_kind: str
-    potential_alpha: float
-    potential_coupling: float
-    potential_sign: int
-    potential_depth: float
-    potential_width: float
-    recipe: str
-    amplitude: float
-    center: Tuple[float, ...]
-    width: Optional[float]
-    lam: float
-    mode_index: int
-    scheme: str
-    t_max: float
-    dt_init: float
-    dt_min: float
-    dt_max: float
-    rel_tol: float
-    sup_cap: float
-    energy_cap: float
-    sample_interval: Optional[float]
-    cutoff_radii: Tuple[float, ...]
-    diag_alpha: float
-    diag_A: Optional[float]
-    diag_R: Optional[float]
-    sweep_key: Optional[str]
-    sweep_values: Tuple[Scalar, ...]
-    seed: int
+    A default of None means "not set"; domain.lower (required unless the
+    domain is a halfline) and equation.p (required unless the regime is
+    critical) are checked after the key loop in from_mapping.
+    """
+
+    regime: str = _key("equation.regime", _choice("subcritical", "critical"))
+    p: Optional[float] = _key("equation.p", _number, None)
+    nonlinearity: str = _key("equation.nonlinearity", _choice("source", "absorbing"), "source")
+    domain_kind: str = _key("domain.kind", _choice("interval", "box", "halfline"))
+    lower: Tuple[float, ...] = _key("domain.lower", _each(_number), None)
+    upper: Tuple[float, ...] = _key("domain.upper", _each(_number))
+    n: Tuple[int, ...] = _key("grid.n", _grid_counts)
+    operator_kind: str = _key(
+        "operator.kind",
+        _choice("dirichlet_laplacian", "schrodinger", "robin_halfline"),
+        "dirichlet_laplacian",
+    )
+    sigma: float = _key("operator.sigma", _nonnegative(_number), 0.0)
+    potential_kind: str = _key(
+        "potential.kind", _choice("zero", "inverse_power", "gaussian_well"), "zero"
+    )
+    potential_alpha: float = _key("potential.alpha", _number, 0.0)
+    potential_coupling: float = _key("potential.coupling", _number, 0.0)
+    potential_sign: int = _key("potential.sign", _sign, 1)
+    potential_depth: float = _key("potential.depth", _number, 1.0)
+    potential_width: float = _key("potential.width", _number, 1.0)
+    recipe: str = _key(
+        "initial.recipe", _choice("zero", "gaussian", "scaled_ground_state", "eigenmode")
+    )
+    amplitude: float = _key("initial.amplitude", _number, 1.0)
+    center: Tuple[float, ...] = _key("initial.center", _each(_number), (0.0,))
+    width: Optional[float] = _key("initial.width", _positive(_number), None)
+    lam: float = _key("initial.lambda", _nonnegative(_number), 1.0)
+    mode_index: int = _key("initial.k", _nonnegative(_integer), 0)
+    scheme: str = _key("integrator.scheme", _choice("exponential_euler", "etdrk2"), "etdrk2")
+    t_max: float = _key("integrator.t_max", _positive(_number))
+    dt_init: float = _key("integrator.dt_init", _positive(_number), 1e-3)
+    dt_min: float = _key("integrator.dt_min", _positive(_number), 1e-13)
+    dt_max: float = _key("integrator.dt_max", _positive(_number), 0.5)
+    rel_tol: float = _key("integrator.rel_tol", _positive(_number), 1e-6)
+    sup_cap: float = _key("integrator.sup_cap", _positive(_number), 1e6)
+    energy_cap: float = _key("integrator.energy_cap", _positive(_number), 1e12)
+    sample_interval: Optional[float] = _key("integrator.sample_interval", _positive(_number), None)
+    cutoff_radii: Tuple[float, ...] = _key("integrator.cutoff_radii", _positive(_each(_number)), ())
+    diag_alpha: float = _key("diagnostics.alpha", _positive(_number), 0.1)
+    diag_A: Optional[float] = _key("diagnostics.A", _positive(_number), None)
+    diag_R: Optional[float] = _key("diagnostics.R", _positive(_number), None)
+    sweep_key: Optional[str] = _key("sweep.key", _text, None)
+    sweep_values: Tuple[Scalar, ...] = _key("sweep.values", _values, ())
+    seed: int = _key("seed", _nonnegative(_integer), 0)
     raw: dict = field(repr=False)
 
     @property
@@ -252,14 +224,14 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(unknown[0], f"unknown key(s): {', '.join(unknown)}")
         values = {}
-        for key, (name, parse, default) in _SCHEMA.items():
+        for key, f in _SCHEMA.items():
             if key not in raw:
-                if default is _REQUIRED:
+                if f.metadata["default"] is _REQUIRED:
                     raise ConfigError(key, "required key is missing")
-                values[name] = default
+                values[f.name] = f.metadata["default"]
                 continue
             try:
-                values[name] = parse(raw[key])
+                values[f.name] = f.metadata["parse"](raw[key])
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
 
@@ -341,6 +313,10 @@ class ExperimentConfig:
         """Canonical `key = value` rendering of the raw mapping (round-trips)."""
         lines = [f"{key} = {_fmt_value(self.raw[key])}" for key in sorted(self.raw)]
         return "\n".join(lines) + "\n"
+
+
+# dotted key -> ExperimentConfig field, in declaration order
+_SCHEMA = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

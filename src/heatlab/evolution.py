@@ -102,26 +102,19 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.samples])
 
 
-CSV_HEADER = "t,mass,energy_norm,E,J,lp,sup,dissipation_cum,s_norm_cum"
+# (trajectory.csv column, TrajectorySample field)
+_CSV_COLUMNS = (
+    ("t", "t"), ("mass", "mass"), ("energy_norm", "energy_norm"), ("E", "energy"),
+    ("J", "nehari"), ("lp", "lp"), ("sup", "sup"), ("dissipation_cum", "dissipation_cum"),
+    ("s_norm_cum", "s_norm_cum"),
+)
+CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
 
 
 def trajectory_rows(traj: Trajectory):
     """Yield CSV rows matching CSV_HEADER, full float precision."""
     for s in traj.samples:
-        yield ",".join(
-            repr(float(v))
-            for v in (
-                s.t,
-                s.mass,
-                s.energy_norm,
-                s.energy,
-                s.nehari,
-                s.lp,
-                s.sup,
-                s.dissipation_cum,
-                s.s_norm_cum,
-            )
-        )
+        yield ",".join(repr(float(getattr(s, name))) for _, name in _CSV_COLUMNS)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -258,8 +251,9 @@ def _sq_norm(v: np.ndarray) -> float:
 def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
     """weight * sum |u|^q, or inf past double range (trapped, not warned).
 
-    The critical space-time integrand goes through here, so an overflow
-    reaches _Accumulators.advance as an inf rate, as in _sq_norm.
+    The L^(p+1) power sum and the critical space-time integrand go through
+    here: _state_stats refuses an infinite E or J, and an overflowed rate
+    reaches _Accumulators.advance as inf, as in _sq_norm.
     """
     try:
         with np.errstate(over="raise"):
@@ -282,15 +276,19 @@ def _state_stats(
     mass = float(c @ c)
     en_sq = float(np.sum(st.a * c * c))
     abs_u = np.abs(u_phys)
-    lp_p1 = weight * float(np.sum(abs_u ** (p + 1.0)))
+    lp_p1 = _lq_integral(abs_u, p + 1.0, weight)
+    energy = 0.5 * en_sq - st.sign * lp_p1 / (p + 1.0)
+    nehari = en_sq - st.sign * lp_p1
+    if not (math.isfinite(energy) and math.isfinite(nehari)):
+        raise FloatingPointError("E or J is past double range")
     ut = -(st.a * c - n0)
     stats = {
         "mass": mass,
         "en_sq": en_sq,
         "lp": lp_p1 ** (1.0 / (p + 1.0)),
         "sup": float(np.max(abs_u)) if abs_u.size else 0.0,
-        "energy": 0.5 * en_sq - st.sign * lp_p1 / (p + 1.0),
-        "nehari": en_sq - st.sign * lp_p1,
+        "energy": energy,
+        "nehari": nehari,
         "diss_rate": _sq_norm(ut),
         "s_rate": _lq_integral(abs_u, q_crit, weight) if q_crit is not None else 0.0,
         "cutoff": {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()},
@@ -310,7 +308,8 @@ def integrate(
     accepted step when sample_interval is None), covering [0, t_end] where
     t_end is t_max or the detection time.  Dissipation and critical
     space-time integrals are accumulated at every accepted step regardless
-    of the sample cadence.
+    of the sample cadence.  Raises ValueError when u0 overflows double
+    precision, so that its E or J is not finite.
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
@@ -322,8 +321,11 @@ def integrate(
 
     c = op.to_coeffs(np.asarray(u0.values, dtype=float))
     u_phys = u0.values.copy()
-    n0 = st.n_hat(u_phys)
-    stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
+    try:
+        n0 = st.n_hat(u_phys)
+        stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
+    except FloatingPointError:
+        raise ValueError("initial state overflows: E or J is past double range") from None
     sup0 = max(stats["sup"], 1e-300)
 
     traj = Trajectory(samples=[], mode=mode, scheme=cfg.scheme)
@@ -409,7 +411,7 @@ def integrate(
             stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
             acc.advance(dt, prev_stats, stats, mid_rates)
         except FloatingPointError:
-            # the accepted state overflows the nonlinearity or a rate: explosion
+            # the accepted state overflows the nonlinearity, E, J or a rate: explosion
             stats = prev_stats
             return finish("sup_cap", detect=True)
         traj.accepted += 1

@@ -312,29 +312,19 @@ def run_experiment(
     return ExperimentResult(cfg=cfg, op=op, mode=mode, trajectory=traj, consts=consts, summary=summary)
 
 
-SWEEP_HEADER = "index,value,verdict,T_detect,t_final,rate_stat,concavity_margin,error"
+_SWEEP_SUMMARY_KEYS = ("verdict", "T_detect", "t_final", "rate_stat", "concavity_margin")
+SWEEP_HEADER = ",".join(("index", "value") + _SWEEP_SUMMARY_KEYS + ("error",))
 
 
 def _sweep_worker(args) -> dict:
     cfg, value, run_dir, index, setup = args
-    row = {
-        "index": index,
-        "value": value,
-        "verdict": "",
-        "T_detect": "",
-        "t_final": "",
-        "rate_stat": "",
-        "concavity_margin": "",
-        "error": "",
-    }
+    row = dict.fromkeys(SWEEP_HEADER.split(","), "")
+    row["index"], row["value"] = index, value
     try:
         sub = cfg.with_override(cfg.sweep_key, value)
         result = run_experiment(sub, run_dir, setup)
-        row["verdict"] = result.summary["verdict"]
-        row["T_detect"] = result.summary.get("T_detect", "")
-        row["t_final"] = result.summary["t_final"]
-        row["rate_stat"] = result.summary.get("rate_stat", "")
-        row["concavity_margin"] = result.summary.get("concavity_margin", "")
+        for key in _SWEEP_SUMMARY_KEYS:
+            row[key] = result.summary.get(key, "")
     except Exception as exc:  # per-row capture keeps the axis alive
         row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
     return row

@@ -66,6 +66,7 @@ from .grids import Field, Grid
 POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
 _ROW_BLOCK = 256  # matrix rows per pass where an N x N temporary is avoided
+_ZERO_EIGENVALUE_TOL = 1e-10  # mu_1 above it rules out a zero eigenvalue
 
 
 class AssemblyError(ValueError):
@@ -112,22 +113,18 @@ ZERO_POTENTIAL = PotentialSpec()
 class OperatorSpec:
     """Declarative description of a self-adjoint generator L >= lower bound.
 
-    assumption_class may be given explicitly or left None to be derived
-    (see classify_assumption).
+    assemble derives its assumption class (see classify_assumption).
     """
 
     kind: str
     potential: PotentialSpec = ZERO_POTENTIAL
     sigma: float = 0.0
-    assumption_class: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "robin_halfline" and self.sigma < 0:
             raise ValueError("robin_halfline requires sigma >= 0")
-        if self.assumption_class not in (None, "A", "B", "neither"):
-            raise ValueError("assumption_class must be 'A', 'B' or 'neither'")
 
 
 def validate_potential(pot: PotentialSpec, dim: int) -> None:
@@ -474,39 +471,28 @@ def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
 
 
-def _laplacian_1d_bands(grid: Grid, spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    n = grid.n[0]
-    h = grid.h[0]
-    diag = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    if spec.kind == "robin_halfline":
-        # Ghost-node elimination at x = 0: u'(0) = sigma*u(0) with the
-        # one-sided difference gives u(0) = u_1 / (1 + sigma*h), so the first
-        # row keeps only (2 - 1/(1 + sigma*h)) / h^2 on the diagonal.
-        diag[0] = (2.0 - 1.0 / (1.0 + spec.sigma * h)) / h**2
-    return diag, off
+def _stencil_matrix(grid: Grid, spec: OperatorSpec):
+    """Sparse Kronecker sum of the per-axis second-difference stencils.
 
-
-def _dense_matrix(grid: Grid) -> np.ndarray:
-    """Kronecker-sum finite-difference Laplacian, dense and Fortran-ordered.
-
-    Fortran order lets LAPACK overwrite the matrix with its eigenvectors
-    instead of copying it first.
+    On a halfline (always 1-d) the Robin condition u'(0) = sigma*u(0) is
+    eliminated through the ghost node: the one-sided difference gives
+    u(0) = u_1 / (1 + sigma*h), so the first row keeps only
+    (2 - 1/(1 + sigma*h)) / h^2 on the diagonal.
     """
-    mats = []
-    for axis in range(grid.dim):
-        n, h = grid.n[axis], grid.h[axis]
-        t = scipy.sparse.diags(
-            [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-            offsets=(-1, 0, 1),
-        ) / h**2
-        mats.append(t)
-    a = mats[0]
-    for t in mats[1:]:
-        a = scipy.sparse.kron(a, scipy.sparse.identity(t.shape[0])) + scipy.sparse.kron(
-            scipy.sparse.identity(a.shape[0]), t
-        )
-    return a.toarray(order="F")
+    a = None
+    for n, h in zip(grid.n, grid.h):
+        diag = np.full(n, 2.0)
+        if spec.kind == "robin_halfline":
+            diag[0] = 2.0 - 1.0 / (1.0 + spec.sigma * h)
+        off = np.full(n - 1, -1.0) / h**2
+        t = scipy.sparse.diags([off, diag / h**2, off], offsets=(-1, 0, 1))
+        if a is None:
+            a = t
+        else:
+            a = scipy.sparse.kron(a, scipy.sparse.identity(t.shape[0])) + scipy.sparse.kron(
+                scipy.sparse.identity(a.shape[0]), t
+            )
+    return a
 
 
 def _asymmetry(a: np.ndarray) -> tuple[float, float]:
@@ -545,14 +531,14 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
         mu = mu[order]
         basis = np.empty((grid.n_total, 0))
     elif grid.dim == 1:
-        diag, off = _laplacian_1d_bands(grid, spec)
+        a = _stencil_matrix(grid, spec)
+        diag = a.diagonal()
         if v is not None:
             diag = diag + v
-        mu, basis = scipy.linalg.eigh_tridiagonal(diag, off)
+        mu, basis = scipy.linalg.eigh_tridiagonal(diag, a.diagonal(1))
     else:
-        if spec.kind == "robin_halfline":
-            raise AssemblyError("robin_halfline is one-dimensional")
-        a = _dense_matrix(grid)
+        # Fortran order lets LAPACK overwrite the matrix with its eigenvectors
+        a = _stencil_matrix(grid, spec).toarray(order="F")
         if v is not None:
             a[np.diag_indices_from(a)] += v
         asym, scale = _asymmetry(a)
@@ -561,7 +547,7 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
         # divide and conquer; the eigenvectors overwrite a in place
         mu, basis = scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
 
-    klass = spec.assumption_class or classify_assumption(spec, grid.dim)
+    klass = classify_assumption(spec, grid.dim)
     op = SpectralOperator(
         spec=spec, grid=grid, mu=mu, basis=basis, assumption_class=klass, order=order
     )
@@ -613,6 +599,6 @@ def _stencil_apply(op: SpectralOperator, x: np.ndarray, diag_potential) -> np.nd
     return y
 
 
-def check_zero_not_eigenvalue(op: SpectralOperator, tol: float = 1e-10) -> bool:
+def check_zero_not_eigenvalue(op: SpectralOperator) -> bool:
     """True when the bottom of the spectrum is safely above zero."""
-    return op.mu_min > tol
+    return op.mu_min > _ZERO_EIGENVALUE_TOL

@@ -37,6 +37,8 @@ from .operators import SpectralOperator
 NONLINEARITY = ("source", "absorbing", "none")
 _BOUND_TIMES = 300  # log-spaced times in sobolev_bound_from_semigroup's quadrature
 _BOUND_T_MIN = 1e-12  # its smallest time; the range below is a closed-form remainder
+_SOLVE_TOL = 1e-6  # relative gradient at which _nehari_fixed_point stops
+_SOLVE_MAX_ITER = 2000  # its iteration limit
 
 
 class ConvergenceError(RuntimeError):
@@ -222,19 +224,15 @@ def _default_bump(op: SpectralOperator, offset: float = 0.0) -> Field:
     )
 
 
-def _nehari_fixed_point(
-    op: SpectralOperator,
-    mode: EquationMode,
-    start: Field,
-    tol: float,
-    max_iter: int,
-) -> tuple[Field, float, int]:
+def _nehari_fixed_point(op: SpectralOperator, mode: EquationMode, start: Field) -> Field:
     """Projected inverse iteration u <- Pi_N[(L+shift)^(-1) |u|^(p-1) u].
 
     The fixed points solve the discrete stationary equation exactly; the
     Nehari projection removes the unstable ray direction, and on the manifold
     the linearised map is a contraction (the constrained Hessian at the
-    minimiser is nonnegative).  Residual = ||grad E||_2 / ||u||_2.
+    minimiser is nonnegative).  Residual = ||grad E||_2 / ||u||_2; the
+    iteration stops below _SOLVE_TOL and gives up after _SOLVE_MAX_ITER
+    iterations.
     """
     a = _mode_multiplier(op, mode)
     if np.min(a) <= 0:
@@ -243,15 +241,15 @@ def _nehari_fixed_point(
     theta = 1.0
     prev_res = math.inf
     bad = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(_SOLVE_MAX_ITER):
         c = op.to_coeffs(u.values)
         nl = np.abs(u.values) ** (mode.p - 1.0) * u.values
         n_hat = op.to_coeffs(nl)
         res = float(np.linalg.norm(a * c - n_hat) / max(np.linalg.norm(c), 1e-300))
         if not math.isfinite(res):
             raise ConvergenceError("fixed-point iteration diverged", float("inf"))
-        if res <= tol:
-            return u, res, it
+        if res <= _SOLVE_TOL:
+            return u
         if res > prev_res * (1.0 + 1e-12):
             bad += 1
             if bad >= 5:
@@ -261,27 +259,21 @@ def _nehari_fixed_point(
         step = op.from_coeffs(n_hat / a)
         candidate = Field((1.0 - theta) * u.values + theta * step, u.grid)
         u = nehari_projection(candidate, op, mode).projected
-    raise ConvergenceError(f"no convergence after {max_iter} iterations", prev_res)
+    raise ConvergenceError(f"no convergence after {_SOLVE_MAX_ITER} iterations", prev_res)
 
 
-def ground_state(
-    op: SpectralOperator,
-    mode: EquationMode,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    start: Optional[Field] = None,
-) -> Field:
+def ground_state(op: SpectralOperator, mode: EquationMode) -> Field:
     """Positive minimiser of E on the Nehari manifold (subcritical only).
 
     Projected descent from a centred positive bump; terminates when the
-    relative gradient ||grad E||_2/||u||_2 drops below tol.  Critical-mode
-    minimisers on truncated grids are a different object and are refused.
+    relative gradient ||grad E||_2/||u||_2 drops below _SOLVE_TOL.
+    Critical-mode minimisers on truncated grids are a different object and
+    are refused.
     """
     _require_source(mode, "ground state")
     if mode.regime != "subcritical":
         raise ValueError("ground_state supports the subcritical regime only")
-    u0 = start if start is not None else _default_bump(op)
-    u, _, _ = _nehari_fixed_point(op, mode, u0, tol, max_iter)
+    u = _nehari_fixed_point(op, mode, _default_bump(op))
     if np.sum(u.values) < 0:  # fix the sign convention
         u = u * (-1.0)
     return u
@@ -298,27 +290,18 @@ def _level_from_s(s_const: float, p: float) -> float:
     return coeff * s_const ** (-2.0 * (p + 1.0) / (p - 1.0))
 
 
-def best_sobolev_constant(
-    op: SpectralOperator,
-    mode: EquationMode,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-) -> float:
+def best_sobolev_constant(op: SpectralOperator, mode: EquationMode) -> float:
     """Best constant of ||u||_{p+1} <= S ||u||_E on the grid.
 
     The S of mountain_pass_level's "sobolev_formula" route, cross-check
     included; call that directly when the level or ground state is needed
     too, so the ground state is not solved twice.
     """
-    return mountain_pass_level(op, mode, "sobolev_formula", tol=tol, max_iter=max_iter).S
+    return mountain_pass_level(op, mode, "sobolev_formula").S
 
 
 def mountain_pass_level(
-    op: SpectralOperator,
-    mode: EquationMode,
-    method: str = "auto",
-    tol: float = 1e-6,
-    max_iter: int = 2000,
+    op: SpectralOperator, mode: EquationMode, method: str = "auto"
 ) -> VariationalConstants:
     """Threshold constants via the Nehari infimum or the Sobolev formula.
 
@@ -339,16 +322,16 @@ def mountain_pass_level(
     if method == "nehari_inf":
         if mode.regime != "subcritical":
             raise ValueError("nehari_inf needs the subcritical ground state")
-        phi = ground_state(op, mode, tol=tol, max_iter=max_iter)
+        phi = ground_state(op, mode)
         level = energy(phi, op, mode).energy
         s_const = _chain_s_from_level(level, mode.p)
     elif method == "sobolev_formula":
-        psi, _, _ = _nehari_fixed_point(op, mode, _default_bump(op, offset=0.07), tol, max_iter)
+        psi = _nehari_fixed_point(op, mode, _default_bump(op, offset=0.07))
         rep = energy(psi, op, mode)
         s_const = rep.lp / rep.energy_norm
         phi = None
         if mode.regime == "subcritical":
-            phi = ground_state(op, mode, tol=tol, max_iter=max_iter)
+            phi = ground_state(op, mode)
             s_chain = _chain_s_from_level(energy(phi, op, mode).energy, mode.p)
             if abs(s_chain - s_const) > 0.01 * s_chain:
                 raise ConvergenceError(

@@ -187,6 +187,21 @@ def test_sweep_captures_per_run_failures(tmp_path):
     assert "lambda" in bad[0]
 
 
+def test_overflowing_initial_data_is_refused_by_solve_and_sweep(tmp_path, capsys):
+    # 1e80 gaussian data: E and J of the initial state are past double range
+    huge = SMALL_RUN.replace("initial.amplitude = 0.3", "initial.amplitude = 1.0e80")
+    out = tmp_path / "run"
+    assert main(["solve", write_cfg(tmp_path, huge), "--out", str(out)]) == 1
+    assert "initial state overflows" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+    text = SMALL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.3, 1.0e80\n"
+    sweep_out = tmp_path / "sweep"
+    assert main(["sweep", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(sweep_out)]) == 0
+    rows = (sweep_out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows[0].split(",")[2] == "Dissipates" and rows[0].endswith(",")
+    assert rows[1].split(",")[-1].startswith("ValueError: initial state overflows")
+
+
 def test_sweep_without_axis_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     rc = main(["sweep", cfg, "--out", str(tmp_path / "x")])

@@ -1,6 +1,8 @@
 """Flat key=value experiment configs: parsing, validation, round-trips."""
 
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -391,3 +393,21 @@ def test_echo_round_trip_property(raw):
     again = ExperimentConfig.from_mapping(parse_config_text(echoed))
     assert again == cfg
     assert again.echo_text() == echoed
+
+
+def test_readme_config_key_list_matches_schema():
+    # README's key list, `prefix.{a*,b}` expanded and required marks dropped
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    paragraph = next(
+        p for p in readme.read_text(encoding="utf-8").split("\n\n") if p.startswith("Config keys")
+    )
+    listing = re.split(r"\.\s", paragraph.split(":", 1)[1], maxsplit=1)[0]
+    keys = set()
+    for span in re.findall(r"`([^`]+)`", listing):
+        span = re.sub(r"[\s*]", "", span)
+        prefix, brace, names = span.partition(".{")
+        if brace:
+            keys.update(f"{prefix}.{name}" for name in names.rstrip("}").split(","))
+        else:
+            keys.add(span)
+    assert keys == set(_SCHEMA)

@@ -213,6 +213,16 @@ def test_overflowing_critical_integrand_ends_named():
     assert np.all(np.isfinite(traj.column("s_norm_cum")))
 
 
+def test_overflowing_initial_state_is_refused(small_op, cubic_mode):
+    # a 1e80 bump: |u|^4 is past double range, so E(u0) and J(u0) are not
+    # finite; integrate refuses the data instead of recording -inf and NaN
+    u0 = small_bump(small_op, 1e80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="initial state overflows"):
+            integrate(u0, small_op, cubic_mode, IntegratorConfig(t_max=1.0))
+
+
 def test_absorbing_flow_dissipates_large_data(small_op):
     mode = EquationMode.subcritical(3.0, 1, nonlinearity="absorbing")
     u0 = 5.0 * sech_profile(small_op.grid)

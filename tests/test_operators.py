@@ -21,9 +21,9 @@ from heatlab.operators import (
     _axis_path,
     _check_reconstruction,
     _chirp_dst,
-    _dense_matrix,
     _sine_matmul,
     _stencil_apply,
+    _stencil_matrix,
     _uses_chirp,
     assemble,
     classify_assumption,
@@ -480,7 +480,7 @@ def test_dense_3d_eigenvectors_orthogonal_and_accurate():
     gram[np.diag_indices_from(gram)] -= 1.0
     assert np.max(np.abs(gram)) <= 1e-13
     del gram
-    a = _dense_matrix(grid)
+    a = _stencil_matrix(grid, op.spec).toarray()
     a[np.diag_indices_from(a)] += potential_on_grid(pot, grid)
     # Frobenius norms
     assert np.linalg.norm(a @ v - v * op.mu) <= 1e-13 * np.linalg.norm(a)

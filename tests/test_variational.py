@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatlab
+from heatlab import variational
 from heatlab.grids import DomainSpec, Field, build_grid
 from heatlab.operators import OperatorSpec, assemble
 from heatlab.variational import (
@@ -235,6 +236,23 @@ def test_critical_constant_small_box():
         assert rep.lp / rep.energy_norm <= consts.S * (1.0 + 1e-9)
 
 
+def test_lattice_critical_constant_exceeds_continuum():
+    # the Sobolev route on (-5, 5)^3 measures the lattice constant S_h: it
+    # lies above the continuum best constant (Talenti, Ann. Mat. Pura Appl.
+    # 110, 1976) and moves away from it as h shrinks
+    d = 3
+    talenti = (math.pi * d * (d - 2)) ** -0.5 * (math.gamma(d) / math.gamma(d / 2)) ** (1 / d)
+    assert abs(talenti - 0.42726) < 1e-5
+    s_h = []
+    for n in (9, 13, 21):
+        grid = build_grid(DomainSpec.box((-5.0,) * 3, (5.0,) * 3), n)
+        op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+        s_h.append(mountain_pass_level(op, EquationMode.critical(d)).S)
+    assert np.allclose(s_h, [0.4875889, 0.4927453, 0.4965604], rtol=0, atol=1e-7)
+    assert min(s_h) > talenti
+    assert s_h[0] < s_h[1] < s_h[2]
+
+
 def test_semigroup_route_bounds_sobolev_constant(small_op, well_op):
     mode = EquationMode.subcritical(3.0, 1)
     # structured path, then the dense path (a Gaussian well, mu_1 < 0)
@@ -274,7 +292,8 @@ def test_scaling_homogeneity_of_functionals(small_op, well_op, lam, p):
             assert abs(got - (a - b)) <= 1e-10 * (abs(a) + abs(b))
 
 
-def test_ground_state_non_convergence_reports_residual(line_op, cubic_mode):
+def test_ground_state_non_convergence_reports_residual(line_op, cubic_mode, monkeypatch):
+    monkeypatch.setattr(variational, "_SOLVE_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as exc:
-        ground_state(line_op, cubic_mode, max_iter=1)
+        ground_state(line_op, cubic_mode)
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
