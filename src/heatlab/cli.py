@@ -34,6 +34,7 @@ from .experiments import (
 )
 from .semigroup import (
     EstimateSpec,
+    _spectral_gap,
     verify_gaussian_bound,
     verify_l2lq_decay,
     verify_spacetime,
@@ -88,7 +89,6 @@ def _cmd_solve(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_ground_state(cfg: ExperimentConfig, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
     op = build_operator(cfg)
     mode = build_mode(cfg)
     consts = mountain_pass_level(op, mode, method="nehari_inf")
@@ -97,6 +97,7 @@ def _cmd_ground_state(cfg: ExperimentConfig, out: str) -> int:
 
     coords = op.grid.coords()
     header = ",".join(f"x{ax}" for ax in range(op.grid.dim)) + ",u"
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "profile.csv"), "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row, val in zip(coords, phi.values):
@@ -140,7 +141,6 @@ def _cmd_classify(cfg: ExperimentConfig, out: Optional[str]) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
     op = build_operator(cfg)
     shifted = op.assumption_class == "A"
     rng = np.random.default_rng(cfg.seed)
@@ -150,7 +150,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
         rows.append(
             (op.spec.kind, name, rep.slope, rep.target_slope, rep.prefactor, rep.passed)
         )
-    if op.mu_min > 1e-12:
+    if _spectral_gap(op):
         probe = op.eigenvector(0) + op.eigenvector(min(1, op.n_modes - 1))
         ratio = verify_spacetime(op, probe)
         target = 1.0 / math.sqrt(2.0)
@@ -178,6 +178,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
             bool(gauss.max_violation <= 1.05),
         )
     )
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "verification.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VERIFY_HEADER + "\n")

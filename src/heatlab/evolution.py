@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field
+from .grids import Field, _lq_integral
 from .operators import SpectralOperator
 from .variational import EquationMode
 
@@ -244,20 +244,6 @@ def _sq_norm(v: np.ndarray) -> float:
     try:
         with np.errstate(over="raise"):
             return float(v @ v)
-    except FloatingPointError:
-        return math.inf
-
-
-def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
-    """weight * sum |u|^q, or inf past double range (trapped, not warned).
-
-    The L^(p+1) power sum and the critical space-time integrand go through
-    here: _state_stats refuses an infinite E or J, and an overflowed rate
-    reaches _Accumulators.advance as inf, as in _sq_norm.
-    """
-    try:
-        with np.errstate(over="raise"):
-            return weight * float(np.sum(abs_u**q))
     except FloatingPointError:
         return math.inf
 

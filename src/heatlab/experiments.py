@@ -214,9 +214,10 @@ def run_experiment(
     setup, when given, must come from prepare_run on a config that differs
     from cfg at most in initial.* keys; by default it is built from cfg.
     A failed constants solve is noted in summary.txt, unless the initial
-    data is the ground state itself: then the error propagates.
+    data is the ground state itself: then the error propagates.  out_dir is
+    created only once the run has artifacts to write, so a refused run
+    leaves none behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if setup is None:
         setup = prepare_run(cfg)
     op, mode, consts, consts_note = setup.op, setup.mode, setup.consts, setup.consts_note
@@ -298,6 +299,7 @@ def run_experiment(
         except ValueError as exc:
             summary["concavity_error"] = str(exc)
 
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.csv"), "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in trajectory_rows(traj):

@@ -208,6 +208,20 @@ def lp_norm(f: Field, p_exp: float) -> float:
     return float((f.grid.weight * np.sum(a**p_exp)) ** (1.0 / p_exp))
 
 
+def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
+    """weight * sum |u|^q, or inf past double range (trapped, not warned).
+
+    The L^(p+1) power sums of variational.energy and of the integrator's
+    state statistics, and the critical space-time integrand, go through
+    here: an overflow comes back as inf, which each caller refuses by name.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return weight * float(np.sum(abs_u**q))
+    except FloatingPointError:
+        return math.inf
+
+
 def inner_product(f: Field, g: Field) -> complex | float:
     """Weighted inner product sum(w * f * conj(g)); conjugate-linear in g."""
     f._check_same_grid(g)

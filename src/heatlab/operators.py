@@ -31,14 +31,36 @@ paths compute it:
   about 2x at n = 1600; every other axis is O(n log n) in one shared
   scipy.fft.dstn call.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
-  with LAPACK and the transforms are products with the stored basis.  In 1D
-  the tridiagonal eigensolver runs on the bands; in d >= 2 the divide-and-
-  conquer driver (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995)
-  overwrites the Fortran-ordered matrix with its eigenvectors.  On the 12^3
-  Hardy operator it takes 0.73 s against 2.28 s for the default MRRR driver
-  (2-core Xeon, 2 OpenBLAS threads), and its eigenvectors are orthogonal to
-  3e-15 where MRRR's reach 5e-12 on the degenerate cubic-symmetry clusters
-  (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).
+  with LAPACK and the transforms are products with the stored basis.  A grid
+  axis is folded when the domain is an interval or a box (not a halfline),
+  the axis has an even node count, and the tabulated V equals its mirror
+  image along the axis within _FOLD_TOL * max|V| (node coordinates need not
+  mirror bit for bit: the certify grids mismatch by 1.8e-15 (Hardy, 12^3)
+  and 3.1e-15 (well, n = 3200) of max|V|).  The orthogonal fold pairs node j with its mirror n - 1 - j as
+  (u_j +- u_{n-1-j}) / sqrt(2), and with k folded axes it splits the matrix,
+  built with the mirror-averaged V, exactly into 2^k independent blocks of
+  N / 2^k, one per parity pattern (a symmetry-adapted basis: Bossavit,
+  Comput. Methods Appl. Mech. Engrg. 56, 1986).  k = 0 is the whole matrix
+  as one block, through the same code.  Where the true kernel between a node
+  and its mirror vanishes, the fold computes it as the difference of the
+  even and odd blocks' semigroup diagonals, so the two blocks' eigenpairs
+  must agree to high relative accuracy.
+  - In 1D each block is tridiagonal and runs the MRRR driver stemr
+    (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).  On the certify
+    well (n = 3200), the t = 0.25 kernel column at x = -12 carries a mirror
+    image of 1.3e-14 of its maximum; with scipy's default divide-and-conquer
+    stevd it was 1.1e-12, above the 1e-12 sample floor of
+    semigroup.verify_gaussian_bound.  The two take the same time (0.22 s per
+    1600-block); the price is orthogonality, 3.7e-13 against 5.6e-15, so a
+    transform round trip there holds to 6e-14 of the field.
+  - In d >= 2 the divide-and-conquer driver (Gu & Eisenstat, SIAM J. Matrix
+    Anal. Appl. 16, 1995) overwrites each Fortran-ordered block with its
+    eigenvectors.  On the unfolded 12^3 Hardy operator it took 0.73 s
+    against 2.28 s for the MRRR driver (2-core Xeon, 2 OpenBLAS threads),
+    and its eigenvectors are orthogonal to 3e-15 where MRRR's reach 5e-12
+    on the degenerate cubic-symmetry clusters.  Folded into 8 blocks of 216
+    the same operator assembles in 0.07 s, and its basis takes 3 MB, not
+    24 MB.
 
 Both paths transform one field, shape (N,), or a stack of fields, shape
 (N, m) with one field per column, in one call.
@@ -67,6 +89,7 @@ POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
 _ROW_BLOCK = 256  # matrix rows per pass where an N x N temporary is avoided
 _ZERO_EIGENVALUE_TOL = 1e-10  # mu_1 above it rules out a zero eigenvalue
+_FOLD_TOL = 1e-12  # a folded axis needs max|V - mirror V| <= _FOLD_TOL * max|V|
 
 
 class AssemblyError(ValueError):
@@ -227,22 +250,28 @@ class SpectralOperator:
     eigenvector, so the transforms are exact adjoints of each other under
     the weighted inner product and c.c is the squared L^2 norm.
 
-    On the dense path, basis is the N x N eigenvector matrix: its columns
-    are orthonormal in the unweighted Euclidean sense and eigenvector(k) is
-    basis[:, k] / sqrt(w); order is None.  On the structured path (see the
-    module docstring) the transforms are the orthonormal DST-I of the field
+    On the dense path basis has shape (2^k, M, M), M = N / 2^k, for the k
+    axes the fold takes (module docstring): basis[b] holds the orthonormal
+    eigenvectors of parity block b, one per column, its rows indexed by the
+    folded node index in C order of the half grid (the whole axis where it is
+    not folded); k = 0 gives one N x N block in node order.  to_coeffs folds
+    the field in O(N), makes one batched block product and gathers the
+    block coefficients by order, the stable ascending permutation of the
+    block eigenvalues; from_coeffs scatters, multiplies and unfolds.  On the
+    structured path the transforms are the orthonormal DST-I of the field
     reshaped to the grid, each axis by sine matrix, chirp-z or scipy.fft,
     basis is an N x 0 array because no matrix exists, and order is the
     stable ascending permutation of the closed-form eigenvalues in DST
-    output order: to_coeffs gathers with it and from_coeffs scatters with
-    it.  In 1-d the closed-form eigenvalues already ascend in DST order, so
-    order is the identity and both skip it.
+    output order.  In 1-d those already ascend in DST order, so order is
+    the identity and the structured transforms skip it.  An empty basis is
+    what marks the structured path.
 
     to_coeffs and from_coeffs take one vector of length N or an (N, m)
     stack, one field per column, and return the same shape.  A stack costs
-    one basis product on the dense path and one DST over the grid axes on
-    the structured path, and its columns equal m single calls to roundoff
-    (bit for bit on the structured path, whichever path each axis takes).
+    one batched block product on the dense path and one DST over the grid
+    axes on the structured path, and its columns equal m single calls to
+    roundoff (bit for bit on the structured path, whichever path each axis
+    takes).
     """
 
     spec: OperatorSpec
@@ -251,6 +280,7 @@ class SpectralOperator:
     basis: np.ndarray
     assumption_class: str = field(default="neither")
     order: Optional[np.ndarray] = None
+    _folds: tuple[bool, ...] = ()  # per grid axis: folded on the dense path
 
     @property
     def n_modes(self) -> int:
@@ -263,9 +293,12 @@ class SpectralOperator:
     def to_coeffs(self, values) -> np.ndarray:
         if isinstance(values, Field):
             values = values.values
-        if self.order is None:
-            return np.sqrt(self.grid.weight) * (self.basis.T @ values)
         values = np.asarray(values)
+        if self.basis.size:
+            blocks = _fold(values, self.grid.n, self._folds)
+            coeffs = (self.basis.transpose(0, 2, 1) @ blocks).reshape(values.shape)[self.order]
+            coeffs *= math.sqrt(self.grid.weight / self.basis.shape[0])  # the fold's 2^(-k/2)
+            return coeffs
         sines = _grid_dst(values.reshape(self.grid.n + values.shape[1:]), self.grid.dim)
         sines = sines.reshape(values.shape)
         if self.grid.dim > 1:  # in 1-d, order is the identity
@@ -273,17 +306,19 @@ class SpectralOperator:
         return np.sqrt(self.grid.weight) * sines
 
     def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            out = self.basis @ coeffs
-        else:
-            coeffs = np.asarray(coeffs)
-            sines = coeffs
-            if self.grid.dim > 1:  # in 1-d, order is the identity
-                sines = np.empty(coeffs.shape, dtype=np.result_type(coeffs, float))
-                sines[self.order] = coeffs
-            shape = self.grid.n + coeffs.shape[1:]
-            out = _grid_dst(sines.reshape(shape), self.grid.dim, overwrite=sines is not coeffs)
-            out = out.reshape(coeffs.shape)
+        coeffs = np.asarray(coeffs)
+        scattered = coeffs
+        if self.basis.size or self.grid.dim > 1:  # a 1-d DST's order is the identity
+            scattered = np.empty(coeffs.shape, dtype=np.result_type(coeffs, float))
+            scattered[self.order] = coeffs
+        if self.basis.size:
+            blocks = self.basis @ scattered.reshape(self.basis.shape[:2] + (-1,))
+            out = _unfold(blocks, self.grid.n, self._folds).reshape(coeffs.shape)
+            out /= math.sqrt(self.grid.weight * self.basis.shape[0])  # the fold's 2^(-k/2)
+            return out
+        shape = self.grid.n + coeffs.shape[1:]
+        out = _grid_dst(scattered.reshape(shape), self.grid.dim, overwrite=scattered is not coeffs)
+        out = out.reshape(coeffs.shape)
         out /= np.sqrt(self.grid.weight)  # out is new: no block-sized copy
         return out
 
@@ -505,6 +540,71 @@ def _asymmetry(a: np.ndarray) -> tuple[float, float]:
     return asym, scale
 
 
+def _folded_axes(grid: Grid, v: np.ndarray) -> tuple[bool, ...]:
+    """Which grid axes the dense path folds (rule in the module docstring)."""
+    if grid.domain.kind == "halfline_truncated":
+        return (False,) * grid.dim
+    shaped = v.reshape(grid.n)
+    tol = _FOLD_TOL * float(np.max(np.abs(shaped)))
+    return tuple(
+        n % 2 == 0 and float(np.max(np.abs(shaped - np.flip(shaped, ax)))) <= tol
+        for ax, n in enumerate(grid.n)
+    )
+
+
+def _fold(x: np.ndarray, shape: tuple[int, ...], folds: tuple[bool, ...]) -> np.ndarray:
+    """Unnormalised parity fold of (N,) or (N, m) node-order values, O(N).
+
+    Along each folded axis, the value at node j and at its mirror n - 1 - j
+    become their sum (even part) and difference (odd part) at half-index j.
+    The parity indices lead, in axis order, so the result has shape
+    (2^k, M, m): block b holds the parts whose parities are the bits of b.
+    """
+    y = x.reshape(shape + (-1,))
+    k = 0
+    for ax in reversed(range(len(shape))):
+        if folds[ax]:
+            a, b = np.split(y, 2, axis=k + ax)
+            b = np.flip(b, axis=k + ax)
+            y = np.stack((a + b, a - b))
+            k += 1
+    return y.reshape(2**k, -1, y.shape[-1])
+
+
+def _unfold(y: np.ndarray, shape: tuple[int, ...], folds: tuple[bool, ...]) -> np.ndarray:
+    """Inverse of _fold up to its factor 2^k: (2^k, M, m) blocks -> (N, m)."""
+    k = sum(folds)
+    half = tuple(n // 2 if fold else n for n, fold in zip(shape, folds))
+    y = y.reshape((2,) * k + half + (y.shape[-1],))
+    for ax in range(len(shape)):
+        if folds[ax]:
+            k -= 1
+            even, odd = y[0], y[1]
+            y = np.concatenate((even + odd, np.flip(even - odd, axis=k + ax)), axis=k + ax)
+    return y.reshape(-1, y.shape[-1])
+
+
+def _fold_rows(shape: tuple[int, ...], folds: tuple[bool, ...], block: int):
+    """The rows of _fold's matrix that make parity block `block`, sparse M x N.
+
+    A Kronecker product of per-axis factors: [I, J] (even) or [I, -J] (odd)
+    on a folded axis, J the exchange matrix, and the identity elsewhere.
+    """
+    parities = [block >> bit & 1 for bit in reversed(range(sum(folds)))]
+    rows = scipy.sparse.identity(1)
+    for n, fold in zip(shape, folds):
+        if fold:
+            j = np.arange(n // 2)
+            signs = np.r_[np.ones(j.size), np.full(j.size, -1.0 if parities.pop(0) else 1.0)]
+            factor = scipy.sparse.coo_matrix(
+                (signs, (np.r_[j, j], np.r_[j, n - 1 - j])), shape=(j.size, n)
+            )
+        else:
+            factor = scipy.sparse.identity(n)
+        rows = scipy.sparse.kron(rows, factor)
+    return rows.tocsr()
+
+
 def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     """Discretise and diagonalise an operator family on a grid.
 
@@ -520,36 +620,54 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
 
     v = potential_on_grid(spec.potential, grid) if spec.kind == "schrodinger" else None
 
-    order = None
+    folds = ()
     if spec.kind == "dirichlet_laplacian" or (
         spec.kind == "schrodinger" and spec.potential.is_zero()
     ):
         # Kronecker sum of the per-axis spectra, in DST output (C) order
         axes = [_dirichlet_axis_eigenvalues(n, h) for n, h in zip(grid.n, grid.h)]
         mu = functools.reduce(np.add.outer, axes).ravel()
-        order = np.argsort(mu, kind="stable")
-        mu = mu[order]
         basis = np.empty((grid.n_total, 0))
-    elif grid.dim == 1:
-        a = _stencil_matrix(grid, spec)
-        diag = a.diagonal()
-        if v is not None:
-            diag = diag + v
-        mu, basis = scipy.linalg.eigh_tridiagonal(diag, a.diagonal(1))
     else:
-        # Fortran order lets LAPACK overwrite the matrix with its eigenvectors
-        a = _stencil_matrix(grid, spec).toarray(order="F")
+        a = _stencil_matrix(grid, spec)
+        folds = _folded_axes(grid, v)
         if v is not None:
-            a[np.diag_indices_from(a)] += v
-        asym, scale = _asymmetry(a)
-        if asym > 1e-10 * max(scale, 1.0):
-            raise AssemblyError(f"assembled matrix is not symmetric (residual {asym:.2e})")
-        # divide and conquer; the eigenvectors overwrite a in place
-        mu, basis = scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
+            mirrored = v.reshape(grid.n)
+            for ax in np.flatnonzero(folds):
+                mirrored = 0.5 * (mirrored + np.flip(mirrored, ax))
+            a = a + scipy.sparse.diags(mirrored.ravel())
+        n_blocks = 2 ** sum(folds)
+        size = grid.n_total // n_blocks
+        mu = np.empty(grid.n_total)
+        # each block Fortran-ordered, so LAPACK can overwrite it in place
+        basis = np.empty((n_blocks, size, size)).transpose(0, 2, 1)
+        for b in range(n_blocks):
+            rows = _fold_rows(grid.n, folds, b)
+            block = (rows @ a @ rows.T) / n_blocks
+            span = slice(b * size, (b + 1) * size)
+            if grid.dim == 1:
+                mu[span], basis[b] = scipy.linalg.eigh_tridiagonal(
+                    block.diagonal(), block.diagonal(1), lapack_driver="stemr"
+                )
+            else:
+                block.toarray(out=basis[b])
+                asym, scale = _asymmetry(basis[b])
+                if asym > 1e-10 * max(scale, 1.0):
+                    raise AssemblyError(f"assembled matrix is not symmetric (residual {asym:.2e})")
+                # divide and conquer; the eigenvectors overwrite the block in place
+                mu[span], basis[b] = scipy.linalg.eigh(basis[b], driver="evd", overwrite_a=True)
+    order = np.argsort(mu, kind="stable")
+    mu = mu[order]
 
     klass = classify_assumption(spec, grid.dim)
     op = SpectralOperator(
-        spec=spec, grid=grid, mu=mu, basis=basis, assumption_class=klass, order=order
+        spec=spec,
+        grid=grid,
+        mu=mu,
+        basis=basis,
+        assumption_class=klass,
+        order=order,
+        _folds=folds,
     )
 
     if klass == "B" and mu[0] < -1e-10 * max(abs(mu[-1]), 1.0):

@@ -16,7 +16,7 @@ the spectrum is positive.
 
 Every flow, kernel columns and the Gaussian verifier included, goes through
 _semigroup_orbit, which uses the same transforms on the dense and structured
-paths.  Only smoothing_norm_2_to_inf reads the dense basis itself.
+paths.  Only smoothing_norm_2_to_inf reads the dense basis blocks themselves.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
     All fields go through one forward transform.  The times are then taken
     in consecutive blocks of k times, with k * m at most _COLUMN_BLOCK (and
     k >= 1), and each block costs one from_coeffs of k * m columns: on the
-    dense path one product with the basis instead of k * m matvecs.  A block
+    dense path one batched block product instead of k * m matvecs.  A block
     is yielded as an (N, k) array for a Field, column j at the block's j-th
     time, and as an (N, k, m) array for a stack.
     """
@@ -155,14 +155,16 @@ def smoothing_norm_2_to_inf(
 
     t is a positive time or a 1-d array of them: a scalar gives a float, an
     array gives an array of the same length.  Row x of the semigroup matrix
-    has squared Euclidean norm sum_k basis[x,k]^2 e^{-2 t mu_k}; the 2->inf
-    norm is the largest row norm divided by sqrt(w).  On the dense path the
-    row norms of every time come from one product (basis**2) @ decay with
-    decay[k, j] = e^{-2 t_j (mu_k + shift)}, taken over fixed blocks of
-    _ROW_BLOCK rows so that no N x N temporary is built, with a running
-    per-time maximum over the blocks.  On the structured path eigenvectors
-    and e^{-2 t mu} are both products over axes, so the largest row norm is
-    the product of the per-axis largest row norms.
+    has squared Euclidean norm sum_k Q[x,k]^2 e^{-2 t mu_k}, Q the node-order
+    orthonormal eigenvectors; the 2->inf norm is the largest row norm divided
+    by sqrt(w).  On the dense path node x's row of Q is its folded row p(x)
+    of every parity block, scaled by 2^(-k/2) (see SpectralOperator), so its
+    squared norm is 2^-k sum_b (basis[b, p(x)]^2 @ decay_b) with
+    decay_b[q, j] = e^{-2 t_j (mu_bq + shift)}: one batched product over
+    fixed blocks of _ROW_BLOCK folded rows, O(N^2 / 2^k) with no N x N
+    temporary, keeping a running per-time maximum.  On the structured path
+    eigenvectors and e^{-2 t mu} are both products over axes, so the
+    largest row norm is the product of the per-axis largest row norms.
     """
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
@@ -170,12 +172,16 @@ def smoothing_norm_2_to_inf(
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times > 0)):
         raise ValueError("need finite t > 0")
     shift = _shift_value(shifted)
-    if op.order is None:
-        decay = np.exp(-2.0 * np.outer(op.mu + shift, times))
+    if op.basis.size:
+        n_blocks, size, _ = op.basis.shape
+        rate = np.empty(op.n_modes)
+        rate[op.order] = op.mu + shift  # block order
+        decay = np.exp(-2.0 * np.outer(rate, times)).reshape(n_blocks, size, times.size)
         max_sq = np.zeros(times.size)
-        for start in range(0, op.grid.n_total, _ROW_BLOCK):
-            block = op.basis[start : start + _ROW_BLOCK]
-            max_sq = np.maximum(max_sq, np.max((block**2) @ decay, axis=0))
+        for start in range(0, size, _ROW_BLOCK):
+            rows = op.basis[:, start : start + _ROW_BLOCK]
+            max_sq = np.maximum(max_sq, np.max(np.sum(rows**2 @ decay, axis=0), axis=0))
+        max_sq /= n_blocks
     else:
         max_sq = np.exp(-2.0 * times * shift)
         for n, h in zip(op.grid.n, op.grid.h):
@@ -298,6 +304,11 @@ def _column_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
     return (weight * np.sum(a**r, axis=0)) ** (1.0 / r)
 
 
+def _spectral_gap(op: SpectralOperator) -> bool:
+    """Whether mu_1 clears _SPECTRUM_TOL, as verify_spacetime requires."""
+    return op.mu_min > _SPECTRUM_TOL
+
+
 def verify_spacetime(op: SpectralOperator, f: Field) -> float:
     """Ratio ||e^{-tL} f||_{L^2((0,inf); H^1(L))} / ||f||_2, closed form.
 
@@ -311,7 +322,7 @@ def verify_spacetime(op: SpectralOperator, f: Field) -> float:
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
-    if op.mu_min <= _SPECTRUM_TOL:
+    if not _spectral_gap(op):
         raise ValueError(
             f"homogeneous space-time norm needs mu_1 > tol, got mu_1 = {op.mu_min:.3e}"
         )

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, field_from_function, lp_norm
+from .grids import Field, _lq_integral, field_from_function, lp_norm
 from .operators import SpectralOperator
 
 NONLINEARITY = ("source", "absorbing", "none")
@@ -167,14 +167,20 @@ def _require_source(mode: EquationMode, what: str) -> None:
 
 
 def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalReport:
-    """Energy E, Nehari value J, energy norm and L^(p+1) norm of a field."""
+    """Energy E, Nehari value J, energy norm and L^(p+1) norm of a field.
+
+    Raises ValueError when E or J is past double range.
+    """
     a = _mode_multiplier(op, mode)
     c = op.to_coeffs(u.values)
-    en_sq = float(np.sum(a * np.abs(c) ** 2))
-    lp = lp_norm(u, mode.p + 1.0)
+    with np.errstate(over="ignore"):  # an infinite E or J is refused below
+        en_sq = float(np.sum(a * np.abs(c) ** 2))
+    lp = _lq_integral(np.abs(u.values), mode.p + 1.0, u.grid.weight) ** (1.0 / (mode.p + 1.0))
     nl = mode.sign * lp ** (mode.p + 1.0)
     e_val = 0.5 * en_sq - nl / (mode.p + 1.0)
     j_val = en_sq - nl
+    if not (math.isfinite(e_val) and math.isfinite(j_val)):
+        raise ValueError("field overflows: E or J is past double range")
     membership = "Zero" if lp_norm(u, 2.0) == 0.0 else None
     return FunctionalReport(
         energy=e_val,

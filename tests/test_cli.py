@@ -105,6 +105,34 @@ def test_classify_rejects_absorbing(tmp_path, capsys):
     assert "config error" in err and "nonlinearity" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_refuses_overflowing_data(tmp_path, capsys):
+    # gaussian data: at 1e80 the L^4 power sum is past double range, so E and J
+    # are; at 1e160 the energy norm is too
+    for amplitude in ("1.0e80", "1.0e160"):
+        huge = SMALL_RUN.replace("initial.amplitude = 0.3", f"initial.amplitude = {amplitude}")
+        out = tmp_path / "cls"
+        assert main(["classify", write_cfg(tmp_path, huge), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "field overflows: E or J is past double range" in captured.err
+        assert "membership" not in captured.out and not out.exists()
+
+
+def test_verify_spacetime_row_needs_spectral_gap(tmp_path):
+    # the Dirichlet line has mu_1 > 0; a depth-2 gaussian well pulls mu_1 below 0
+    well = SMALL_RUN.replace(
+        "operator.kind = dirichlet_laplacian",
+        "operator.kind = schrodinger\npotential.kind = gaussian_well\npotential.depth = 2.0",
+    )
+    for text, gap in ((SMALL_RUN, True), (well, False)):
+        cfg = write_cfg(tmp_path, text)
+        assert (build_operator(load_experiment_config(cfg)).mu_min > 0) == gap
+        out = tmp_path / f"ver_{gap}"
+        assert main(["verify", cfg, "--out", str(out)]) == 0
+        names = [ln.split(",")[1] for ln in (out / "verification.csv").read_text().splitlines()]
+        assert ("spacetime_identity" in names) == gap
+
+
 def test_verify_writes_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     out = str(tmp_path / "ver")
@@ -193,7 +221,7 @@ def test_overflowing_initial_data_is_refused_by_solve_and_sweep(tmp_path, capsys
     out = tmp_path / "run"
     assert main(["solve", write_cfg(tmp_path, huge), "--out", str(out)]) == 1
     assert "initial state overflows" in capsys.readouterr().err
-    assert not (out / "summary.txt").exists()
+    assert not out.exists()  # a refused run leaves no directory behind
     text = SMALL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.3, 1.0e80\n"
     sweep_out = tmp_path / "sweep"
     assert main(["sweep", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(sweep_out)]) == 0

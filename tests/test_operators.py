@@ -21,6 +21,7 @@ from heatlab.operators import (
     _axis_path,
     _check_reconstruction,
     _chirp_dst,
+    _folded_axes,
     _sine_matmul,
     _stencil_apply,
     _stencil_matrix,
@@ -261,13 +262,22 @@ def _dense_oracle(grid):
     return assemble(OperatorSpec(kind="schrodinger", potential=zero), grid)
 
 
+def _node_basis(op):
+    """The node-order orthonormal eigenvectors, one per column, in mu order."""
+    return op.from_coeffs(np.eye(op.n_modes)) * math.sqrt(op.grid.weight)
+
+
 @pytest.fixture(scope="module", params=sorted(ORACLE_GRIDS))
 def oracle_pair(request):
     grid = build_grid(*ORACLE_GRIDS[request.param])
     structured = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
     dense = _dense_oracle(grid)
-    assert structured.order is not None and structured.basis.shape == (grid.n_total, 0)
-    assert dense.order is None and dense.basis.shape == (grid.n_total, grid.n_total)
+    assert structured.basis.shape == (grid.n_total, 0)
+    # every even axis of an interval or box folds: 2^k blocks of N / 2^k
+    k = 0 if grid.domain.kind == "halfline_truncated" else sum(n % 2 == 0 for n in grid.n)
+    size = grid.n_total >> k
+    assert dense.basis.shape == (2**k, size, size)
+    assert _node_basis(dense).shape == (grid.n_total, grid.n_total)
     return structured, dense
 
 
@@ -381,11 +391,16 @@ def test_transform_properties(transform_ops, data):
         "structured_3d_345",
         "structured_3d_13",
         "dense_well",
+        "dense_hardy_8",
+        "dense_box_6x7x8",
     ],
 )
 def batch_op(request, well_op):
     if request.param == "dense_well":
-        return well_op
+        return well_op  # one folded axis
+    if request.param.startswith("dense_"):  # three and two folded axes
+        domain, n, pot, _ = FOLD_CASES[request.param[len("dense_") :]]
+        return assemble(OperatorSpec(kind="schrodinger", potential=pot), build_grid(domain, n))
     grids = {
         "structured_1d_37": (DomainSpec.interval(0.0, 3.0), 37),
         "structured_1d_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # chirp size
@@ -405,7 +420,7 @@ def test_batched_transforms_match_single_calls(batch_op):
             single = transform(stack[:, j])
             err = np.max(np.abs(batched[:, j] - single))
             assert err <= 1e-14 * np.max(np.abs(single))
-            if op.order is not None:  # the DST of a stack is bitwise per column
+            if not op.basis.size:  # the DST of a stack is bitwise per column
                 assert np.array_equal(batched[:, j], single)
 
 
@@ -475,7 +490,7 @@ def test_dense_3d_eigenvectors_orthogonal_and_accurate():
     grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 12)
     pot = PotentialSpec(kind="inverse_power", alpha=2.0, coupling=0.25, sign=-1)
     op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
-    v = op.basis
+    v = _node_basis(op)
     gram = v.T @ v
     gram[np.diag_indices_from(gram)] -= 1.0
     assert np.max(np.abs(gram)) <= 1e-13
@@ -486,22 +501,107 @@ def test_dense_3d_eigenvectors_orthogonal_and_accurate():
     assert np.linalg.norm(a @ v - v * op.mu) <= 1e-13 * np.linalg.norm(a)
 
 
-def test_dense_assembly_peak_memory():
-    # the matrix, overwritten by its eigenvectors, plus the divide-and-conquer
-    # workspace of 2 N^2 doubles; a C-ordered matrix would be copied once more
-    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 10)
-    well = PotentialSpec(
-        kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-np.sum(x * x, axis=-1))
+def _gaussian_well(center=0.0):
+    return PotentialSpec(
+        kind="tabulated_bounded",
+        fn=lambda x: -2.0 * np.exp(-np.sum((x - center) ** 2, axis=-1)),
     )
-    n = grid.n_total
+
+
+def _assembly_peak(pot, grid):
     tracemalloc.start()
     try:
-        op = assemble(OperatorSpec(kind="schrodinger", potential=well), grid)
+        op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.order is None and n == 1000
+    return op, peak
+
+
+def test_dense_assembly_peak_memory():
+    # the basis, N^2 / 8 doubles, plus one block's divide-and-conquer
+    # workspace, 2 (N / 8)^2, and O(N) fold arrays; measured 0.18 N^2
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 10)
+    op, peak = _assembly_peak(_gaussian_well(), grid)
+    n = grid.n_total
+    assert op.basis.shape == (8, n // 8, n // 8) and n == 1000
+    assert peak <= 0.25 * n * n * 8
+
+
+def test_unfolded_dense_assembly_peak_memory():
+    # off-centre, so one block: the matrix, overwritten by its eigenvectors,
+    # plus the workspace of 2 N^2 doubles; measured 3.04 N^2.  A C-ordered
+    # matrix would be copied once more
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 10)
+    op, peak = _assembly_peak(_gaussian_well(0.3), grid)
+    n = grid.n_total
+    assert op.basis.shape == (1, n, n) and n == 1000
     assert peak <= 3.5 * n * n * 8
+
+
+FOLD_CASES = {
+    # name: (domain, n, potential, folded axes)
+    "well_1d": (DomainSpec.interval(-20.0, 20.0), 400, _gaussian_well(), (True,)),
+    "hardy_8": (
+        DomainSpec.box(-5.0, 5.0, 3),
+        8,
+        PotentialSpec(kind="inverse_power", alpha=2.0, coupling=0.25, sign=-1),
+        (True, True, True),
+    ),
+    "shifted_well_1d": (DomainSpec.interval(-20.0, 20.0), 400, _gaussian_well(0.5), (False,)),
+    "odd_well_1d": (DomainSpec.interval(-20.0, 20.0), 401, _gaussian_well(), (False,)),
+    "box_6x7x8": (
+        DomainSpec.box((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0)),
+        (6, 7, 8),
+        _gaussian_well(),
+        (True, False, True),
+    ),
+    "y_shifted_box": (
+        DomainSpec.box(-2.0, 2.0, 3),
+        6,
+        _gaussian_well(np.array([0.0, 0.3, 0.0])),
+        (True, False, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_fold_rule_and_unfolded_spectrum(name, monkeypatch):
+    domain, n, pot, folds = FOLD_CASES[name]
+    grid = build_grid(domain, n)
+    spec = OperatorSpec(kind="schrodinger", potential=pot)
+    assert _folded_axes(grid, potential_on_grid(pot, grid)) == folds
+    op = assemble(spec, grid)
+    size = grid.n_total >> sum(folds)
+    assert op.basis.shape == (2 ** sum(folds), size, size)
+    # the same operator through the same code as one unfolded block
+    monkeypatch.setattr("heatlab.operators._folded_axes", lambda g, v: (False,) * g.dim)
+    whole = assemble(spec, grid)
+    assert whole.basis.shape == (1, grid.n_total, grid.n_total)
+    assert np.max(np.abs(op.mu - whole.mu)) <= 1e-13 * np.max(np.abs(whole.mu))
+    # whole multipliers: eigenspaces of the symmetric operators are degenerate
+    x = np.random.default_rng(3).standard_normal((grid.n_total, 2))
+    for t in (0.01, 1.0):
+        a = op.apply_multiplier(np.exp(-t * op.mu)[:, None], x)
+        b = whole.apply_multiplier(np.exp(-t * whole.mu)[:, None], x)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_robin_halfline_never_folds():
+    grid = build_grid(DomainSpec.halfline(10.0), 200)
+    op = assemble(OperatorSpec(kind="robin_halfline", sigma=0.5), grid)
+    assert op.basis.shape == (1, 200, 200)
+
+
+def test_fold_tolerance_is_relative_to_max_potential():
+    grid = build_grid(DomainSpec.interval(-1.0, 1.0), 10)
+    v = 1e6 * np.cos(grid.coords()[:, 0])  # even; max|V| sets the scale
+    assert _folded_axes(grid, v) == (True,)
+    v[0] += 1e-7  # 1e-13 of max|V|: inside the tolerance
+    assert _folded_axes(grid, v) == (True,)
+    v[0] += 1e-5  # 1e-11 of max|V|: outside
+    assert _folded_axes(grid, v) == (False,)
+    assert _folded_axes(grid, np.zeros(10)) == (True,)
 
 
 def test_unlocked_31_cube():

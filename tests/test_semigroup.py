@@ -162,25 +162,40 @@ def test_smoothing_norm_is_sharp_2_to_inf(small_op):
 SMOOTHING_TIMES = np.geomspace(1e-4, 20.0, 40)
 
 
-def test_smoothing_norm_array_matches_scalar_loop_dense(well_op):
-    op = well_op
-    assert op.order is None and op.grid.n_total == 400  # two row blocks, one partial
-    for shifted in (False, True):
-        got = smoothing_norm_2_to_inf(op, SMOOTHING_TIMES, shifted=shifted)
-        assert isinstance(got, np.ndarray) and got.shape == SMOOTHING_TIMES.shape
-        loop = np.array([smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in SMOOTHING_TIMES])
-        assert np.max(np.abs(got - loop) / loop) <= 1e-13
-        # the whole-matrix formula, one time at a time
-        shift = 1.0 if shifted else 0.0
-        ref = np.array(
-            [
-                math.sqrt(
-                    np.max((op.basis**2) @ np.exp(-2.0 * t * (op.mu + shift))) / op.grid.weight
-                )
-                for t in SMOOTHING_TIMES
-            ]
-        )
-        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+def _node_basis(op):
+    """The node-order orthonormal eigenvectors, one per column, in mu order."""
+    return op.from_coeffs(np.eye(op.n_modes)) * math.sqrt(op.grid.weight)
+
+
+@pytest.fixture(scope="module")
+def odd_well_op():
+    """The well_op potential at an odd n, so on one unfolded block."""
+    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 401)
+    pot = PotentialSpec(kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-x[..., 0] ** 2))
+    return assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+
+
+def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op):
+    # two folded blocks of 200 rows; one block of two row blocks, one partial
+    assert well_op.basis.shape == (2, 200, 200) and odd_well_op.basis.shape == (1, 401, 401)
+    for op in (well_op, odd_well_op):
+        q = _node_basis(op)
+        for shifted in (False, True):
+            got = smoothing_norm_2_to_inf(op, SMOOTHING_TIMES, shifted=shifted)
+            assert isinstance(got, np.ndarray) and got.shape == SMOOTHING_TIMES.shape
+            loop = np.array(
+                [smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in SMOOTHING_TIMES]
+            )
+            assert np.max(np.abs(got - loop) / loop) <= 1e-13
+            # the whole node-order formula, one time at a time
+            shift = 1.0 if shifted else 0.0
+            ref = np.array(
+                [
+                    math.sqrt(np.max((q**2) @ np.exp(-2.0 * t * (op.mu + shift))) / op.grid.weight)
+                    for t in SMOOTHING_TIMES
+                ]
+            )
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
 
 def test_smoothing_norm_scalar_and_invalid_times(small_op, well_op):
@@ -201,7 +216,7 @@ def test_dense_smoothing_norm_builds_no_square_temporary():
     grid = build_grid(DomainSpec.interval(-20.0, 20.0), 1200)
     pot = PotentialSpec(kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-x[..., 0] ** 2))
     op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
-    assert op.order is None
+    assert op.basis.shape == (2, 600, 600)
     times = np.geomspace(1e-3, 10.0, 50)
     n = grid.n_total
     tracemalloc.start()
@@ -210,7 +225,7 @@ def test_dense_smoothing_norm_builds_no_square_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a whole basis**2 alone would be n * n * 8 bytes
+    # a whole basis**2 alone would be n * n * 8 / 2 bytes
     assert peak < n * n * 8 / 2
 
 
@@ -359,7 +374,7 @@ def test_gaussian_bound_makes_one_transform_each_way(monkeypatch, wide_op, well_
     for op in (wide_op, well_op):
         calls.update(to_coeffs=0, from_coeffs=0)
         verify_gaussian_bound(op, np.geomspace(0.25, 4.0, 5))  # 5 times x 6 columns
-        assert calls == {"to_coeffs": 1, "from_coeffs": 1}, op.order is None
+        assert calls == {"to_coeffs": 1, "from_coeffs": 1}, op.basis.shape
 
 
 def _gaussian_reference(op, times):
@@ -390,18 +405,18 @@ def _gaussian_reference(op, times):
 
 def test_gaussian_bound_matches_per_column_semigroup(wide_op):
     # structured path: stacked transforms equal single ones bit for bit
-    assert wide_op.order is not None
+    assert wide_op.basis.size == 0
     times = np.geomspace(0.25, 4.0, 5)
     assert verify_gaussian_bound(wide_op, times) == _gaussian_reference(wide_op, times)
 
 
 def test_dense_kernel_column_matches_basis_formula(well_op):
     op = well_op
-    assert op.order is None
+    q = _node_basis(op)
     for t in (0.05, 1.0, 20.0):
         for y in (0, 137, op.grid.n_total - 1):
             col = heat_kernel_column(op, t, y).values
-            ref = op.basis @ (np.exp(-t * op.mu) * op.basis[y]) / op.grid.weight
+            ref = q @ (np.exp(-t * op.mu) * q[y]) / op.grid.weight
             assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -411,3 +426,17 @@ def test_kernel_times_must_be_positive(small_op):
             heat_kernel_column(small_op, bad, 5)
         with pytest.raises(ValueError, match="kernel time must be > 0"):
             verify_gaussian_bound(small_op, [0.5, bad, 1.0])
+
+
+def test_folded_kernel_has_no_mirror_image():
+    # the certify well: the fold computes the kernel between a node and its
+    # mirror as a difference of the even and odd blocks' semigroup diagonals,
+    # so an inconsistency between the blocks would show as a mirror image of
+    # the column (1.1e-12 of its maximum with a divide-and-conquer eigensolver)
+    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 3200)
+    pot = PotentialSpec(kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-x[..., 0] ** 2))
+    op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+    assert op.basis.shape == (2, 1600, 1600)
+    col = heat_kernel_column(op, 0.25, 639).values  # x = -12; its mirror is x = 12
+    # the true kernel across the distance 24 at t = 0.25 is exp(-576)
+    assert np.max(np.abs(col[1600:])) <= 1e-13 * np.max(col)
