@@ -24,14 +24,14 @@ regime, the space-time integral of |u|^q with q = 2(d+2)/(d-2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .grids import Field, _lq_integral
 from .operators import SpectralOperator
-from .variational import EquationMode
+from .variational import EquationMode, _functionals, _source_term
 
 SCHEMES = ("exponential_euler", "etdrk2")
 _SCHEME_ORDER = {"exponential_euler": 1, "etdrk2": 2}
@@ -138,24 +138,18 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Coefficient-space stepping kernels for one (operator, mode) pair."""
+    """Coefficient-space stepping kernels and state statistics for one
+    (operator, mode) pair."""
 
     def __init__(self, op: SpectralOperator, mode: EquationMode):
         self.op = op
         self.mode = mode
         self.a = op.mu + mode.shift
-        self.sign = mode.sign
-        self.p = mode.p
-
-    def physical(self, c: np.ndarray) -> np.ndarray:
-        return self.op.from_coeffs(c)
+        self.q = 2.0 * mode.p_critical if mode.regime == "critical" else None
 
     def n_hat(self, u_phys: np.ndarray) -> np.ndarray:
-        if self.sign == 0.0:
-            return np.zeros_like(u_phys)
-        with np.errstate(over="raise", invalid="raise"):
-            nl = self.sign * np.abs(u_phys) ** (self.p - 1.0) * u_phys
-        return self.op.to_coeffs(nl)
+        nl = _source_term(self.mode, u_phys)
+        return self.op.to_coeffs(nl) if self.mode.sign else nl  # zeros need no transform
 
     def multipliers(self, dt: float, scheme: str) -> tuple:
         """(e^z, dt phi1(z), dt phi2(z)) at z = -dt a; phi2 only for ETDRK2."""
@@ -169,8 +163,42 @@ class _Stepper:
         stage = ez * c + dt_phi1 * n0
         if scheme == "exponential_euler":
             return stage
-        n1 = self.n_hat(self.physical(stage))
+        n1 = self.n_hat(self.op.from_coeffs(stage))
         return stage + dt_phi2 * (n1 - n0)
+
+    def rates(self, c: np.ndarray, n_hat: np.ndarray, abs_u: np.ndarray) -> tuple[float, float]:
+        """The time integrands at one state: ||u_t||^2 = ||a c - N^||^2 and, in
+        the critical regime, int |u|^q (0 otherwise); each is inf past double
+        range."""
+        return (
+            _sq_norm(self.a * c - n_hat),
+            _lq_integral(abs_u, self.q, self.op.grid.weight) if self.q is not None else 0.0,
+        )
+
+    def state_stats(
+        self, c: np.ndarray, u_phys: np.ndarray, n0: np.ndarray, cutoffs: dict[float, np.ndarray]
+    ) -> tuple[TrajectorySample, float, tuple[float, float]]:
+        """The state's sample (t and the running integrals left at 0), ||u||_E^2
+        and rates.  Raises FloatingPointError when E, J, the mass or a cutoff
+        mass is past double range."""
+        weight = self.op.grid.weight
+        abs_u = np.abs(u_phys)
+        en_sq, lp_p1, energy, nehari = _functionals(self.a, c, abs_u, self.mode, weight)
+        with np.errstate(over="raise"):
+            cutoff = {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()}
+            sample = TrajectorySample(
+                t=0.0,
+                mass=float(c @ c),  # coefficients carry sqrt(weight): c.c is the L^2 mass
+                energy_norm=math.sqrt(max(en_sq, 0.0)),
+                energy=energy,
+                nehari=nehari,
+                lp=lp_p1 ** (1.0 / (self.mode.p + 1.0)),
+                sup=float(np.max(abs_u)) if abs_u.size else 0.0,
+                dissipation_cum=0.0,
+                s_norm_cum=0.0,
+                cutoff_mass=cutoff or None,
+            )
+        return sample, en_sq, self.rates(c, n0, abs_u)
 
 
 def step(
@@ -188,7 +216,7 @@ def step(
     st = _Stepper(op, mode)
     c = op.to_coeffs(u.values)
     return Field(
-        st.physical(st.step(c, st.n_hat(u.values), st.multipliers(dt, scheme), scheme)), u.grid
+        op.from_coeffs(st.step(c, st.n_hat(u.values), st.multipliers(dt, scheme), scheme)), u.grid
     )
 
 
@@ -214,17 +242,17 @@ class _Accumulators:
         self.s_int = 0.0
         self.q = q_crit  # None outside the critical regime
 
-    def advance(self, dt: float, prev: dict, cur: dict, mid: tuple):
-        """Add one accepted step to both time integrals.
+    def advance(self, dt: float, prev: tuple, mid: tuple, cur: tuple):
+        """Add one accepted step to both time integrals, from the rates of its
+        start, midpoint and end.
 
         An overflowed (inf) rate raises FloatingPointError and leaves the
         integrals as they were, so an overflow never enters them.
         """
-        mid_diss, mid_s = mid
-        diss = self.diss + dt / 6.0 * (prev["diss_rate"] + 4.0 * mid_diss + cur["diss_rate"])
+        diss = self.diss + dt / 6.0 * (prev[0] + 4.0 * mid[0] + cur[0])
         s_int = self.s_int
         if self.q is not None:
-            s_int += dt / 6.0 * (prev["s_rate"] + 4.0 * mid_s + cur["s_rate"])
+            s_int += dt / 6.0 * (prev[1] + 4.0 * mid[1] + cur[1])
         if not (math.isfinite(diss) and math.isfinite(s_int)):
             raise FloatingPointError("dissipation or space-time integral overflows")
         self.diss, self.s_int = diss, s_int
@@ -248,40 +276,6 @@ def _sq_norm(v: np.ndarray) -> float:
         return math.inf
 
 
-def _state_stats(
-    st: _Stepper,
-    c: np.ndarray,
-    u_phys: np.ndarray,
-    n0: np.ndarray,
-    weight: float,
-    p: float,
-    cutoffs: dict[float, np.ndarray],
-    q_crit: Optional[float],
-) -> dict:
-    # coefficients carry sqrt(weight), so c.c already is the L^2 mass
-    mass = float(c @ c)
-    en_sq = float(np.sum(st.a * c * c))
-    abs_u = np.abs(u_phys)
-    lp_p1 = _lq_integral(abs_u, p + 1.0, weight)
-    energy = 0.5 * en_sq - st.sign * lp_p1 / (p + 1.0)
-    nehari = en_sq - st.sign * lp_p1
-    if not (math.isfinite(energy) and math.isfinite(nehari)):
-        raise FloatingPointError("E or J is past double range")
-    ut = -(st.a * c - n0)
-    stats = {
-        "mass": mass,
-        "en_sq": en_sq,
-        "lp": lp_p1 ** (1.0 / (p + 1.0)),
-        "sup": float(np.max(abs_u)) if abs_u.size else 0.0,
-        "energy": energy,
-        "nehari": nehari,
-        "diss_rate": _sq_norm(ut),
-        "s_rate": _lq_integral(abs_u, q_crit, weight) if q_crit is not None else 0.0,
-        "cutoff": {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()},
-    }
-    return stats
-
-
 def integrate(
     u0: Field,
     op: SpectralOperator,
@@ -299,9 +293,7 @@ def integrate(
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
-    q_crit = 2.0 * mode.p_critical if mode.regime == "critical" else None
-    acc = _Accumulators(q_crit)
-    weight = op.grid.weight
+    acc = _Accumulators(st.q)
     order = _SCHEME_ORDER[cfg.scheme]
     expo = 1.0 / (order + 1.0)
 
@@ -309,28 +301,15 @@ def integrate(
     u_phys = u0.values.copy()
     try:
         n0 = st.n_hat(u_phys)
-        stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
+        sample, en_sq, rates = st.state_stats(c, u_phys, n0, cutoffs)
     except FloatingPointError:
         raise ValueError("initial state overflows: E or J is past double range") from None
-    sup0 = max(stats["sup"], 1e-300)
+    sup0 = max(sample.sup, 1e-300)
 
     traj = Trajectory(samples=[], mode=mode, scheme=cfg.scheme)
 
     def record(t: float):
-        traj.samples.append(
-            TrajectorySample(
-                t=t,
-                mass=stats["mass"],
-                energy_norm=math.sqrt(max(stats["en_sq"], 0.0)),
-                energy=stats["energy"],
-                nehari=stats["nehari"],
-                lp=stats["lp"],
-                sup=stats["sup"],
-                dissipation_cum=acc.diss,
-                s_norm_cum=acc.s_norm(),
-                cutoff_mass=dict(stats["cutoff"]) if cutoffs else None,
-            )
-        )
+        traj.samples.append(replace(sample, t=t, dissipation_cum=acc.diss, s_norm_cum=acc.s_norm()))
 
     t = 0.0
     record(0.0)
@@ -352,7 +331,7 @@ def integrate(
         # linear part exactly, so a pinned controller means the
         # nonlinearity went violent, but we still ask for the growth.
         return bool(
-            stats["sup"] >= 100.0 * sup0 or stats["sup"] >= 0.01 * cfg.blowup_sup_cap
+            sample.sup >= 100.0 * sup0 or sample.sup >= 0.01 * cfg.blowup_sup_cap
         )
 
     while True:
@@ -365,7 +344,7 @@ def integrate(
             full = st.step(c, n0, st.multipliers(dt, cfg.scheme), cfg.scheme)
             half_mult = st.multipliers(0.5 * dt, cfg.scheme)
             mid = st.step(c, n0, half_mult, cfg.scheme)
-            u_mid = st.physical(mid)
+            u_mid = op.from_coeffs(mid)
             n_half = st.n_hat(u_mid)
             half = st.step(mid, n_half, half_mult, cfg.scheme)
             diff = float(np.linalg.norm(full - half))
@@ -384,22 +363,19 @@ def integrate(
             continue
 
         # accept: propagate the two-half-step solution
-        prev_stats = stats
         t += dt
         c = half
         try:
-            mid_rates = (
-                _sq_norm(st.a * mid - n_half),
-                _lq_integral(np.abs(u_mid), q_crit, weight) if q_crit is not None else 0.0,
-            )
-            u_phys = st.physical(c)
+            mid_rates = st.rates(mid, n_half, np.abs(u_mid))
+            u_phys = op.from_coeffs(c)
             n0 = st.n_hat(u_phys)
-            stats = _state_stats(st, c, u_phys, n0, weight, mode.p, cutoffs, q_crit)
-            acc.advance(dt, prev_stats, stats, mid_rates)
+            state = st.state_stats(c, u_phys, n0, cutoffs)
+            acc.advance(dt, rates, mid_rates, state[2])
         except FloatingPointError:
-            # the accepted state overflows the nonlinearity, E, J or a rate: explosion
-            stats = prev_stats
+            # the accepted state overflows the nonlinearity, E, J or a rate:
+            # explosion, recorded with the last finite sample
             return finish("sup_cap", detect=True)
+        sample, en_sq, rates = state
         traj.accepted += 1
 
         if cfg.sample_interval is None or t >= next_sample - 1e-14:
@@ -407,9 +383,9 @@ def integrate(
             if cfg.sample_interval:
                 next_sample += cfg.sample_interval
 
-        if stats["sup"] > cfg.blowup_sup_cap:
+        if sample.sup > cfg.blowup_sup_cap:
             return finish("sup_cap", detect=True)
-        if stats["en_sq"] > cfg.blowup_energy_cap**2:
+        if en_sq > cfg.blowup_energy_cap**2:
             return finish("energy_cap", detect=True)
 
         grow = 0.9 * (cfg.rel_tol / max(err, 1e-16)) ** expo
@@ -457,12 +433,12 @@ def picard_iterate(
     linear = props * c0  # row j: linear flow at slice j
 
     states = linear.copy()
-    iterates = [Field(st.physical(states[m]), u0.grid)]
+    iterates = [Field(op.from_coeffs(states[m]), u0.grid)]
     diffs: list[float] = []
     ratios: list[float] = []
     converged = True
     for _ in range(n_iter):
-        n_hats = np.stack([st.n_hat(st.physical(states[j])) for j in range(m + 1)])
+        n_hats = np.stack([st.n_hat(op.from_coeffs(states[j])) for j in range(m + 1)])
         new = linear.copy()
         for i in range(1, m + 1):
             wts = np.full(i + 1, ds)
@@ -476,7 +452,7 @@ def picard_iterate(
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
         states = new
-        iterates.append(Field(st.physical(states[m]), u0.grid))
+        iterates.append(Field(op.from_coeffs(states[m]), u0.grid))
         if not math.isfinite(diff):
             converged = False
             break

@@ -211,9 +211,9 @@ def lp_norm(f: Field, p_exp: float) -> float:
 def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
     """weight * sum |u|^q, or inf past double range (trapped, not warned).
 
-    The L^(p+1) power sums of variational.energy and of the integrator's
-    state statistics, and the critical space-time integrand, go through
-    here: an overflow comes back as inf, which each caller refuses by name.
+    The L^(p+1) power sum of variational._functionals and the critical
+    space-time integrand go through here: an overflow comes back as inf,
+    which each caller refuses by name.
     """
     try:
         with np.errstate(over="raise"):

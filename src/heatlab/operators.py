@@ -41,10 +41,13 @@ paths compute it:
   built with the mirror-averaged V, exactly into 2^k independent blocks of
   N / 2^k, one per parity pattern (a symmetry-adapted basis: Bossavit,
   Comput. Methods Appl. Mech. Engrg. 56, 1986).  k = 0 is the whole matrix
-  as one block, through the same code.  Where the true kernel between a node
-  and its mirror vanishes, the fold computes it as the difference of the
-  even and odd blocks' semigroup diagonals, so the two blocks' eigenpairs
-  must agree to high relative accuracy.
+  as one block, through the same code.  The operator stores the fold
+  unnormalised, as one sparse N x N matrix F with 2^k entries +-1 a row, and
+  its transpose, both CSR; F builds the blocks at assembly, and a transform
+  is F @ x or F^T @ y around the block product.  Where the true kernel
+  between a node and its mirror vanishes, the fold computes it as the
+  difference of the even and odd blocks' semigroup diagonals, so the two
+  blocks' eigenpairs must agree to high relative accuracy.
   - In 1D each block is tridiagonal and runs the MRRR driver stemr
     (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).  On the certify
     well (n = 3200), the t = 0.25 kernel column at x = -12 carries a mirror
@@ -255,9 +258,11 @@ class SpectralOperator:
     eigenvectors of parity block b, one per column, its rows indexed by the
     folded node index in C order of the half grid (the whole axis where it is
     not folded); k = 0 gives one N x N block in node order.  to_coeffs folds
-    the field in O(N), makes one batched block product and gathers the
-    block coefficients by order, the stable ascending permutation of the
-    block eigenvalues; from_coeffs scatters, multiplies and unfolds.  On the
+    the field by the stored sparse fold matrix F (module docstring; its
+    rows are the blocks' rows in block order), makes one batched block
+    product and gathers the block coefficients by order, the stable
+    ascending permutation of the block eigenvalues; from_coeffs scatters,
+    multiplies and unfolds by the stored transpose F^T.  On the
     structured path the transforms are the orthonormal DST-I of the field
     reshaped to the grid, each axis by sine matrix, chirp-z or scipy.fft,
     basis is an N x 0 array because no matrix exists, and order is the
@@ -280,7 +285,8 @@ class SpectralOperator:
     basis: np.ndarray
     assumption_class: str = field(default="neither")
     order: Optional[np.ndarray] = None
-    _folds: tuple[bool, ...] = ()  # per grid axis: folded on the dense path
+    _fold_matrix: Optional[scipy.sparse.csr_matrix] = None  # dense path: the fold F
+    _unfold_matrix: Optional[scipy.sparse.csr_matrix] = None  # its transpose
 
     @property
     def n_modes(self) -> int:
@@ -295,7 +301,7 @@ class SpectralOperator:
             values = values.values
         values = np.asarray(values)
         if self.basis.size:
-            blocks = _fold(values, self.grid.n, self._folds)
+            blocks = (self._fold_matrix @ values).reshape(self.basis.shape[:2] + (-1,))
             coeffs = (self.basis.transpose(0, 2, 1) @ blocks).reshape(values.shape)[self.order]
             coeffs *= math.sqrt(self.grid.weight / self.basis.shape[0])  # the fold's 2^(-k/2)
             return coeffs
@@ -313,7 +319,7 @@ class SpectralOperator:
             scattered[self.order] = coeffs
         if self.basis.size:
             blocks = self.basis @ scattered.reshape(self.basis.shape[:2] + (-1,))
-            out = _unfold(blocks, self.grid.n, self._folds).reshape(coeffs.shape)
+            out = (self._unfold_matrix @ blocks.reshape(self.n_modes, -1)).reshape(coeffs.shape)
             out /= math.sqrt(self.grid.weight * self.basis.shape[0])  # the fold's 2^(-k/2)
             return out
         shape = self.grid.n + coeffs.shape[1:]
@@ -552,43 +558,12 @@ def _folded_axes(grid: Grid, v: np.ndarray) -> tuple[bool, ...]:
     )
 
 
-def _fold(x: np.ndarray, shape: tuple[int, ...], folds: tuple[bool, ...]) -> np.ndarray:
-    """Unnormalised parity fold of (N,) or (N, m) node-order values, O(N).
-
-    Along each folded axis, the value at node j and at its mirror n - 1 - j
-    become their sum (even part) and difference (odd part) at half-index j.
-    The parity indices lead, in axis order, so the result has shape
-    (2^k, M, m): block b holds the parts whose parities are the bits of b.
-    """
-    y = x.reshape(shape + (-1,))
-    k = 0
-    for ax in reversed(range(len(shape))):
-        if folds[ax]:
-            a, b = np.split(y, 2, axis=k + ax)
-            b = np.flip(b, axis=k + ax)
-            y = np.stack((a + b, a - b))
-            k += 1
-    return y.reshape(2**k, -1, y.shape[-1])
-
-
-def _unfold(y: np.ndarray, shape: tuple[int, ...], folds: tuple[bool, ...]) -> np.ndarray:
-    """Inverse of _fold up to its factor 2^k: (2^k, M, m) blocks -> (N, m)."""
-    k = sum(folds)
-    half = tuple(n // 2 if fold else n for n, fold in zip(shape, folds))
-    y = y.reshape((2,) * k + half + (y.shape[-1],))
-    for ax in range(len(shape)):
-        if folds[ax]:
-            k -= 1
-            even, odd = y[0], y[1]
-            y = np.concatenate((even + odd, np.flip(even - odd, axis=k + ax)), axis=k + ax)
-    return y.reshape(-1, y.shape[-1])
-
-
 def _fold_rows(shape: tuple[int, ...], folds: tuple[bool, ...], block: int):
-    """The rows of _fold's matrix that make parity block `block`, sparse M x N.
+    """The rows of the fold F that make parity block `block`, sparse M x N.
 
     A Kronecker product of per-axis factors: [I, J] (even) or [I, -J] (odd)
-    on a folded axis, J the exchange matrix, and the identity elsewhere.
+    on a folded axis, J the exchange matrix, and the identity elsewhere.  The
+    first folded axis gives the leading bit of `block`.
     """
     parities = [block >> bit & 1 for bit in reversed(range(sum(folds)))]
     rows = scipy.sparse.identity(1)
@@ -620,7 +595,7 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
 
     v = potential_on_grid(spec.potential, grid) if spec.kind == "schrodinger" else None
 
-    folds = ()
+    fold = None
     if spec.kind == "dirichlet_laplacian" or (
         spec.kind == "schrodinger" and spec.potential.is_zero()
     ):
@@ -638,11 +613,14 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
             a = a + scipy.sparse.diags(mirrored.ravel())
         n_blocks = 2 ** sum(folds)
         size = grid.n_total // n_blocks
+        fold = scipy.sparse.vstack(
+            [_fold_rows(grid.n, folds, b) for b in range(n_blocks)], format="csr"
+        )
         mu = np.empty(grid.n_total)
         # each block Fortran-ordered, so LAPACK can overwrite it in place
         basis = np.empty((n_blocks, size, size)).transpose(0, 2, 1)
         for b in range(n_blocks):
-            rows = _fold_rows(grid.n, folds, b)
+            rows = fold[b * size : (b + 1) * size]
             block = (rows @ a @ rows.T) / n_blocks
             span = slice(b * size, (b + 1) * size)
             if grid.dim == 1:
@@ -667,7 +645,8 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
         basis=basis,
         assumption_class=klass,
         order=order,
-        _folds=folds,
+        _fold_matrix=fold,
+        _unfold_matrix=None if fold is None else fold.T.tocsr(),
     )
 
     if klass == "B" and mu[0] < -1e-10 * max(abs(mu[-1]), 1.0):

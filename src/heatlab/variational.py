@@ -166,6 +166,39 @@ def _require_source(mode: EquationMode, what: str) -> None:
         raise ValueError(f"{what} is defined for the source nonlinearity only")
 
 
+_OVERFLOW = "field overflows: E or J is past double range"
+
+
+def _source_term(mode: EquationMode, u: np.ndarray) -> np.ndarray:
+    """The source term sign |u|^(p-1) u on the grid; zeros for nonlinearity "none".
+
+    Raises FloatingPointError when it is past double range.
+    """
+    if mode.sign == 0.0:
+        return np.zeros_like(u)
+    with np.errstate(over="raise", invalid="raise"):
+        return mode.sign * np.abs(u) ** (mode.p - 1.0) * u
+
+
+def _functionals(
+    a: np.ndarray, c: np.ndarray, abs_u: np.ndarray, mode: EquationMode, weight: float
+) -> tuple[float, float, float, float]:
+    """(||u||_E^2, int |u|^(p+1), E, J) from the coefficients c and |u| on the grid.
+
+    a is the energy multiplier of each coefficient.  Raises FloatingPointError
+    when E or J is past double range.
+    """
+    with np.errstate(over="ignore"):  # an infinite E or J is refused below
+        en_sq = float(np.sum(a * np.abs(c) ** 2))
+    lp_p1 = _lq_integral(abs_u, mode.p + 1.0, weight)
+    nl = mode.sign * lp_p1
+    e_val = 0.5 * en_sq - nl / (mode.p + 1.0)
+    j_val = en_sq - nl
+    if not (math.isfinite(e_val) and math.isfinite(j_val)):
+        raise FloatingPointError("E or J is past double range")
+    return en_sq, lp_p1, e_val, j_val
+
+
 def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalReport:
     """Energy E, Nehari value J, energy norm and L^(p+1) norm of a field.
 
@@ -173,33 +206,35 @@ def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalRepo
     """
     a = _mode_multiplier(op, mode)
     c = op.to_coeffs(u.values)
-    with np.errstate(over="ignore"):  # an infinite E or J is refused below
-        en_sq = float(np.sum(a * np.abs(c) ** 2))
-    lp = _lq_integral(np.abs(u.values), mode.p + 1.0, u.grid.weight) ** (1.0 / (mode.p + 1.0))
-    nl = mode.sign * lp ** (mode.p + 1.0)
-    e_val = 0.5 * en_sq - nl / (mode.p + 1.0)
-    j_val = en_sq - nl
-    if not (math.isfinite(e_val) and math.isfinite(j_val)):
-        raise ValueError("field overflows: E or J is past double range")
+    try:
+        en_sq, lp_p1, e_val, j_val = _functionals(a, c, np.abs(u.values), mode, u.grid.weight)
+    except FloatingPointError:
+        raise ValueError(_OVERFLOW) from None
     membership = "Zero" if lp_norm(u, 2.0) == 0.0 else None
     return FunctionalReport(
         energy=e_val,
         nehari=j_val,
         energy_norm=math.sqrt(max(en_sq, 0.0)),
-        lp=lp,
+        lp=lp_p1 ** (1.0 / (mode.p + 1.0)),
         p=mode.p,
         membership=membership,
     )
 
 
 def energy_gradient(u: Field, op: SpectralOperator, mode: EquationMode) -> Field:
-    """L^2 gradient (I+L)u - sign |u|^(p-1) u (homogeneous part in critical mode)."""
+    """L^2 gradient (I+L)u - sign |u|^(p-1) u (homogeneous part in critical mode).
+
+    Raises ValueError when the gradient is past double range.
+    """
     if np.iscomplexobj(u.values):
         raise ValueError("gradient is defined for real fields")
     a = _mode_multiplier(op, mode)
-    lin = op.apply_multiplier(a, u.values)
-    nl = mode.sign * np.abs(u.values) ** (mode.p - 1.0) * u.values
-    return Field(lin - nl, u.grid)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            grad = op.apply_multiplier(a, u.values) - _source_term(mode, u.values)
+    except FloatingPointError:
+        raise ValueError(_OVERFLOW) from None
+    return Field(grad, u.grid)
 
 
 def nehari_projection(u: Field, op: SpectralOperator, mode: EquationMode) -> ProjectionResult:
@@ -249,8 +284,7 @@ def _nehari_fixed_point(op: SpectralOperator, mode: EquationMode, start: Field) 
     bad = 0
     for _ in range(_SOLVE_MAX_ITER):
         c = op.to_coeffs(u.values)
-        nl = np.abs(u.values) ** (mode.p - 1.0) * u.values
-        n_hat = op.to_coeffs(nl)
+        n_hat = op.to_coeffs(_source_term(mode, u.values))
         res = float(np.linalg.norm(a * c - n_hat) / max(np.linalg.norm(c), 1e-300))
         if not math.isfinite(res):
             raise ConvergenceError("fixed-point iteration diverged", float("inf"))

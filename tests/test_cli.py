@@ -216,12 +216,14 @@ def test_sweep_captures_per_run_failures(tmp_path):
 
 
 def test_overflowing_initial_data_is_refused_by_solve_and_sweep(tmp_path, capsys):
-    # 1e80 gaussian data: E and J of the initial state are past double range
+    # E and J of the initial state are past double range: 1e80 gaussian data
+    # at p = 3, and 1e160 at p = 1.5, where |u|^2 and the mass are too
     huge = SMALL_RUN.replace("initial.amplitude = 0.3", "initial.amplitude = 1.0e80")
-    out = tmp_path / "run"
-    assert main(["solve", write_cfg(tmp_path, huge), "--out", str(out)]) == 1
-    assert "initial state overflows" in capsys.readouterr().err
-    assert not out.exists()  # a refused run leaves no directory behind
+    for text in (huge, huge.replace("1.0e80", "1.0e160").replace("p = 3.0", "p = 1.5")):
+        out = tmp_path / "run"
+        assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+        assert "initial state overflows" in capsys.readouterr().err
+        assert not out.exists()  # a refused run leaves no directory behind
     text = SMALL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.3, 1.0e80\n"
     sweep_out = tmp_path / "sweep"
     assert main(["sweep", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(sweep_out)]) == 0

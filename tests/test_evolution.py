@@ -213,14 +213,34 @@ def test_overflowing_critical_integrand_ends_named():
     assert np.all(np.isfinite(traj.column("s_norm_cum")))
 
 
-def test_overflowing_initial_state_is_refused(small_op, cubic_mode):
-    # a 1e80 bump: |u|^4 is past double range, so E(u0) and J(u0) are not
-    # finite; integrate refuses the data instead of recording -inf and NaN
-    u0 = small_bump(small_op, 1e80)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="initial state overflows"):
-            integrate(u0, small_op, cubic_mode, IntegratorConfig(t_max=1.0))
+def test_overflowing_initial_state_is_refused(small_op):
+    # |u|^(p+1) is past double range (at p = 1.5 and 1e160 so are |u|^2 and
+    # the mass), so E(u0) and J(u0) are not finite; integrate refuses the
+    # data instead of recording -inf and NaN
+    for p, amp in ((3.0, 1e80), (1.5, 1e160)):
+        u0 = small_bump(small_op, amp)
+        mode = EquationMode.subcritical(p, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="initial state overflows"):
+                integrate(u0, small_op, mode, IntegratorConfig(t_max=1.0))
+
+
+@pytest.mark.parametrize("case", ["structured_line", "dense_well", "critical_box"])
+def test_first_sample_is_energy_of_initial_state(case, small_op, well_op):
+    # the flow's E and J and the variational ones are one evaluation
+    mode = EquationMode.subcritical(3.0, 1)
+    op = small_op if case == "structured_line" else well_op
+    if case == "critical_box":
+        mode = EquationMode.critical(3)
+        grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 13)  # the critical_3d grid
+        op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    u0 = field_from_function(op.grid, lambda x: 0.7 * np.exp(-0.5 * np.sum(x * x, axis=-1)))
+    first = integrate(u0, op, mode, IntegratorConfig(t_max=1e-3, max_steps=1)).samples[0]
+    rep = heatlab.energy(u0, op, mode)
+    assert (first.energy, first.nehari, first.energy_norm, first.lp) == (
+        rep.energy, rep.nehari, rep.energy_norm, rep.lp
+    )
 
 
 def test_absorbing_flow_dissipates_large_data(small_op):

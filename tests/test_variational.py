@@ -124,6 +124,13 @@ def test_energy_gradient_is_directional_derivative(small_op):
     assert math.isclose(fd, heatlab.inner_product(g, v), rel_tol=1e-5)
 
 
+def test_energy_gradient_refuses_overflow(small_op):
+    # |u|^2 u of a 1e160 bump is past double range
+    u = heatlab.field_from_function(small_op.grid, lambda x: 1e160 * np.exp(-0.5 * x[..., 0] ** 2))
+    with pytest.raises(ValueError, match="field overflows: E or J is past double range"):
+        energy_gradient(u, small_op, EquationMode.subcritical(3.0, 1))
+
+
 def test_two_routes_agree(line_op, cubic_mode, line_consts):
     alt = mountain_pass_level(line_op, cubic_mode, method="sobolev_formula")
     assert math.isclose(alt.level, line_consts.level, rel_tol=1e-6)
