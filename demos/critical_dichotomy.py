@@ -8,8 +8,6 @@ Runs on a deliberately coarse box grid so the whole script stays under
 ten seconds.
 """
 
-import math
-
 import numpy as np
 
 import heatlab
@@ -25,6 +23,7 @@ from heatlab.variational import (
     energy,
     mountain_pass_level,
     nehari_projection,
+    talenti_constant,
 )
 
 grid = heatlab.build_grid(heatlab.DomainSpec.box((-5.0,) * 3, (5.0,) * 3), 11)
@@ -35,7 +34,7 @@ print(f"box (-5,5)^3, n = 11 per axis, mu_1 = {op.mu_min:.4f}")
 print(f"lattice: S_h = {consts.S:.4f}, level = {consts.level:.4f} (Sobolev route; no "
       "ground state exists in the critical regime)")
 # continuum best constant of ||u||_6 <= S ||grad u||_2 in R^3 (Talenti 1976)
-s_cont = (3.0 * math.pi) ** -0.5 * (math.gamma(3.0) / math.gamma(1.5)) ** (1.0 / 3.0)
+s_cont = talenti_constant(3)
 print(f"continuum: S = {s_cont:.5f}, level S^-3/3 = {s_cont**-3 / 3.0:.4f}; the lattice")
 print("constant lies above it, so the critical threshold below is a number of")
 print("the lattice model, not of the continuum equation\n")

@@ -49,6 +49,7 @@ from .variational import (
     VariationalConstants,
     classify,
     mountain_pass_level,
+    talenti_constant,
 )
 
 
@@ -164,11 +165,20 @@ def write_constants(
     extra: Optional[dict] = None,
 ) -> None:
     """Write constants.txt: the constants (or their status when there are
-    none), the extra key = value facts, then the config echo."""
+    none), the extra key = value facts, then the config echo.
+
+    In the critical regime the constants are followed by the continuum
+    S_continuum (talenti_constant) and level_continuum = S_continuum^(-d) / d,
+    the level formula at p = (d + 2)/(d - 2), beside the lattice S and level.
+    """
     with open(os.path.join(out_dir, "constants.txt"), "w", encoding="utf-8") as fh:
         if consts is not None:
             for key in ("S", "level", "y_C", "p", "regime", "method"):
                 fh.write(f"{key} = {_fmt_value(getattr(consts, key))}\n")
+            if consts.regime == "critical":
+                s_cont = talenti_constant(cfg.dim)
+                fh.write(f"S_continuum = {_fmt_value(s_cont)}\n")
+                fh.write(f"level_continuum = {_fmt_value(s_cont ** -cfg.dim / cfg.dim)}\n")
         else:
             fh.write(f"# constants: {status}\n")
         for key, value in (extra or {}).items():

@@ -25,11 +25,10 @@ paths compute it:
   its node count n (tables at _axis_path): an axis of at most 256 nodes
   multiplies by the cached n x n sine matrix, whose O(n^2) product beats
   an FFT's fixed cost there (a 13^3 grid transforms about 4x faster than
-  with scipy.fft.dstn); a longer axis whose n + 1 has a prime factor of at
-  least 200 runs a direct chirp-z sine transform, one cyclic convolution of
-  fast length >= 2n - 1, which beats pocketfft's Bluestein fallback by
-  about 2x at n = 1600; every other axis is O(n log n) in one shared
-  scipy.fft.dstn call.
+  with scipy.fft.dstn); a longer axis whose n + 1 is prime runs Rader's
+  prime-length sine transform, one negacyclic convolution of length n / 2,
+  which beats pocketfft's Bluestein fallback by about 4x at n = 1600;
+  every other axis is O(n log n) in one shared scipy.fft.dstn call.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  A grid
   axis is folded when the domain is an interval or a box (not a halfline),
@@ -264,7 +263,7 @@ class SpectralOperator:
     ascending permutation of the block eigenvalues; from_coeffs scatters,
     multiplies and unfolds by the stored transpose F^T.  On the
     structured path the transforms are the orthonormal DST-I of the field
-    reshaped to the grid, each axis by sine matrix, chirp-z or scipy.fft,
+    reshaped to the grid, each axis by sine matrix, Rader or scipy.fft,
     basis is an N x 0 array because no matrix exists, and order is the
     stable ascending permutation of the closed-form eigenvalues in DST
     output order.  In 1-d those already ascend in DST order, so order is
@@ -351,7 +350,7 @@ def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
     """Orthonormal DST-I over the first dim axes; a trailing axis is a batch.
 
     Each axis runs the path _axis_path names: the "dst" axes share one
-    scipy.fft.dstn call, each "chirp" axis runs _chirp_dst, and the
+    scipy.fft.dstn call, each "rader" axis runs _rader_dst, and the
     "matmul" axes share one _sine_matmul call.
     """
     paths = [_axis_path(n) for n in x.shape[:dim]]
@@ -359,38 +358,34 @@ def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
     if fft:
         x = scipy.fft.dstn(x, type=1, norm="ortho", axes=fft, overwrite_x=overwrite)
     for ax, path in enumerate(paths):
-        if path == "chirp" and ax == 0:
-            x = _chirp_dst(x)
-        elif path == "chirp":
-            x = np.moveaxis(_chirp_dst(np.moveaxis(x, ax, 0)), 0, ax)
+        if path == "rader" and ax == 0:
+            x = _rader_dst(x)
+        elif path == "rader":
+            x = np.moveaxis(_rader_dst(np.moveaxis(x, ax, 0)), 0, ax)
     if "matmul" in paths:
         x = _sine_matmul(x, dim, [path == "matmul" for path in paths])
     return x
 
 
 _MATMUL_MAX_N = 256  # longest grid axis on the sine-matrix path
-_CHIRP_MIN_FACTOR = 200  # smallest largest prime factor of n + 1 on the chirp path
 
 
 @functools.lru_cache(maxsize=None)
 def _axis_path(n: int) -> str:
-    """The DST-I path of a grid axis with n nodes: "matmul", "chirp" or "dst".
+    """The DST-I path of a grid axis with n nodes: "matmul", "rader" or "dst".
 
     One fixed rule on n: axes of at most _MATMUL_MAX_N nodes multiply by the
-    sine matrix (_sine_matmul), longer axes run the chirp-z transform
-    (_chirp_dst) when _uses_chirp(n), and the rest run scipy.fft.  Measured
-    per call on one field of a 1-d grid, best of 7 x 400 calls, 2-core Xeon,
-    scipy 1.17, 2 OpenBLAS threads:
+    sine matrix (_sine_matmul), longer axes whose n + 1 is prime run Rader's
+    transform (_rader_dst), and the rest run scipy.fft.  Measured per call
+    on one field of a 1-d grid, best of 7 x 400 calls, 2-core Xeon, scipy
+    1.17, 2 OpenBLAS threads:
 
-           n   largest prime of n + 1   dst (us)   chirp (us)   matmul (us)   path
-          13              7                8.9        28.4          7.4      matmul
-          64             13               10.1        21.7          8.2      matmul
-         128             43               22.3        40.8          9.6      matmul
-         200             67               26.6        26.8         10.7      matmul
-         256            257               51.3        28.5         14.6      matmul
-         400            401               49.9        42.6         36.9      chirp
-         640            641               80.2        74.4        159.2      chirp
-        1600           1601              243.4       105.4        580.6      chirp
+           n   dst (us)   matmul (us)
+          13      8.9         7.4
+          64     10.1         8.2
+         128     22.3         9.6
+         200     26.6        10.7
+         256     51.3        14.6
 
     and for a whole grid, one field, scipy.fft.dstn against _grid_dst:
 
@@ -400,32 +395,58 @@ def _axis_path(n: int) -> str:
     nodes the FFTs' fixed costs dominate.  Past about 300 nodes a smooth
     n + 1 lets scipy win (n = 350: 15.0 us against 29.1 us by matrix), and
     the matrix takes n^2 doubles (512 KB at 256), so the bound stays at 256.
+
+    pocketfft computes a DST-I from an FFT of length 2(n + 1), which falls
+    back to Bluestein at a padded length of at least 4(n + 1) when n + 1 has
+    a large prime factor.  Rader's transform needs n + 1 prime and
+    convolves at n / 2, or at next_fast_len(n - 1) when n / 2 is not a fast
+    length (prime at 262, 718, 1438 and 2038 below).  The chirp-z transform
+    it replaced convolved at next_fast_len(2n - 1) and also took every axis
+    whose n + 1 has a prime factor of at least 200.  One field and an
+    (n, 8) stack, best of 7 x 400 calls, the three measured in one session
+    (same host):
+
+                            one field (us)          (n, 8) stack (us)
+           n   n + 1      dst   chirp   rader     dst   chirp   rader
+         262   263       49.9    30.0    34.1    204.3    95.4    77.9
+         400   401       50.3    39.5    26.8    247.0   150.9    93.6
+         640   641       98.7    49.1    34.5    370.5   222.5    93.2
+         718   719       73.5    49.7    49.2    352.8   280.8   165.6
+        1200   1201     130.0    66.9    40.1    580.8   374.0   142.2
+        1438   1439     137.6    73.8    52.3    649.0   480.7   281.5
+        1600   1601     190.6    88.4    45.1   1066.4   561.3   204.6
+        2038   2039     203.5    95.7    71.6    932.7   623.6   393.3
+         632   3 211     52.7    38.3       -    264.7   179.3       -
+         801   2 401     86.1    48.8       -    453.4   304.7       -
+        1204   5 241     88.9    81.0       -    579.6   430.9       -
+        2048   3 683    253.8   105.4       -   1102.3  1057.3       -
+
+    So the prime axes run 1.0-2.0x faster than on the chirp for one field
+    and 1.2-2.7x for a stack; the one loss is n = 262 (14% on one field),
+    where a fixed cost of a few numpy calls outweighs the shorter FFTs.  The
+    composite axes, which no shipped grid uses, now pay scipy's cost: 1.1x
+    (1204), 1.4x (632), 1.8x (801) and 2.4x (2048) the chirp's on one
+    field, 1.0-1.5x on a stack.  On a 2-d grid with a prime axis the sine
+    matrix would still be faster where both axes are long: one field of a
+    (400, 400) grid takes 4.2 ms here (chirp 12.9 ms, scipy.fft.dstn
+    20.4 ms) against 2.8 ms by _sine_matmul on both axes, while (400, 12)
+    and (12, 400) take 104 and 106 us, the same as by matrix.
     """
     if n <= _MATMUL_MAX_N:
         return "matmul"
-    return "chirp" if _uses_chirp(n) else "dst"
+    return "rader" if _prime_factors(n + 1) == [n + 1] else "dst"
 
 
-def _largest_prime_factor(m: int) -> int:
-    largest, p = 1, 2
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, ascending."""
+    factors, p = [], 2
     while p * p <= m:
-        while m % p == 0:
-            largest, m = p, m // p
+        if m % p == 0:
+            factors.append(p)
+            while m % p == 0:
+                m //= p
         p += 1
-    return max(largest, m)
-
-
-def _uses_chirp(n: int) -> bool:
-    """Whether the length-n DST-I beats scipy's as a chirp-z transform.
-
-    pocketfft computes a DST-I from an FFT of length 2(n + 1); when n + 1
-    has a large prime factor that FFT falls back to Bluestein at a padded
-    length of at least 4(n + 1).  The direct chirp-z form (_chirp_dst) needs
-    only next_fast_len(2n - 1), and it wins once the largest prime factor
-    of n + 1 passes about 200 (table at _axis_path).  Axes short enough for
-    the sine matrix take that path instead.
-    """
-    return _largest_prime_factor(n + 1) >= _CHIRP_MIN_FACTOR
+    return factors + [m] if m > 1 else factors
 
 
 @functools.lru_cache(maxsize=16)
@@ -463,47 +484,79 @@ def _sine_matmul(x: np.ndarray, dim: int, axes: list[bool]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _chirp_plan(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Convolution length, input chirp, kernel spectrum and output chirp.
+def _rader_plan(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Convolution length, gather, fold factors, kernel spectrum, output factors, order.
 
-    c_m = exp(i pi m^2 / (2(n + 1))) with m^2 reduced mod 4(n + 1), the
-    period of the phase, so the exponent stays below 2 pi for any n.  The
-    kernel conj(c_m), m = -(n - 1)..(n - 1), is wrapped onto a cyclic
-    length L >= 2n - 1 and its spectrum carries the 1/L of the inverse FFT;
-    the output chirp carries the orthonormal scale sqrt(2/(n + 1)).
+    p = n + 1 is prime, h = n / 2, and g is the least primitive root mod p,
+    so g^h = -1.  Input a of the convolution is z_j at j = g^a (notation at
+    _rader_dst): the gather takes x_j for a = 0..h-1, then x_(p-j), and
+    the fold factors are the coefficients 1 - i(-1)^j and -1 - i(-1)^j.
+    The kernel is w_c = sin(2 pi g^(-c) / p), c = 0..h-1.  A fast h
+    convolves negacyclically at length h, so the fold factors and the kernel
+    carry the twist exp(i pi a / h) and the output factors its conjugate;
+    otherwise the kernel is wrapped antiperiodically onto a zero-padded
+    length L = next_fast_len(2h - 1).  The kernel spectrum carries the 1/L
+    of the inverse FFT.  Output b is S at m = g^(-b), or -S at p - m when
+    m > h, so its factor carries that sign and the orthonormal scale
+    sqrt(2/p).  order gathers the interleaved real (k = 2m) and imaginary
+    (k = p - 2m) parts of the outputs into DST order.
     """
-    m = np.arange(n + 1, dtype=np.int64)
-    c = np.exp((0.5j * np.pi / (n + 1)) * ((m * m) % (4 * (n + 1))))
-    size = scipy.fft.next_fast_len(2 * n - 1)
+    p, h = n + 1, n // 2
+    g = next(r for r in range(2, p) if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)))
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * g % p)
+    powers = np.array(powers)
+    j = powers[:h]  # g^a
+    m = powers[-np.arange(h) % n]  # g^(-b)
+    size = h if scipy.fft.next_fast_len(h) == h else scipy.fft.next_fast_len(2 * h - 1)
+    twist = np.exp((1j * np.pi / h) * np.arange(h)) if size == h else np.ones(h)
+    parity = np.where(j % 2 == 0, 1j, -1j)
+    w = np.sin((2 * np.pi / p) * m)
     kernel = np.zeros(size, dtype=complex)
-    kernel[:n] = c[:n].conj()
-    kernel[size - n + 1 :] = c[n - 1 : 0 : -1].conj()
-    plan = (size, c[1:], scipy.fft.fft(kernel) / size, np.sqrt(2.0 / (n + 1)) * c[1:])
+    kernel[:h] = twist * w
+    if size > h:
+        kernel[size - h + 1 :] = -w[1:]  # w_(-c) = -w_(h-c)
+    half = np.minimum(m, p - m)
+    plan = (
+        size,
+        np.r_[j - 1, p - j - 1],
+        np.r_[twist * (1 - parity), twist * (-1 - parity)],
+        scipy.fft.fft(kernel) / size,
+        np.sqrt(2.0 / p) * np.where(m > h, -1.0, 1.0) * twist.conj(),
+        np.argsort(np.c_[2 * half - 1, n - 2 * half].ravel()),
+    )
     for arr in plan[1:]:
         arr.flags.writeable = False
     return plan
 
 
-def _chirp_dst(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along axis 0 as a chirp-z transform.
+def _rader_dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0 of length n, n + 1 = p prime, by Rader.
 
-    With jk = (j^2 + k^2 - (k - j)^2) / 2,
+    With j, k = 1..n, h = n / 2 and the complex fold
 
-        y_k = sqrt(2/(n+1)) Im[c_k sum_j x_j c_j conj(c_{k-j})],  j, k = 1..n,
+        z_j = (x_j - x_(p-j)) - i (-1)^j (x_j + x_(p-j)),
 
-    one cyclic convolution (Rabiner, Schafer & Rader, IEEE Trans. Audio
-    Electroacoust. 17, 1969; Bluestein, ibid. 18, 1970).  Trailing axes are
-    a batch; each FFT runs along axis 0 over all of them, so a stacked call
-    equals the single calls bit for bit.
+    odd on Z_p (z_(p-j) = -z_j), the sums S_m = sum_(j=1..h) z_j
+    sin(2 pi j m / p), m = 1..h, give y_(2m) = sqrt(2/p) Re S_m and
+    y_(p-2m) = sqrt(2/p) Im S_m.  With j = g^a and m = g^(-b), S is a
+    cyclic convolution of length p - 1 over the powers of g (Rader, Proc.
+    IEEE 56, 1968), and since g^h = -1 and both factors are odd, a
+    negacyclic one of length h: one complex FFT pair at n / 2, where a
+    chirp-z transform needs one at about 2n (plan at _rader_plan).
+    Trailing axes are a batch; each FFT runs along axis 0 over all of them,
+    so a stacked call equals the single calls bit for bit.
     """
-    n = x.shape[0]
-    size, pre, kernel_hat, post = _chirp_plan(n)
-    lanes = (slice(None),) + (None,) * (x.ndim - 1)
-    a = scipy.fft.fft(x * pre[lanes], n=size, axis=0, overwrite_x=True)
-    a *= kernel_hat[lanes]
-    a = scipy.fft.ifft(a, axis=0, norm="forward", overwrite_x=True)[:n]
-    a *= post[lanes]
-    return np.ascontiguousarray(a.imag)
+    n, h = x.shape[0], x.shape[0] // 2
+    size, gather, fold, kernel_hat, post, order = _rader_plan(n)
+    z = np.take(x.reshape(n, -1), gather, axis=0) * fold[:, None]
+    c = scipy.fft.fft(z[:h] + z[h:], n=size, axis=0, overwrite_x=True)
+    c *= kernel_hat[:, None]
+    c = scipy.fft.ifft(c, axis=0, norm="forward", overwrite_x=True)[:h]
+    c *= post[:, None]
+    parts = c.view(float).reshape(h, -1, 2).transpose(0, 2, 1).reshape(n, -1)
+    return np.take(parts, order, axis=0).reshape(x.shape)
 
 
 def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:

@@ -330,6 +330,19 @@ def _level_from_s(s_const: float, p: float) -> float:
     return coeff * s_const ** (-2.0 * (p + 1.0) / (p - 1.0))
 
 
+def talenti_constant(d: int) -> float:
+    """Best constant S of ||u||_(2d/(d-2)) <= S ||grad u||_2 on R^d, d >= 3.
+
+    S = (pi d (d - 2))^(-1/2) (Gamma(d) / Gamma(d/2))^(1/d) (Aubin, J.
+    Differential Geom. 11, 1976; Talenti, Ann. Mat. Pura Appl. 110, 1976);
+    0.42726 in d = 3.  The Sobolev route on a grid measures a lattice
+    constant above it (README, numerical notes).
+    """
+    if d < 3:
+        raise ValueError("the critical Sobolev constant needs d >= 3")
+    return (math.pi * d * (d - 2)) ** -0.5 * (math.gamma(d) / math.gamma(d / 2)) ** (1 / d)
+
+
 def best_sobolev_constant(op: SpectralOperator, mode: EquationMode) -> float:
     """Best constant of ||u||_{p+1} <= S ||u||_E on the grid.
 

@@ -1,5 +1,6 @@
 """Command-line entry point, exercised in-process via main(argv)."""
 
+import math
 import os
 
 import pytest
@@ -70,6 +71,40 @@ def test_solve_writes_outputs(tmp_path, capsys):
         consts = fh.read()
     assert "level = " in consts
     assert "# --- config echo ---" in consts
+
+
+CRITICAL_RUN = """
+equation.regime = critical
+domain.kind = box
+domain.lower = -5.0, -5.0, -5.0
+domain.upper = 5.0, 5.0, 5.0
+grid.n = 9
+operator.kind = dirichlet_laplacian
+initial.recipe = gaussian
+initial.amplitude = 0.3
+integrator.t_max = 1.0
+"""
+
+
+def _constants(out):
+    with open(os.path.join(out, "constants.txt"), encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh if " = " in line)
+
+
+def test_critical_constants_name_the_continuum_values(tmp_path):
+    # the lattice S_h on (-5, 5)^3 at n = 9 lies above the continuum best
+    # constant, so the lattice level lies below the continuum one
+    out = str(tmp_path / "crit")
+    assert main(["solve", write_cfg(tmp_path, CRITICAL_RUN), "--out", out]) == 0
+    consts = _constants(out)
+    assert consts["S_continuum"] == repr(variational.talenti_constant(3))
+    assert math.isclose(float(consts["S_continuum"]), 0.42726, rel_tol=1e-5)
+    assert math.isclose(float(consts["level_continuum"]), 0.42726**-3 / 3.0, rel_tol=1e-4)
+    assert float(consts["S"]) > float(consts["S_continuum"])
+    assert float(consts["level"]) < float(consts["level_continuum"])
+    sub = str(tmp_path / "sub")
+    assert main(["solve", write_cfg(tmp_path, SMALL_RUN, "sub.cfg"), "--out", sub]) == 0
+    assert "S_continuum" not in _constants(sub)  # subcritical: no continuum reference
 
 
 def test_solve_blowup_is_success_exit(tmp_path, capsys):

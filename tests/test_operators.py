@@ -20,12 +20,12 @@ from heatlab.operators import (
     ZERO_POTENTIAL,
     _axis_path,
     _check_reconstruction,
-    _chirp_dst,
     _folded_axes,
+    _rader_dst,
+    _rader_plan,
     _sine_matmul,
     _stencil_apply,
     _stencil_matrix,
-    _uses_chirp,
     assemble,
     classify_assumption,
     potential_on_grid,
@@ -403,7 +403,7 @@ def batch_op(request, well_op):
         return assemble(OperatorSpec(kind="schrodinger", potential=pot), build_grid(domain, n))
     grids = {
         "structured_1d_37": (DomainSpec.interval(0.0, 3.0), 37),
-        "structured_1d_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # chirp size
+        "structured_1d_1600": (DomainSpec.interval(-20.0, 20.0), 1600),  # Rader size
         "structured_3d_345": (DomainSpec.box(-1.0, 1.0, 3), (3, 4, 5)),
         "structured_3d_13": (DomainSpec.box(-5.0, 5.0, 3), 13),  # the critical_3d grid
     }
@@ -424,26 +424,36 @@ def test_batched_transforms_match_single_calls(batch_op):
                 assert np.array_equal(batched[:, j], single)
 
 
-@pytest.mark.parametrize("n", [256, 1200, 1600, 2048])
-def test_chirp_dst_matches_scipy_and_inverts(n):
-    assert _uses_chirp(n)
-    x = np.random.default_rng(n).standard_normal((n, 2))
-    y = _chirp_dst(x)
-    ref = scipy.fft.dst(x, type=1, norm="ortho", axis=0)
-    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # the orthonormal DST-I is its own inverse
-    assert np.max(np.abs(_chirp_dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
+@pytest.mark.parametrize("n", [262, 400, 718, 1200, 1600, 2038])
+def test_rader_dst_matches_scipy_and_inverts(n):
+    # h = n / 2 is smooth at 400, 1200 and 1600 (negacyclic convolution of
+    # length h) and prime at 262, 718 and 2038 (zero-padded convolution)
+    assert _axis_path(n) == "rader"
+    assert (_rader_plan(n)[0] == n // 2) == (n in (400, 1200, 1600))
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 8))):
+        y = _rader_dst(x)
+        ref = scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+        assert y.shape == x.shape
+        assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the orthonormal DST-I is its own inverse
+        assert np.max(np.abs(_rader_dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
+    for j in range(x.shape[1]):  # a stack is bitwise its single calls
+        assert np.array_equal(y[:, j], _rader_dst(x[:, j]))
 
 
 def test_chirp_rule_follows_largest_prime_factor_of_n_plus_1():
-    # 1601 and 1201 are prime; 1600 = 2^6 5^2, 14 = 2 7 and 3201 = 3 11 97
-    assert _uses_chirp(1600) and _uses_chirp(1200)
-    assert not any(_uses_chirp(n) for n in (1599, 13, 3200))
+    # the prime path needs the largest prime factor of n + 1 to be n + 1
+    # itself: 1601 and 1201 are prime, while 1600 = 2^6 5^2, 14 = 2 7 and
+    # 3201 = 3 11 97, and a large proper factor (2049 = 3 683) is not enough
+    assert _axis_path(1600) == "rader" and _axis_path(1200) == "rader"
+    assert not any(_axis_path(n) == "rader" for n in (1599, 13, 3200, 2048))
 
 
-@pytest.mark.parametrize("shape", [(256, 12), (12, 256), (400, 12)])
+@pytest.mark.parametrize("shape", [(400, 12), (12, 400), (12, 262)])
 def test_grid_with_one_chirp_axis_matches_stencil(shape):
-    assert _uses_chirp(256) and not _uses_chirp(12)
+    # one prime-path axis, leading or not, beside a sine-matrix axis
+    assert [_axis_path(n) for n in shape].count("rader") == 1
     grid = build_grid(DomainSpec.box((-1.0, -1.0), (1.0, 1.0)), shape)
     op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)  # runs _check_reconstruction
     x = np.random.default_rng(4).standard_normal(grid.n_total)
@@ -467,17 +477,18 @@ def test_sine_matmul_matches_scipy_and_inverts(shape):
 
 
 def test_axis_path_rule():
-    # up to 256 nodes the sine matrix; beyond, chirp-z when n + 1 has a prime
-    # factor >= 200 (263, 401 and 1601 are prime) and scipy's DST otherwise
-    # (258 = 2 3 43, 260 = 2^2 5 13, 1600 = 2^6 5^2, 3201 = 3 11 97)
+    # up to 256 nodes the sine matrix; beyond, Rader's transform when n + 1 is
+    # prime (263, 401, 1201 and 1601 are) and scipy's DST otherwise, however
+    # large the prime factors of n + 1 (258 = 2 3 43, 260 = 2^2 5 13,
+    # 633 = 3 211, 802 = 2 401, 1600 = 2^6 5^2, 2049 = 3 683, 3201 = 3 11 97)
     assert all(_axis_path(n) == "matmul" for n in (1, 13, 31, 196, 256))
-    assert all(_axis_path(n) == "chirp" for n in (262, 400, 1600))
-    assert all(_axis_path(n) == "dst" for n in (257, 259, 1599, 3200))
+    assert all(_axis_path(n) == "rader" for n in (262, 400, 1200, 1600))
+    assert all(_axis_path(n) == "dst" for n in (257, 259, 632, 801, 1599, 2048, 3200))
 
 
 def test_grid_with_all_three_axis_paths_matches_stencil():
     grid = build_grid(DomainSpec.box((-1.0, -2.0, -2.0), (1.0, 2.0, 2.0)), (3, 262, 259))
-    assert [_axis_path(n) for n in grid.n] == ["matmul", "chirp", "dst"]
+    assert [_axis_path(n) for n in grid.n] == ["matmul", "rader", "dst"]
     op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
     x = np.random.default_rng(5).standard_normal(grid.n_total)
     ax = _stencil_apply(op, x, None)

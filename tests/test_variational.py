@@ -22,6 +22,7 @@ from heatlab.variational import (
     mountain_pass_level,
     nehari_projection,
     sobolev_bound_from_semigroup,
+    talenti_constant,
 )
 from conftest import sech_profile, sine_profile
 
@@ -248,7 +249,7 @@ def test_lattice_critical_constant_exceeds_continuum():
     # lies above the continuum best constant (Talenti, Ann. Mat. Pura Appl.
     # 110, 1976) and moves away from it as h shrinks
     d = 3
-    talenti = (math.pi * d * (d - 2)) ** -0.5 * (math.gamma(d) / math.gamma(d / 2)) ** (1 / d)
+    talenti = talenti_constant(d)
     assert abs(talenti - 0.42726) < 1e-5
     s_h = []
     for n in (9, 13, 21):
