@@ -1,16 +1,30 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, the files each writes into --out, and its exit codes:
 
-  solve        run one configured experiment, write trajectory/summary/constants
-  ground-state compute the positive ground state and variational constants
-  classify     classify the configured initial data against the thresholds
-  verify       run the semigroup estimate verifiers, write verification.csv
-  sweep        repeat solve over one config axis, aggregate sweep.csv
+  solve        one configured run: trajectory.csv, summary.txt,
+               constants.txt; 0, or 1 when the run is refused (say, the
+               initial state overflows)
+  ground-state the positive ground state and its constants: profile.csv,
+               constants.txt; 2 unless the config is subcritical with the
+               source nonlinearity
+  classify     the configured initial data against the thresholds:
+               classification.txt (only with --out); 2 on the absorbing
+               nonlinearity
+  verify       the semigroup estimate verifiers: verification.csv
+  sweep        solve once per value of one config key: sweep.csv plus one
+               run_NNN/ directory per value; a failed row is recorded in
+               the error column, not in the exit code
 
-Exit codes: 0 on success (a BlowsUp verdict is a successful run), 2 on
-configuration errors (the message names the offending key), 1 on anything
-else.
+Every command exits 0 on success (a BlowsUp verdict is a successful run),
+2 on configuration errors, a missing config file or a bad command line
+(the message names the offending key or option), 1 on anything else.
+
+Artifacts are plain text: `key = value` lines (summary.txt, constants.txt,
+classification.txt) or CSV with one header line (the .csv files).  Floats
+are written by repr, booleans as true/false, so a rerun of the same config
+and seed writes the same bytes.  constants.txt ends with the validated
+config, echoed in the config file format.
 """
 
 from __future__ import annotations
@@ -23,11 +37,18 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _fmt_value, load_experiment_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    _fmt_csv,
+    _fmt_pairs,
+    _write_artifact,
+    load_experiment_config,
+)
 from .experiments import (
-    build_mode,
     build_operator,
     make_initial_data,
+    prepare_run,
     run_experiment,
     sweep,
     write_constants,
@@ -39,108 +60,53 @@ from .semigroup import (
     verify_l2lq_decay,
     verify_spacetime,
 )
-from .variational import ConvergenceError, classify, energy, mountain_pass_level
+from .variational import ConvergenceError, classify, energy
 
 VERIFY_HEADER = "operator,estimate,slope,target,prefactor,pass"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatlab",
-        description="numerical laboratory for semilinear heat flows with spectral operators",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, needs_out: bool):
-        sp.add_argument("config", help="path to a key = value config file")
-        if needs_out:
-            sp.add_argument("--out", required=True, help="output directory")
-        else:
-            sp.add_argument("--out", default=None, help="optional output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    sp = sub.add_parser("solve", help="integrate one configured run")
-    add_common(sp, needs_out=True)
-
-    sp = sub.add_parser("ground-state", help="compute the ground state and constants")
-    add_common(sp, needs_out=True)
-
-    sp = sub.add_parser("classify", help="classify the configured initial data")
-    add_common(sp, needs_out=False)
-
-    sp = sub.add_parser("verify", help="run semigroup estimate verifiers")
-    add_common(sp, needs_out=True)
-
-    sp = sub.add_parser("sweep", help="run a one-axis parameter sweep")
-    add_common(sp, needs_out=True)
-    sp.add_argument("--threads", type=int, default=1, help="parallel worker processes")
-
-    return parser
-
-
-def _cmd_solve(cfg: ExperimentConfig, out: str) -> int:
-    result = run_experiment(cfg, out)
-    print(f"verdict = {result.summary['verdict']}")
-    print(f"t_final = {_fmt_value(result.summary['t_final'])}")
-    if "T_detect" in result.summary:
-        print(f"T_detect = {_fmt_value(result.summary['T_detect'])}")
-    print(f"wrote {os.path.join(out, 'trajectory.csv')}")
+def _cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    summary = run_experiment(cfg, args.out).summary
+    keys = [key for key in ("verdict", "t_final", "T_detect") if key in summary]
+    print(_fmt_pairs((key, summary[key]) for key in keys), end="")
+    print(f"wrote {os.path.join(args.out, 'trajectory.csv')}")
     return 0
 
 
-def _cmd_ground_state(cfg: ExperimentConfig, out: str) -> int:
-    op = build_operator(cfg)
-    mode = build_mode(cfg)
-    consts = mountain_pass_level(op, mode, method="nehari_inf")
+def _cmd_ground_state(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    setup = prepare_run(cfg, need="ground_state")
+    op, consts = setup.op, setup.consts
     phi = consts.ground_state
-    rep = energy(phi, op, mode)
+    rep = energy(phi, op, setup.mode)
 
-    coords = op.grid.coords()
     header = ",".join(f"x{ax}" for ax in range(op.grid.dim)) + ",u"
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "profile.csv"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row, val in zip(coords, phi.values):
-            fh.write(",".join(repr(float(c)) for c in row) + "," + repr(float(val)) + "\n")
+    rows = ((*coords, val) for coords, val in zip(op.grid.coords(), phi.values))
+    _write_artifact(args.out, "profile.csv", _fmt_csv(header, rows))
     extra = {"ground_state_energy": rep.energy, "ground_state_energy_norm": rep.energy_norm}
-    write_constants(out, cfg, consts, extra=extra)
-    print(f"level = {_fmt_value(consts.level)}")
-    print(f"S = {_fmt_value(consts.S)}")
-    print(f"ground state energy = {_fmt_value(rep.energy)}")
+    write_constants(args.out, cfg, setup, extra=extra)
+    facts = [("level", consts.level), ("S", consts.S), ("ground state energy", rep.energy)]
+    print(_fmt_pairs(facts), end="")
     return 0
 
 
-def _cmd_classify(cfg: ExperimentConfig, out: Optional[str]) -> int:
-    op = build_operator(cfg)
-    mode = build_mode(cfg)
-    if mode.sign <= 0:
-        raise ConfigError(
-            "equation.nonlinearity", "classification thresholds need the source sign"
-        )
-    consts = mountain_pass_level(op, mode)
-    u0 = make_initial_data(cfg, op, consts)
-    rep = classify(u0, op, mode, consts)
-    lines = [
-        f"membership = {rep.membership}",
-        f"borderline = {_fmt_value(rep.borderline)}",
-        f"energy = {_fmt_value(rep.energy)}",
-        f"nehari = {_fmt_value(rep.nehari)}",
-        f"energy_norm = {_fmt_value(rep.energy_norm)}",
-        f"level = {_fmt_value(consts.level)}",
-        f"y_C = {_fmt_value(consts.y_C)}",
-    ]
+def _cmd_classify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    setup = prepare_run(cfg, need="constants")
+    consts = setup.consts
+    u0 = make_initial_data(cfg, setup.op, consts)
+    rep = classify(u0, setup.op, setup.mode, consts)
+    facts = [(name, getattr(rep, name))
+             for name in ("membership", "borderline", "energy", "nehari", "energy_norm")]
+    facts += [("level", consts.level), ("y_C", consts.y_C)]
     if rep.note:
-        lines.append(f"note = {rep.note}")
-    for line in lines:
-        print(line)
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "classification.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        facts.append(("note", rep.note))
+    text = _fmt_pairs(facts)
+    print(text, end="")
+    if args.out is not None:
+        _write_artifact(args.out, "classification.txt", text)
     return 0
 
 
-def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     op = build_operator(cfg)
     shifted = op.assumption_class == "A"
     rng = np.random.default_rng(cfg.seed)
@@ -178,55 +144,69 @@ def _cmd_verify(cfg: ExperimentConfig, out: str) -> int:
             bool(gauss.max_violation <= 1.05),
         )
     )
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "verification.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(VERIFY_HEADER + "\n")
-        for kind, name, slope, target, prefactor, passed in rows:
-            fh.write(
-                f"{kind},{name},{repr(float(slope))},{repr(float(target))},"
-                f"{repr(float(prefactor))},{_fmt_value(bool(passed))}\n"
-            )
+    path = _write_artifact(args.out, "verification.csv", _fmt_csv(VERIFY_HEADER, rows))
     n_pass = sum(1 for row in rows if row[5])
     print(f"{n_pass}/{len(rows)} estimates passed; wrote {path}")
     return 0
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out: str, threads: int) -> int:
-    rows = sweep(cfg, out, threads=threads)
+def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    rows = sweep(cfg, args.out, threads=args.threads)
     n_err = sum(1 for row in rows if row["error"])
-    print(f"swept {len(rows)} runs ({n_err} failed); wrote {os.path.join(out, 'sweep.csv')}")
+    print(f"swept {len(rows)} runs ({n_err} failed); wrote {os.path.join(args.out, 'sweep.csv')}")
     return 0
 
 
+# subcommand -> (handler, help); only classify runs without --out
+_COMMANDS = {
+    "solve": (_cmd_solve, "integrate one configured run"),
+    "ground-state": (_cmd_ground_state, "compute the ground state and constants"),
+    "classify": (_cmd_classify, "classify the configured initial data"),
+    "verify": (_cmd_verify, "run semigroup estimate verifiers"),
+    "sweep": (_cmd_sweep, "run a one-axis parameter sweep"),
+}
+
+
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="heatlab",
+        description="numerical laboratory for semilinear heat flows with spectral operators",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("config", help="path to a key = value config file")
+        if name == "classify":
+            sp.add_argument("--out", default=None, help="optional output directory")
+        else:
+            sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sub.choices["sweep"].add_argument(
+        "--threads", type=_worker_count, default=1, help="parallel worker processes"
+    )
+    return parser
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
     try:
         cfg = load_experiment_config(args.config)
         if args.seed is not None:
             cfg = cfg.with_override("seed", args.seed)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args.out)
-        if args.command == "ground-state":
-            return _cmd_ground_state(cfg, args.out)
-        if args.command == "classify":
-            return _cmd_classify(cfg, args.out)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.out)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, args.out, args.threads)
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return handler(cfg, args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -12,12 +12,18 @@ metadata gives the dotted key it is filled from, the parser that type- and
 range-checks its value, and its default (_REQUIRED when the key must be
 given).  _SCHEMA maps each key to its field.  Rules that tie several keys
 together follow the key loop in from_mapping.
+
+Every artifact heatlab writes uses the same spelling of a value
+(_fmt_value): floats (np.float64 included) by repr, booleans as true/false,
+tuples comma-separated.  _fmt_pairs renders `key = value` lines, _fmt_csv a
+CSV table, and _write_artifact is the one place an artifact file is opened.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, float, bool, str]
 Value = Union[Scalar, Tuple[Scalar, ...]]
@@ -70,13 +76,33 @@ def parse_config_text(text: str) -> dict:
 
 
 def _fmt_value(value: Value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(_fmt_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))  # float() drops numpy's np.float64(...) wrapper
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(_fmt_value(v) for v in value)
     return str(value)
+
+
+def _fmt_pairs(pairs: Iterable[Tuple[str, Value]]) -> str:
+    """One `key = value` line per pair, as parse_config_text reads them."""
+    return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in pairs)
+
+
+def _fmt_csv(header: str, rows: Iterable[Sequence[Value]]) -> str:
+    """The header line, then one comma-separated line of cells per row."""
+    lines = [header] + [",".join(map(_fmt_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_artifact(out_dir: str, name: str, text: str) -> str:
+    """Write text to out_dir/name, creating out_dir; return the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 # Parsers take a raw value and return the field value, or raise ValueError
@@ -311,8 +337,7 @@ class ExperimentConfig:
 
     def echo_text(self) -> str:
         """Canonical `key = value` rendering of the raw mapping (round-trips)."""
-        lines = [f"{key} = {_fmt_value(self.raw[key])}" for key in sorted(self.raw)]
-        return "\n".join(lines) + "\n"
+        return _fmt_pairs(sorted(self.raw.items()))
 
 
 # dotted key -> ExperimentConfig field, in declaration order

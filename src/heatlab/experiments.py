@@ -9,9 +9,11 @@ run and writes three plain text artifacts into the output directory:
   summary.txt      key = value facts about the run
   constants.txt    variational constants plus a config echo
 
-All floats are written with repr so a rerun of the same config and seed
-produces byte-identical files.  sweep() repeats the run over one config key
-and aggregates per-run outcomes into sweep.csv, capturing per-row failures
+Every file goes through config._write_artifact with values spelled by
+config._fmt_value (floats by repr), so a rerun of the same config and seed
+produces byte-identical files.  prepare_run alone decides which configs
+have threshold constants.  sweep() repeats the run over one config key and
+aggregates per-run outcomes into sweep.csv, capturing per-row failures
 instead of aborting the axis.
 """
 
@@ -24,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _fmt_value
+from .config import ConfigError, ExperimentConfig, _fmt_csv, _fmt_pairs, _write_artifact
 from .diagnostics import concavity, coercivity_check, invariance_check, verdict
 from .evolution import (
     CSV_HEADER,
@@ -158,11 +160,7 @@ def _integrator_config(cfg: ExperimentConfig, radii: Tuple[float, ...]) -> Integ
 
 
 def write_constants(
-    out_dir: str,
-    cfg: ExperimentConfig,
-    consts: Optional[VariationalConstants],
-    status: str = "ok",
-    extra: Optional[dict] = None,
+    out_dir: str, cfg: ExperimentConfig, setup: RunSetup, extra: Optional[dict] = None
 ) -> None:
     """Write constants.txt: the constants (or their status when there are
     none), the extra key = value facts, then the config echo.
@@ -171,28 +169,26 @@ def write_constants(
     S_continuum (talenti_constant) and level_continuum = S_continuum^(-d) / d,
     the level formula at p = (d + 2)/(d - 2), beside the lattice S and level.
     """
-    with open(os.path.join(out_dir, "constants.txt"), "w", encoding="utf-8") as fh:
-        if consts is not None:
-            for key in ("S", "level", "y_C", "p", "regime", "method"):
-                fh.write(f"{key} = {_fmt_value(getattr(consts, key))}\n")
-            if consts.regime == "critical":
-                s_cont = talenti_constant(cfg.dim)
-                fh.write(f"S_continuum = {_fmt_value(s_cont)}\n")
-                fh.write(f"level_continuum = {_fmt_value(s_cont ** -cfg.dim / cfg.dim)}\n")
-        else:
-            fh.write(f"# constants: {status}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key} = {_fmt_value(value)}\n")
-        fh.write("\n# --- config echo ---\n")
-        fh.write(cfg.echo_text())
+    consts = setup.consts
+    if consts is None:
+        head = f"# constants: {setup.consts_note}\n"
+    else:
+        names = ("S", "level", "y_C", "p", "regime", "method")
+        facts = [(name, getattr(consts, name)) for name in names]
+        if consts.regime == "critical":
+            s_cont = talenti_constant(cfg.dim)
+            facts += [("S_continuum", s_cont), ("level_continuum", s_cont ** -cfg.dim / cfg.dim)]
+        head = _fmt_pairs(facts)
+    tail = _fmt_pairs((extra or {}).items()) + "\n# --- config echo ---\n" + cfg.echo_text()
+    _write_artifact(out_dir, "constants.txt", head + tail)
 
 
 @dataclass
 class RunSetup:
     """The operator, mode and threshold constants a run starts from.
 
-    consts is None when they were not computed or their solve failed;
-    consts_note says which, and consts_error keeps the failure.
+    consts is None on the absorbing nonlinearity or when their solve
+    failed; consts_note says which, and consts_error keeps the failure.
     """
 
     op: SpectralOperator
@@ -202,17 +198,29 @@ class RunSetup:
     consts_error: Optional[Exception] = None
 
 
-def prepare_run(cfg: ExperimentConfig) -> RunSetup:
-    """Assemble the operator and solve the constants; no initial.* key is read."""
+def prepare_run(cfg: ExperimentConfig, need: Optional[str] = None) -> RunSetup:
+    """Assemble the operator and solve the constants; no initial.* key is read.
+
+    The source nonlinearity has threshold constants, and in the subcritical
+    regime a ground state with them; the absorbing one has neither.  need is
+    what the caller cannot do without, "constants" or "ground_state": a
+    config that rules it out is a ConfigError naming the deciding key,
+    raised before anything is assembled, and a failed solve raises instead
+    of being noted.
+    """
+    if need is not None and cfg.nonlinearity != "source":
+        raise ConfigError("equation.nonlinearity", "threshold constants need the source sign")
+    if need == "ground_state" and cfg.regime != "subcritical":
+        raise ConfigError("equation.regime", "the ground state needs the subcritical regime")
     op = build_operator(cfg)
     mode = build_mode(cfg)
-    if mode.sign < 0:
+    if cfg.nonlinearity != "source":
         return RunSetup(op, mode, None, "not applicable (absorbing nonlinearity)")
-    if mode.sign == 0:
-        return RunSetup(op, mode, None, "not computed")
     try:
         return RunSetup(op, mode, mountain_pass_level(op, mode), "ok")
     except (ConvergenceError, ValueError) as exc:
+        if need is not None:
+            raise
         return RunSetup(op, mode, None, f"failed: {exc}", exc)
 
 
@@ -246,47 +254,37 @@ def run_experiment(
     traj = integrate(u0, op, mode, _integrator_config(cfg, radii))
     v = verdict(traj)
 
-    summary: dict = {}
-    summary["seed"] = cfg.seed
-    summary["verdict"] = v.kind
-    if v.rate_stat is not None:
-        summary["rate_stat"] = v.rate_stat
-    if v.T_est is not None:
-        summary["T_est"] = v.T_est
-    if v.reason is not None:
-        summary["reason"] = v.reason
-    summary["end_reason"] = traj.end_reason
-    summary["t_final"] = traj.t_final
-    if traj.T_detect is not None:
-        summary["T_detect"] = traj.T_detect
-    summary["accepted_steps"] = traj.accepted
-    summary["rejected_steps"] = traj.rejected
-    summary["samples"] = len(traj.samples)
-
+    # summary.txt in file order; a fact whose value is None is left out
     first, last = traj.samples[0], traj.samples[-1]
-    summary["mass_initial"] = first.mass
-    summary["mass_final"] = last.mass
-    summary["energy_initial"] = first.energy
-    summary["energy_final"] = last.energy
-    summary["energy_norm_initial"] = first.energy_norm
-    summary["energy_norm_final"] = last.energy_norm
-    summary["sup_final"] = last.sup
-    summary["dissipation_cum"] = last.dissipation_cum
-    if mode.regime == "critical":
-        summary["s_norm_cum"] = last.s_norm_cum
-
-    summary["energy_identity_residual"] = energy_identity_residual(traj)
-    if len(traj.samples) >= 3:
-        summary["mass_identity_residual"] = mass_identity_residual(traj)
-
-    summary["constants_status"] = consts_note
+    facts = [("seed", cfg.seed), ("verdict", v.kind)]
+    facts += [(name, getattr(v, name)) for name in ("rate_stat", "T_est", "reason")]
+    facts += [(name, getattr(traj, name)) for name in ("end_reason", "t_final", "T_detect")]
+    facts += [
+        ("accepted_steps", traj.accepted),
+        ("rejected_steps", traj.rejected),
+        ("samples", len(traj.samples)),
+    ]
+    for name in ("mass", "energy", "energy_norm"):
+        facts += [(f"{name}_initial", getattr(first, name)),
+                  (f"{name}_final", getattr(last, name))]
+    enough = len(traj.samples) >= 3
+    facts += [
+        ("sup_final", last.sup),
+        ("dissipation_cum", last.dissipation_cum),
+        ("s_norm_cum", last.s_norm_cum if mode.regime == "critical" else None),
+        ("energy_identity_residual", energy_identity_residual(traj)),
+        ("mass_identity_residual", mass_identity_residual(traj) if enough else None),
+        ("constants_status", consts_note),
+    ]
     if consts is not None:
-        summary["classification_initial"] = classify(u0, op, mode, consts).membership
+        facts.append(("classification_initial", classify(u0, op, mode, consts).membership))
         if lp_norm(u0, 2.0) > 0:
             coer = coercivity_check(traj, consts)
-            summary["delta_hat"] = coer.delta_hat
-            summary["below_y_C"] = coer.below_y_C
-            summary["invariance_ok"] = invariance_check(traj, consts)
+            facts += [
+                ("delta_hat", coer.delta_hat),
+                ("below_y_C", coer.below_y_C),
+                ("invariance_ok", invariance_check(traj, consts)),
+            ]
 
     if v.kind == "BlowsUp" and len(traj.samples) >= 5 and mode.sign > 0:
         mass0 = first.mass
@@ -300,37 +298,28 @@ def run_experiment(
                 a_val = 10.0 * max(1.0, mass0)
         try:
             rep = concavity(traj, A=a_val, alpha=cfg.diag_alpha, R=diag_R)
-            summary["concavity_A"] = rep.A
-            summary["concavity_alpha"] = rep.alpha
-            if rep.R is not None:
-                summary["concavity_R"] = rep.R
-            summary["concavity_margin"] = rep.margin
-            summary["concavity_t_tilde"] = rep.t_tilde
+            facts += [(f"concavity_{name}", getattr(rep, name))
+                      for name in ("A", "alpha", "R", "margin", "t_tilde")]
         except ValueError as exc:
-            summary["concavity_error"] = str(exc)
+            facts.append(("concavity_error", str(exc)))
+    summary = {key: value for key, value in facts if value is not None}
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in trajectory_rows(traj):
-            fh.write(row + "\n")
-
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        for key, value in summary.items():
-            fh.write(f"{key} = {_fmt_value(value)}\n")
-
-    write_constants(out_dir, cfg, consts, consts_note)
+    trajectory_csv = "\n".join((CSV_HEADER, *trajectory_rows(traj))) + "\n"
+    _write_artifact(out_dir, "trajectory.csv", trajectory_csv)
+    _write_artifact(out_dir, "summary.txt", _fmt_pairs(summary.items()))
+    write_constants(out_dir, cfg, setup)
 
     return ExperimentResult(cfg=cfg, op=op, mode=mode, trajectory=traj, consts=consts, summary=summary)
 
 
 _SWEEP_SUMMARY_KEYS = ("verdict", "T_detect", "t_final", "rate_stat", "concavity_margin")
-SWEEP_HEADER = ",".join(("index", "value") + _SWEEP_SUMMARY_KEYS + ("error",))
+_SWEEP_COLUMNS = ("index", "value") + _SWEEP_SUMMARY_KEYS + ("error",)
+SWEEP_HEADER = ",".join(_SWEEP_COLUMNS)
 
 
 def _sweep_worker(args) -> dict:
     cfg, value, run_dir, index, setup = args
-    row = dict.fromkeys(SWEEP_HEADER.split(","), "")
+    row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row["index"], row["value"] = index, value
     try:
         sub = cfg.with_override(cfg.sweep_key, value)
@@ -347,11 +336,11 @@ def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
 
     A serial sweep over an initial.* key builds the operator, mode and
     constants once and hands them to every row; a parallel sweep, or one
-    whose shared build fails, builds them per row.
+    whose shared build fails, builds them per row, in at most one worker
+    process per row.
     """
     if cfg.sweep_key is None:
         raise ConfigError("sweep.key", "sweep requires sweep.key and sweep.values")
-    os.makedirs(out_dir, exist_ok=True)
     parallel = threads > 1 and len(cfg.sweep_values) > 1
     setup = None
     if not parallel and cfg.sweep_values and cfg.sweep_key.startswith("initial."):
@@ -364,15 +353,11 @@ def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
         for i, value in enumerate(cfg.sweep_values)
     ]
     if parallel:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]
     rows.sort(key=lambda r: r["index"])
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            cells = [str(row[name]) if not isinstance(row[name], float) else repr(row[name])
-                     for name in SWEEP_HEADER.split(",")]
-            fh.write(",".join(cells) + "\n")
+    table = ([row[name] for name in _SWEEP_COLUMNS] for row in rows)
+    _write_artifact(out_dir, "sweep.csv", _fmt_csv(SWEEP_HEADER, table))
     return rows

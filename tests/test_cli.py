@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,9 @@ integrator.t_max = 20.0
 integrator.sup_cap = 1.0e4
 integrator.rel_tol = 1.0e-5
 """
+
+
+SWEEP_LAMBDA = "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5\n"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -198,11 +204,21 @@ def test_ground_state_outputs(tmp_path, capsys):
     assert "level = " in printed
 
 
+def test_ground_state_refuses_configs_without_one(tmp_path, capsys, monkeypatch):
+    assemblies = []
+    monkeypatch.setattr(experiments, "assemble", lambda *a, **k: assemblies.append(1))
+    absorbing = SMALL_RUN + "equation.nonlinearity = absorbing\n"
+    for text, key in ((absorbing, "equation.nonlinearity"), (CRITICAL_RUN, "equation.regime")):
+        out = tmp_path / "gs"
+        assert main(["ground-state", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not out.exists()
+    assert assemblies == []  # refused from the config keys, before any assembly
+
+
 def test_sweep_runs_axis(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5\n",
-    )
+    cfg = write_cfg(tmp_path, BLOWUP_RUN + SWEEP_LAMBDA)
     out = str(tmp_path / "sweep")
     rc = main(["sweep", cfg, "--out", out, "--threads", "2"])
     assert rc == 0
@@ -218,6 +234,44 @@ def test_sweep_runs_axis(tmp_path, capsys):
         os.path.join(out, "sweep.csv"), "rb"
     ) as fh_parallel:
         assert fh_serial.read() == fh_parallel.read()
+
+
+def test_sweep_threads_must_be_positive(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP_RUN + SWEEP_LAMBDA)
+    for threads in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", cfg, "--out", str(tmp_path / "x"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_parallel_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch):
+    pool_sizes = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
+    text = SMALL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.3, 0.2\n"
+    cfg = write_cfg(tmp_path, text)
+    for threads in ("64", "2", "1"):
+        out = tmp_path / f"sweep_{threads}"
+        assert main(["sweep", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    assert pool_sizes == [2, 2]  # two rows; a serial sweep makes no pool
 
 
 def test_sweep_empty_axis(tmp_path):
@@ -285,6 +339,26 @@ def test_config_error_names_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error")
         assert key in err
+
+
+def test_console_entry_point_exit_codes(tmp_path):
+    # python -m heatlab.cli runs sys.exit(main()), as the installed script does
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for text, code, printed in (
+        (SMALL_RUN, 0, "membership = Mplus"),
+        (SMALL_RUN + "grid.m = 3\n", 2, "config key 'grid.m'"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatlab.cli", "classify", write_cfg(tmp_path, text)],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr[-2000:]
+        assert printed in proc.stdout + proc.stderr
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -399,15 +473,45 @@ def test_serial_sweep_builds_operator_and_constants_once(tmp_path, monkeypatch, 
 
 
 def test_rerun_artifacts_are_byte_identical(tmp_path):
-    cfg = load_experiment_config(write_cfg(tmp_path, BLOWUP_RUN))
-    first, second = str(tmp_path / "first"), str(tmp_path / "second")
-    run_experiment(cfg, first)
-    run_experiment(cfg, second)
-    for name in ("trajectory.csv", "summary.txt", "constants.txt"):
-        with open(os.path.join(first, name), "rb") as fa, open(
-            os.path.join(second, name), "rb"
-        ) as fb:
-            assert fa.read() == fb.read(), name
+    run = write_cfg(tmp_path, BLOWUP_RUN)
+    axis = write_cfg(tmp_path, BLOWUP_RUN + SWEEP_LAMBDA, "sweep.cfg")
+    for command, cfg, names in (
+        ("solve", run, ("trajectory.csv", "summary.txt", "constants.txt")),
+        ("ground-state", run, ("profile.csv", "constants.txt")),
+        ("classify", run, ("classification.txt",)),
+        ("verify", run, ("verification.csv",)),
+        ("sweep", axis, ("sweep.csv", "run_001/summary.txt")),
+    ):
+        first, second = tmp_path / f"{command}_1", tmp_path / f"{command}_2"
+        for out in (first, second):
+            assert main([command, cfg, "--out", str(out)]) == 0
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), (command, name)
+
+
+def _summary_keys(out):
+    return [line.split(" = ")[0] for line in (out / "summary.txt").read_text().splitlines()]
+
+
+RUN_KEYS = (
+    ["end_reason", "t_final"],
+    ["accepted_steps", "rejected_steps", "samples", "mass_initial", "mass_final",
+     "energy_initial", "energy_final", "energy_norm_initial", "energy_norm_final", "sup_final",
+     "dissipation_cum", "energy_identity_residual", "mass_identity_residual", "constants_status",
+     "classification_initial", "delta_hat", "below_y_C", "invariance_ok"],
+)
+
+
+def test_summary_key_order(tmp_path):
+    small, blowup = tmp_path / "small", tmp_path / "blowup"
+    assert main(["solve", write_cfg(tmp_path, SMALL_RUN), "--out", str(small)]) == 0
+    assert main(["solve", write_cfg(tmp_path, BLOWUP_RUN, "b.cfg"), "--out", str(blowup)]) == 0
+    head, body = RUN_KEYS
+    assert _summary_keys(small) == ["seed", "verdict", "rate_stat"] + head + body
+    assert _summary_keys(blowup) == (
+        ["seed", "verdict", "T_est"] + head + ["T_detect"] + body
+        + ["concavity_A", "concavity_alpha", "concavity_margin", "concavity_t_tilde"]
+    )
 
 
 FAILED_SOLVE = "no convergence after 2000 iterations (residual 3.760e-01)"
@@ -437,7 +541,7 @@ def test_solve_from_ground_state_fails_with_failed_constants(tmp_path, failing_s
 
 
 def test_serial_sweep_records_failed_constants_in_every_row(tmp_path, failing_solve):
-    text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5\n"
+    text = BLOWUP_RUN + SWEEP_LAMBDA
     out = tmp_path / "sweep"
     assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out), "--threads", "1"]) == 0
     rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]

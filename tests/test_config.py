@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,9 @@ from heatlab.config import (
     _SCHEMA,
     ConfigError,
     ExperimentConfig,
+    _fmt_csv,
+    _fmt_pairs,
+    _fmt_value,
     load_experiment_config,
     parse_config_text,
 )
@@ -275,6 +279,19 @@ def test_echo_round_trip():
     assert echoed.endswith("\n")
     again = ExperimentConfig.from_mapping(parse_config_text(echoed))
     assert again.echo_text() == echoed
+
+
+def test_artifact_formats():
+    # a numpy float is spelled as the Python float it holds
+    assert _fmt_value(np.float64(0.1)) == "0.1" == _fmt_value(0.1)
+    assert _fmt_value(True) == "true" and _fmt_value(False) == "false"
+    assert _fmt_value((1, 2.5, "hi")) == "1, 2.5, hi"
+    pairs = [("a", 1), ("b", np.float64(-0.0)), ("c", (1.5, 2.0))]
+    assert _fmt_pairs(pairs) == "a = 1\nb = -0.0\nc = 1.5, 2.0\n"
+    assert parse_config_text(_fmt_pairs(pairs)) == {"a": 1, "b": -0.0, "c": (1.5, 2.0)}
+    table = [(np.float64(1e-300), True), ("", False)]
+    assert _fmt_csv("x,ok", table) == "x,ok\n1e-300,true\n,false\n"
+    assert _fmt_csv("x,ok", []) == "x,ok\n"
 
 
 def test_load_from_file(tmp_path):
