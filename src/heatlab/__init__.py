@@ -5,7 +5,7 @@ The package is organized bottom-up:
 
   grids        interior-node tensor grids, fields, quadrature norms
   operators    certified operator families and their spectral assembly
-  semigroup    heat propagators, fractional powers, estimate verifiers
+  semigroup    heat propagators, kernel columns, estimate verifiers
   variational  energy, Nehari functional, ground states, thresholds
   evolution    exponential integrators, blow-up detection, Picard iteration
   diagnostics  trajectory-level checks: verdicts, concavity, invariance
@@ -30,7 +30,6 @@ from .operators import (
     SpectralOperator,
     ZERO_POTENTIAL,
     assemble,
-    check_zero_not_eigenvalue,
     classify_assumption,
     validate_potential,
 )
@@ -38,7 +37,6 @@ from .semigroup import (
     DecayReport,
     EstimateSpec,
     GaussReport,
-    apply_power,
     apply_semigroup,
     default_decay_t_grid,
     decay_probe_family,
@@ -128,14 +126,12 @@ __all__ = [
     "VariationalConstants",
     "Verdict",
     "ZERO_POTENTIAL",
-    "apply_power",
     "apply_semigroup",
     "assemble",
     "best_sobolev_constant",
     "build_grid",
     "build_mode",
     "build_operator",
-    "check_zero_not_eigenvalue",
     "classify",
     "classify_assumption",
     "coercivity_check",

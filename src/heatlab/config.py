@@ -317,6 +317,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "initial.recipe", "scaled_ground_state is undefined in the critical regime"
             )
+        if values["recipe"] == "scaled_ground_state" and values["nonlinearity"] == "absorbing":
+            raise ConfigError(
+                "initial.recipe", "scaled_ground_state needs equation.nonlinearity = source"
+            )
         if not values["dt_min"] <= values["dt_init"] <= values["dt_max"]:
             raise ConfigError("integrator.dt_init", "need dt_min <= dt_init <= dt_max")
 

@@ -198,28 +198,39 @@ def field_from_function(grid: Grid, fn) -> Field:
 
 def lp_norm(f: Field, p_exp: float) -> float:
     """Discrete L^p norm (sum w |f|^p)^(1/p); p_exp = inf gives the sup norm."""
-    if p_exp == np.inf or p_exp == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    if p_exp < 1:
-        raise ValueError("p_exp must be >= 1 or inf")
-    a = np.abs(f.values)
-    if p_exp == 2.0:  # common case, avoid pow
-        return float(math.sqrt(f.grid.weight * float(a @ a)))
-    return float((f.grid.weight * np.sum(a**p_exp)) ** (1.0 / p_exp))
+    return float(_lr_norms(f.values, p_exp, f.grid.weight))
 
 
-def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float:
-    """weight * sum |u|^q, or inf past double range (trapped, not warned).
+def _lr_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
+    """Discrete L^r norms (sum w |u|^r)^(1/r) over axis 0; r = inf gives sup norms.
 
-    The L^(p+1) power sum of variational._functionals and the critical
-    space-time integrand go through here: an overflow comes back as inf,
-    which each caller refuses by name.
+    u is one field, shape (N,), or a stack of fields, one per column.  Each
+    column is divided by its largest magnitude before the power sum and
+    multiplied back after the root, so a finite field has a finite norm
+    (unless the norm itself is past double range) where the plain power sum
+    would overflow.
     """
-    try:
-        with np.errstate(over="raise"):
-            return weight * float(np.sum(abs_u**q))
-    except FloatingPointError:
-        return math.inf
+    if r < 1:
+        raise ValueError("norm exponent must be >= 1 or inf")
+    a = np.abs(u)
+    top = np.max(a, axis=0)
+    if r == math.inf:
+        return top
+    scale = np.where(top > 0, top, 1.0)
+    return scale * _lq_integral(a / scale, r, weight) ** (1.0 / r)
+
+
+def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float | np.ndarray:
+    """weight * sum |u|^q over axis 0, or inf past double range (not warned).
+
+    A float for one field, shape (N,), an array for a stack, one entry per
+    column.  The L^(p+1) power sum of variational._functionals, the
+    critical space-time integrand and _lr_norms go through here: an
+    overflow comes back as inf, which each caller refuses by name.
+    """
+    with np.errstate(over="ignore"):
+        sums = weight * np.sum(abs_u**q, axis=0)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def inner_product(f: Field, g: Field) -> complex | float:

@@ -12,9 +12,8 @@ Three operator families are shipped:
 
 Every family is discretised by the standard second-order finite-difference
 stencil, and assemble returns its eigendecomposition, which is the single
-source of operator calculus downstream: semigroups, fractional powers and
-energy norms are all spectral multipliers in the returned eigenbasis.  Two
-paths compute it:
+source of operator calculus downstream: semigroups and energy norms are
+spectral multipliers in the returned eigenbasis.  Two paths compute it:
 
 * structured: the Dirichlet Laplacian, and a schrodinger operator whose
   potential is zero, on any grid.  The eigenvectors are the orthonormal
@@ -70,7 +69,10 @@ Both paths transform one field, shape (N,), or a stack of fields, shape
 The `assumption_class` tag records which decay regime a family is certified
 for: "B" means a pointwise Gaussian kernel bound holds (which implies the
 L^2 -> L^q smoothing rates), "A" means only the L^2 -> L^q rates are
-available.  Families outside the certified list are tagged "neither".
+available.  assemble classes a tabulated potential by its sampled node
+values, "B" when none is negative, whether V was given as values or as fn.
+classify_assumption tags an inverse-power potential outside the Kato range
+"neither"; assemble refuses one.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ from .grids import Field, Grid
 POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
 _ROW_BLOCK = 256  # matrix rows per pass where an N x N temporary is avoided
-_ZERO_EIGENVALUE_TOL = 1e-10  # mu_1 above it rules out a zero eigenvalue
 _FOLD_TOL = 1e-12  # a folded axis needs max|V - mirror V| <= _FOLD_TOL * max|V|
 
 
@@ -215,32 +216,35 @@ def classify_assumption(spec: OperatorSpec, dim: int) -> str:
 
     Returns "B" (Gaussian kernel bound), "A" (L^2 -> L^q rates only) or
     "neither".  The rules follow the certified example families: the
-    Dirichlet Laplacian and Robin half-line operators carry Gaussian bounds;
-    so do Schrodinger operators with no negative potential part.  Bounded or
-    Kato-range attractive potentials keep the smoothing rates ("A"), as does
-    the attractive inverse-square potential up to the Hardy constant.
-    Anything else is not certified here.
+    Dirichlet Laplacian and Robin half-line operators (OperatorSpec admits
+    sigma >= 0 only) carry Gaussian bounds; so do Schrodinger operators with
+    no negative potential part.  Bounded or Kato-range attractive potentials
+    keep the smoothing rates ("A"), as does the attractive inverse-square
+    potential up to the Hardy constant.  An inverse-power potential outside
+    the Kato range is "neither".  A tabulated potential is classed by its
+    node values (_tabulated_class); one given by fn has none before it is
+    sampled on a grid, so it is "A" here, and assemble classes it from the
+    values it samples.
     """
-    if spec.kind == "dirichlet_laplacian":
-        return "B"
-    if spec.kind == "robin_halfline":
-        return "B" if spec.sigma >= 0 else "neither"
     pot = spec.potential
-    if pot.is_zero():
+    if spec.kind != "schrodinger" or pot.is_zero():
         return "B"
     if pot.kind == "tabulated_bounded":
-        v = pot.values
-        if v is not None and np.min(np.asarray(v)) >= 0:
-            return "B"
-        return "A"  # bounded negative part
+        return _tabulated_class(pot.values)
     # inverse_power
     try:
         validate_potential(pot, dim)
     except AssemblyError:
         return "neither"
-    if pot.sign > 0:
-        return "B"  # no negative part
-    return "A"
+    return "B" if pot.sign > 0 else "A"  # a positive sign has no negative part
+
+
+def _tabulated_class(values: Optional[np.ndarray]) -> str:
+    """Class "B" when no node value of a tabulated potential is negative, else "A".
+
+    None (a potential given by fn, not yet sampled) is "A".
+    """
+    return "B" if values is not None and np.min(values) >= 0 else "A"
 
 
 @dataclass
@@ -400,37 +404,30 @@ def _axis_path(n: int) -> str:
     back to Bluestein at a padded length of at least 4(n + 1) when n + 1 has
     a large prime factor.  Rader's transform needs n + 1 prime and
     convolves at n / 2, or at next_fast_len(n - 1) when n / 2 is not a fast
-    length (prime at 262, 718, 1438 and 2038 below).  The chirp-z transform
-    it replaced convolved at next_fast_len(2n - 1) and also took every axis
-    whose n + 1 has a prime factor of at least 200.  One field and an
-    (n, 8) stack, best of 7 x 400 calls, the three measured in one session
-    (same host):
+    length (prime at 262, 718, 1438 and 2038 below).  One field and an
+    (n, 8) stack, best of 7 x 400 calls (same host):
 
-                            one field (us)          (n, 8) stack (us)
-           n   n + 1      dst   chirp   rader     dst   chirp   rader
-         262   263       49.9    30.0    34.1    204.3    95.4    77.9
-         400   401       50.3    39.5    26.8    247.0   150.9    93.6
-         640   641       98.7    49.1    34.5    370.5   222.5    93.2
-         718   719       73.5    49.7    49.2    352.8   280.8   165.6
-        1200   1201     130.0    66.9    40.1    580.8   374.0   142.2
-        1438   1439     137.6    73.8    52.3    649.0   480.7   281.5
-        1600   1601     190.6    88.4    45.1   1066.4   561.3   204.6
-        2038   2039     203.5    95.7    71.6    932.7   623.6   393.3
-         632   3 211     52.7    38.3       -    264.7   179.3       -
-         801   2 401     86.1    48.8       -    453.4   304.7       -
-        1204   5 241     88.9    81.0       -    579.6   430.9       -
-        2048   3 683    253.8   105.4       -   1102.3  1057.3       -
+                          one field (us)     (n, 8) stack (us)
+           n   n + 1        dst   rader         dst   rader
+         262   263         49.9    34.1       204.3    77.9
+         400   401         50.3    26.8       247.0    93.6
+         640   641         98.7    34.5       370.5    93.2
+         718   719         73.5    49.2       352.8   165.6
+        1200   1201       130.0    40.1       580.8   142.2
+        1438   1439       137.6    52.3       649.0   281.5
+        1600   1601       190.6    45.1      1066.4   204.6
+        2038   2039       203.5    71.6       932.7   393.3
+         632   3 211       52.7       -       264.7       -
+         801   2 401       86.1       -       453.4       -
+        1204   5 241       88.9       -       579.6       -
+        2048   3 683      253.8       -      1102.3       -
 
-    So the prime axes run 1.0-2.0x faster than on the chirp for one field
-    and 1.2-2.7x for a stack; the one loss is n = 262 (14% on one field),
-    where a fixed cost of a few numpy calls outweighs the shorter FFTs.  The
-    composite axes, which no shipped grid uses, now pay scipy's cost: 1.1x
-    (1204), 1.4x (632), 1.8x (801) and 2.4x (2048) the chirp's on one
-    field, 1.0-1.5x on a stack.  On a 2-d grid with a prime axis the sine
-    matrix would still be faster where both axes are long: one field of a
-    (400, 400) grid takes 4.2 ms here (chirp 12.9 ms, scipy.fft.dstn
-    20.4 ms) against 2.8 ms by _sine_matmul on both axes, while (400, 12)
-    and (12, 400) take 104 and 106 us, the same as by matrix.
+    The composite axes at the bottom, which no shipped grid uses, run
+    scipy.  On a 2-d grid with a prime axis the sine matrix would still be
+    faster where both axes are long: one field of a (400, 400) grid takes
+    4.2 ms here (scipy.fft.dstn 20.4 ms) against 2.8 ms by _sine_matmul on
+    both axes, while (400, 12) and (12, 400) take 104 and 106 us, the same
+    as by matrix.
     """
     if n <= _MATMUL_MAX_N:
         return "matmul"
@@ -640,11 +637,8 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     potentials that are singular at a node, and when the computed spectrum
     violates the family's certified lower bound.
     """
-    if spec.kind == "robin_halfline":
-        if grid.domain.kind != "halfline_truncated":
-            raise AssemblyError("robin_halfline requires a halfline_truncated domain")
-    if spec.kind == "schrodinger":
-        validate_potential(spec.potential, grid.dim)
+    if spec.kind == "robin_halfline" and grid.domain.kind != "halfline_truncated":
+        raise AssemblyError("robin_halfline requires a halfline_truncated domain")
 
     v = potential_on_grid(spec.potential, grid) if spec.kind == "schrodinger" else None
 
@@ -690,7 +684,10 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
 
-    klass = classify_assumption(spec, grid.dim)
+    if spec.kind == "schrodinger" and spec.potential.kind == "tabulated_bounded":
+        klass = _tabulated_class(v)  # from the sampled values, however V was given
+    else:
+        klass = classify_assumption(spec, grid.dim)
     op = SpectralOperator(
         spec=spec,
         grid=grid,
@@ -747,8 +744,3 @@ def _stencil_apply(op: SpectralOperator, x: np.ndarray, diag_potential) -> np.nd
     if diag_potential is not None:
         y = y + diag_potential * x
     return y
-
-
-def check_zero_not_eigenvalue(op: SpectralOperator) -> bool:
-    """True when the bottom of the spectrum is safely above zero."""
-    return op.mu_min > _ZERO_EIGENVALUE_TOL

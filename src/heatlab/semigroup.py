@@ -1,9 +1,8 @@
 """Semigroup calculus and empirical verification of smoothing estimates.
 
 Everything here is a spectral multiplier in the eigenbasis of an assembled
-operator: e^{-tL} f = sum_k e^{-t mu_k} <f, e_k> e_k, fractional powers use
-(mu_k + shift)^(s/2), and the discrete heat kernel is the semigroup matrix
-column divided by the node weight.
+operator: e^{-tL} f = sum_k e^{-t mu_k} <f, e_k> e_k, and the discrete heat
+kernel is the semigroup matrix column divided by the node weight.
 
 The verifiers quantify two kinds of statements.  L^2 -> L^r smoothing says
 ||e^{-tL} f||_r <= C t^(-beta) ||f||_2 with beta = (d/2)(1/2 - 1/r); on a
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.fft
 
-from .grids import Field
+from .grids import Field, _lr_norms
 from .operators import _ROW_BLOCK, SpectralOperator, _dirichlet_axis_eigenvalues
 
 _COLUMN_BLOCK = 128  # time x field columns per from_coeffs in _semigroup_orbit
@@ -76,10 +75,6 @@ class GaussReport:
     n_samples: int
 
 
-def _shift_value(shifted: bool) -> float:
-    return 1.0 if shifted else 0.0
-
-
 def apply_semigroup(op: SpectralOperator, t: float, f: Field, shifted: bool = False) -> Field:
     """e^{-t(L + shift)} f with shift = 1 when `shifted` (the mass term)."""
     return Field(next(_semigroup_orbit(op, f, (t,), shifted))[:, 0], op.grid)
@@ -104,7 +99,7 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
     n = c.shape[0]
     c = c.reshape(n, -1)
     m = c.shape[1]
-    rate = op.mu + _shift_value(shifted)
+    rate = op.mu + float(shifted)
     step = max(1, _COLUMN_BLOCK // m)
     for start in range(0, times.size, step):
         block_t = times[start : start + step]
@@ -112,18 +107,6 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
         out = op.from_coeffs(decayed.reshape(n, -1)).reshape(n, block_t.size, m)
         del decayed  # not held across the yield
         yield out if values.ndim == 2 else out[:, :, 0]
-
-
-def apply_power(op: SpectralOperator, s: float, f: Field, homogeneous: bool = False) -> Field:
-    """(L + shift)^(s/2) f; homogeneous drops the shift and needs mu_1 > 0 for s < 0."""
-    shift = 0.0 if homogeneous else 1.0
-    base = op.mu + shift
-    if s < 0 and np.min(base) <= 0:
-        raise ValueError("negative powers need a strictly positive spectrum")
-    if np.min(base) < 0:
-        raise ValueError("fractional powers need mu + shift >= 0")
-    mult = base ** (s / 2.0)
-    return Field(op.apply_multiplier(mult, f.values), op.grid)
 
 
 def heat_kernel_column(op: SpectralOperator, t: float, y_index: int) -> Field:
@@ -171,7 +154,7 @@ def smoothing_norm_2_to_inf(
     times = np.atleast_1d(times)
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times > 0)):
         raise ValueError("need finite t > 0")
-    shift = _shift_value(shifted)
+    shift = float(shifted)
     if op.basis.size:
         n_blocks, size, _ = op.basis.shape
         rate = np.empty(op.n_modes)
@@ -272,15 +255,15 @@ def verify_l2lq_decay(
     w = op.grid.weight
     stack = np.stack([f.values for f in probes], axis=1)
     orbit = _semigroup_orbit(op, stack, t_grid, shifted)
-    norms = np.concatenate([_column_norms(u, est.r, w) for u in orbit])  # (time, probe)
-    norms = np.maximum(norms / np.maximum(_column_norms(stack, 2.0, w), 1e-300), 1e-300)
+    norms = np.concatenate([_lr_norms(u, est.r, w) for u in orbit])  # (time, probe)
+    norms = np.maximum(norms / np.maximum(_lr_norms(stack, 2.0, w), 1e-300), 1e-300)
     log_t = np.log(t_grid)
     slopes = tuple(float(b) for b in np.polyfit(log_t, np.log(norms), 1)[0])
     worst = np.max(norms, axis=1)
     if est.r == np.inf:
         worst = np.maximum(worst, smoothing_norm_2_to_inf(op, t_grid, shifted=shifted))
     elif est.r == 2.0:
-        worst = np.maximum(worst, np.exp(-t_grid * (op.mu_min + _shift_value(shifted))))
+        worst = np.maximum(worst, np.exp(-t_grid * (op.mu_min + float(shifted))))
 
     slope = float(np.polyfit(log_t, np.log(worst), 1)[0])
     env = worst * t_grid**beta
@@ -294,14 +277,6 @@ def verify_l2lq_decay(
         passed=ok and math.isfinite(prefactor),
         probe_slopes=slopes,
     )
-
-
-def _column_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
-    """Discrete L^r norms (sum w |u|^r)^(1/r) over axis 0, as grids.lp_norm."""
-    a = np.abs(u)
-    if r == np.inf:
-        return np.max(a, axis=0)
-    return (weight * np.sum(a**r, axis=0)) ** (1.0 / r)
 
 
 def _spectral_gap(op: SpectralOperator) -> bool:

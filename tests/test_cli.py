@@ -217,6 +217,18 @@ def test_ground_state_refuses_configs_without_one(tmp_path, capsys, monkeypatch)
     assert assemblies == []  # refused from the config keys, before any assembly
 
 
+def test_solve_refuses_absorbing_scaled_ground_state(tmp_path, capsys, monkeypatch):
+    assemblies = []
+    monkeypatch.setattr(experiments, "assemble", lambda *a, **k: assemblies.append(1))
+    text = SMALL_RUN.replace("initial.recipe = gaussian", "initial.recipe = scaled_ground_state")
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, text + "equation.nonlinearity = absorbing\n")
+    assert main(["solve", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "initial.recipe" in err
+    assert not out.exists() and assemblies == []
+
+
 def test_sweep_runs_axis(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOWUP_RUN + SWEEP_LAMBDA)
     out = str(tmp_path / "sweep")

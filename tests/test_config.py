@@ -218,6 +218,12 @@ def test_initial_recipe_rules():
     del raw["equation.p"]
     with pytest.raises(ConfigError, match="initial.recipe"):
         ExperimentConfig.from_mapping(raw)
+    # the absorbing nonlinearity has no ground state to scale
+    with pytest.raises(ConfigError, match="nonlinearity = source") as exc:
+        ExperimentConfig.from_mapping(base_map(**{
+            "initial.recipe": "scaled_ground_state", "equation.nonlinearity": "absorbing",
+        }))
+    assert exc.value.key == "initial.recipe"
 
 
 def test_typed_value_rejection():
@@ -310,7 +316,6 @@ _nonnegative = st.floats(0.0, 1e6, **_finite) | st.integers(0, 1000)
 
 # valid values for the keys that no cross-key rule constrains
 _FREE_KEYS = {
-    "equation.nonlinearity": st.sampled_from(["source", "absorbing"]),
     "operator.sigma": _nonnegative,
     "potential.sign": st.sampled_from([1, -1]),
     "potential.depth": _number,
@@ -331,11 +336,11 @@ _FREE_KEYS = {
 }
 # the keys that cross-key rules tie together, drawn jointly by valid_mappings
 _RULE_KEYS = {
-    "equation.regime", "equation.p", "domain.kind", "domain.lower", "domain.upper",
-    "grid.n", "operator.kind", "potential.kind", "potential.alpha", "potential.coupling",
-    "potential.width", "initial.recipe", "initial.center", "integrator.t_max",
-    "integrator.dt_init", "integrator.dt_min", "integrator.dt_max", "sweep.key",
-    "sweep.values",
+    "equation.regime", "equation.p", "equation.nonlinearity", "domain.kind", "domain.lower",
+    "domain.upper", "grid.n", "operator.kind", "potential.kind", "potential.alpha",
+    "potential.coupling", "potential.width", "initial.recipe", "initial.center",
+    "integrator.t_max", "integrator.dt_init", "integrator.dt_min", "integrator.dt_max",
+    "sweep.key", "sweep.values",
 }
 
 
@@ -371,6 +376,10 @@ def valid_mappings(draw):
             + (["scaled_ground_state"] if regime == "subcritical" else []))),
         "integrator.t_max": draw(_positive),
     }
+    if draw(st.booleans()):
+        raw["equation.nonlinearity"] = draw(st.sampled_from(
+            ["source"]
+            + (["absorbing"] if raw["initial.recipe"] != "scaled_ground_state" else [])))
     if kind != "halfline" or draw(st.booleans()):
         raw["domain.lower"] = _axes(lower)
     if regime == "subcritical":

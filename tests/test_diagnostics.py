@@ -235,6 +235,56 @@ def test_negativity_gap():
     assert negativity_gap_check(shallow, CONSTS) is False
 
 
+def _reference_checks(traj, consts):
+    """Invariance, coercivity and the negativity gap, sample by sample in Python."""
+    p = traj.mode.p
+    marks, ratios, max_en_sq, gap = "", [], 0.0, True
+    for s in traj.samples:
+        en_sq = s.energy_norm**2
+        max_en_sq = max(max_en_sq, en_sq)
+        if s.energy_norm >= 1e-9:
+            ratios.append(s.nehari / en_sq)
+        gap = gap and s.nehari < -(p + 1.0) * (consts.level - s.energy)
+        if s.energy >= consts.level or s.energy_norm == 0.0:
+            marks += "0"
+        elif abs(s.nehari) <= 1e-8 * en_sq:
+            marks += "b"  # in the band around the Nehari manifold
+        else:
+            marks += "+" if s.nehari > 0 else "-"
+    invariant = "bbb" not in marks and not ("+" in marks and "-" in marks)
+    coercivity = (min(ratios), max_en_sq, max_en_sq < consts.y_C) if ratios else None
+    return invariant, coercivity, gap
+
+
+def test_checks_equal_a_per_sample_reference():
+    rng = np.random.default_rng(11)
+    x = np.abs(rng.standard_normal(20000)) + 0.5
+    # norms whose square libm's pow (float.__pow__) and np.square round apart
+    odd = x[np.array([v**2 for v in x.tolist()]) != x**2]
+    assert odd.size > 0
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        en = rng.choice(odd, n)
+        en[rng.random(n) < 0.1] = 0.0
+        sign = rng.choice([1.0, -1.0])
+        scale = rng.choice([0.3 * sign, -0.3 * sign, 1e-9], n, p=[0.85, 0.03, 0.12])
+        energy = rng.uniform(rng.choice([-1.0, 1.0]), 2.0, n)  # level 1: all above, or mixed
+        traj = make_traj(np.arange(n), SUB, energy_norm=en, energy=energy,
+                         nehari=scale * rng.uniform(0.5, 1.5, n) * en**2)
+        invariant, coercivity, gap = _reference_checks(traj, CONSTS)
+        assert invariance_check(traj, CONSTS) is invariant
+        assert negativity_gap_check(traj, CONSTS) is gap
+        if coercivity is None:
+            with pytest.raises(ValueError):
+                coercivity_check(traj, CONSTS)
+        else:
+            rep = coercivity_check(traj, CONSTS)
+            assert (rep.delta_hat, rep.max_energy_sq, rep.below_y_C) == coercivity
+        outcomes.add((invariant, gap))
+    assert {inv for inv, _ in outcomes} == {gap for _, gap in outcomes} == {True, False}
+
+
 @pytest.fixture(scope="module")
 def box3_op():
     grid = heatlab.build_grid(heatlab.DomainSpec.box((-4.0,) * 3, (4.0,) * 3), 9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import heatlab
-from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
+from heatlab.grids import DomainSpec, Field, _lr_norms, build_grid, field_from_function
 
 
 def test_interval_spacing_and_nodes():
@@ -102,6 +102,28 @@ def test_lp_norms_against_direct_sums(small_op):
     assert heatlab.lp_norm(f, math.inf) == np.max(np.abs(vals))
     with pytest.raises(ValueError):
         heatlab.lp_norm(f, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lp_norm_of_a_large_field_is_finite(small_op):
+    # |u|^10 is past double range at 1e40, yet the norm is about 9.4e39
+    gauss = field_from_function(small_op.grid, lambda x: np.exp(-x[..., 0] ** 2))
+    big = heatlab.lp_norm(1e40 * gauss, 10.0)
+    assert math.isfinite(big)
+    assert math.isclose(big, 1e40 * heatlab.lp_norm(gauss, 10.0), rel_tol=1e-14)
+    # the node sum of a resolved Gaussian is close to its integral
+    assert math.isclose(big, 1e40 * (math.pi / 10.0) ** 0.05, rel_tol=1e-9)
+
+
+def test_column_norms_match_lp_norm(small_op):
+    grid = small_op.grid
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((grid.n_total, 4)) * np.array([1.0, 1e-30, 1e30, 0.0])
+    for r in (2.0, 10.0, math.inf):
+        norms = _lr_norms(stack, r, grid.weight)
+        assert norms.shape == (4,)
+        for col, norm in zip(stack.T, norms):
+            assert math.isclose(norm, heatlab.lp_norm(Field(col, grid), r), rel_tol=1e-14)
 
 
 def test_inner_product_matches_l2_norm(small_op):

@@ -159,6 +159,22 @@ def test_assumption_classification():
     assert classify_assumption(hardy, 3) == "A"
 
 
+def test_tabulated_class_reads_node_values():
+    # the same V = 2 exp(-x^2) >= 0 given as node values and as fn is class B
+    grid = build_grid(DomainSpec.interval(-10.0, 10.0), 200)
+
+    def bump(x):
+        return 2.0 * np.exp(-np.sum(x * x, axis=-1))
+
+    def tag(**pot):
+        spec = OperatorSpec(kind="schrodinger", potential=PotentialSpec("tabulated_bounded", **pot))
+        return assemble(spec, grid).assumption_class
+
+    assert tag(values=bump(grid.coords())) == "B"
+    assert tag(fn=bump) == "B"
+    assert tag(fn=lambda x: -bump(x), sign=-1) == "A"  # the attractive well
+
+
 def test_kato_window_enforced():
     validate_potential(
         PotentialSpec(kind="inverse_power", alpha=0.5, coupling=1.0, sign=-1), 1
@@ -210,23 +226,6 @@ def test_attractive_well_shifts_spectrum_down(small_op):
     assert op.mu_min < small_op.mu_min
     # a deep enough well creates a genuinely negative mode on this domain
     assert op.mu_min < 0
-
-
-def test_zero_not_eigenvalue_check(small_op):
-    assert heatlab.check_zero_not_eigenvalue(small_op)
-    grid = small_op.grid
-
-    def well(x):
-        return -2.0 * np.exp(-np.sum(x * x, axis=-1))
-
-    op = assemble(
-        OperatorSpec(
-            kind="schrodinger",
-            potential=PotentialSpec(kind="tabulated_bounded", fn=well, sign=-1),
-        ),
-        grid,
-    )
-    assert not heatlab.check_zero_not_eigenvalue(op)
 
 
 def test_apply_multiplier(small_op):

@@ -1,4 +1,4 @@
-"""Heat propagators, fractional powers, kernel and decay verifiers."""
+"""Heat propagators, kernel columns and decay verifiers."""
 
 import math
 import tracemalloc
@@ -12,7 +12,6 @@ from heatlab.operators import OperatorSpec, PotentialSpec, SpectralOperator, ass
 from heatlab.semigroup import (
     EstimateSpec,
     GaussReport,
-    apply_power,
     apply_semigroup,
     decay_probe_family,
     default_decay_t_grid,
@@ -62,42 +61,6 @@ def test_shifted_semigroup_is_damped(small_op):
     plain = apply_semigroup(small_op, 1.0, f)
     shifted = apply_semigroup(small_op, 1.0, f, shifted=True)
     assert np.allclose(shifted.values, math.exp(-1.0) * plain.values, atol=1e-12)
-
-
-def test_power_composition(small_op):
-    f = random_field(small_op, seed=4)
-    a = apply_power(small_op, 0.5, apply_power(small_op, 0.5, f))
-    b = apply_power(small_op, 1.0, f)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-10 * np.max(np.abs(b.values))
-
-
-def test_half_power_gives_energy_norm(small_op):
-    # || (1 + L)^(1/2) f ||_2 squared equals sum (1 + mu) c^2
-    f = random_field(small_op, seed=5)
-    g = apply_power(small_op, 1.0, f)  # (I + L)^(1/2) by default shift
-    c = small_op.to_coeffs(f.values)
-    expected = float(np.sum((1.0 + small_op.mu) * c * c))
-    assert math.isclose(heatlab.lp_norm(g, 2.0) ** 2, expected, rel_tol=1e-10)
-
-
-def test_homogeneous_power_needs_positive_spectrum(small_op):
-    f = random_field(small_op, seed=6)
-    g = apply_power(small_op, -1.0, f, homogeneous=True)
-    assert np.all(np.isfinite(g.values))
-    grid = small_op.grid
-
-    def well(x):
-        return -2.0 * np.exp(-np.sum(x * x, axis=-1))
-
-    neg = assemble(
-        OperatorSpec(
-            kind="schrodinger",
-            potential=PotentialSpec(kind="tabulated_bounded", fn=well, sign=-1),
-        ),
-        grid,
-    )
-    with pytest.raises(ValueError):
-        apply_power(neg, -1.0, f, homogeneous=True)
 
 
 def test_kernel_column_reproduces_semigroup(small_op):
