@@ -30,7 +30,6 @@ from .operators import (
     SpectralOperator,
     ZERO_POTENTIAL,
     assemble,
-    classify_assumption,
     validate_potential,
 )
 from .semigroup import (
@@ -63,7 +62,6 @@ from .variational import (
     sobolev_bound_from_semigroup,
 )
 from .evolution import (
-    CSV_HEADER,
     IntegratorConfig,
     PicardResult,
     Trajectory,
@@ -73,7 +71,6 @@ from .evolution import (
     mass_identity_residual,
     picard_iterate,
     step,
-    trajectory_rows,
 )
 from .diagnostics import (
     ConcavityReport,
@@ -88,7 +85,6 @@ from .diagnostics import (
 )
 from .config import ConfigError, ExperimentConfig, load_experiment_config, parse_config_text
 from .experiments import (
-    ExperimentResult,
     build_mode,
     build_operator,
     make_initial_data,
@@ -100,7 +96,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError",
-    "CSV_HEADER",
     "ConcavityReport",
     "CoercivityReport",
     "ConfigError",
@@ -110,7 +105,6 @@ __all__ = [
     "EquationMode",
     "EstimateSpec",
     "ExperimentConfig",
-    "ExperimentResult",
     "Field",
     "FunctionalReport",
     "GaussReport",
@@ -133,7 +127,6 @@ __all__ = [
     "build_mode",
     "build_operator",
     "classify",
-    "classify_assumption",
     "coercivity_check",
     "concavity",
     "decay_probe_family",
@@ -163,7 +156,6 @@ __all__ = [
     "sobolev_bound_from_semigroup",
     "step",
     "sweep",
-    "trajectory_rows",
     "validate_potential",
     "verdict",
     "verify_gaussian_bound",

@@ -66,7 +66,7 @@ VERIFY_HEADER = "operator,estimate,slope,target,prefactor,pass"
 
 
 def _cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    summary = run_experiment(cfg, args.out).summary
+    summary = run_experiment(cfg, args.out)
     keys = [key for key in ("verdict", "t_final", "T_detect") if key in summary]
     print(_fmt_pairs((key, summary[key]) for key in keys), end="")
     print(f"wrote {os.path.join(args.out, 'trajectory.csv')}")

@@ -11,7 +11,10 @@ The ExperimentConfig fields are the single list of keys: each field's
 metadata gives the dotted key it is filled from, the parser that type- and
 range-checks its value, and its default (_REQUIRED when the key must be
 given).  _SCHEMA maps each key to its field.  Rules that tie several keys
-together follow the key loop in from_mapping.
+together follow the key loop in from_mapping.  The accepted operator.kind
+and integrator.scheme names and the integrator.* defaults are read from
+operators.OPERATOR_KINDS, evolution.SCHEMES and IntegratorConfig, so a new
+scheme or a changed default is stated once.  Every number must be finite.
 
 Every artifact heatlab writes uses the same spelling of a value
 (_fmt_value): floats (np.float64 included) by repr, booleans as true/false,
@@ -22,8 +25,12 @@ CSV table, and _write_artifact is the one place an artifact file is opened.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+
+from .evolution import SCHEMES, IntegratorConfig
+from .operators import OPERATOR_KINDS
 
 Scalar = Union[int, float, bool, str]
 Value = Union[Scalar, Tuple[Scalar, ...]]
@@ -112,6 +119,8 @@ def _write_artifact(out_dir: str, name: str, text: str) -> str:
 def _number(value: Value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, +-inf, an integer past double range
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -200,11 +209,7 @@ class ExperimentConfig:
     lower: Tuple[float, ...] = _key("domain.lower", _each(_number), None)
     upper: Tuple[float, ...] = _key("domain.upper", _each(_number))
     n: Tuple[int, ...] = _key("grid.n", _grid_counts)
-    operator_kind: str = _key(
-        "operator.kind",
-        _choice("dirichlet_laplacian", "schrodinger", "robin_halfline"),
-        "dirichlet_laplacian",
-    )
+    operator_kind: str = _key("operator.kind", _choice(*OPERATOR_KINDS), "dirichlet_laplacian")
     sigma: float = _key("operator.sigma", _nonnegative(_number), 0.0)
     potential_kind: str = _key(
         "potential.kind", _choice("zero", "inverse_power", "gaussian_well"), "zero"
@@ -222,16 +227,24 @@ class ExperimentConfig:
     width: Optional[float] = _key("initial.width", _positive(_number), None)
     lam: float = _key("initial.lambda", _nonnegative(_number), 1.0)
     mode_index: int = _key("initial.k", _nonnegative(_integer), 0)
-    scheme: str = _key("integrator.scheme", _choice("exponential_euler", "etdrk2"), "etdrk2")
+    scheme: str = _key("integrator.scheme", _choice(*SCHEMES), IntegratorConfig.scheme)
     t_max: float = _key("integrator.t_max", _positive(_number))
-    dt_init: float = _key("integrator.dt_init", _positive(_number), 1e-3)
-    dt_min: float = _key("integrator.dt_min", _positive(_number), 1e-13)
-    dt_max: float = _key("integrator.dt_max", _positive(_number), 0.5)
-    rel_tol: float = _key("integrator.rel_tol", _positive(_number), 1e-6)
-    sup_cap: float = _key("integrator.sup_cap", _positive(_number), 1e6)
-    energy_cap: float = _key("integrator.energy_cap", _positive(_number), 1e12)
-    sample_interval: Optional[float] = _key("integrator.sample_interval", _positive(_number), None)
-    cutoff_radii: Tuple[float, ...] = _key("integrator.cutoff_radii", _positive(_each(_number)), ())
+    dt_init: float = _key("integrator.dt_init", _positive(_number), IntegratorConfig.dt_init)
+    dt_min: float = _key("integrator.dt_min", _positive(_number), IntegratorConfig.dt_min)
+    dt_max: float = _key("integrator.dt_max", _positive(_number), IntegratorConfig.dt_max)
+    rel_tol: float = _key("integrator.rel_tol", _positive(_number), IntegratorConfig.rel_tol)
+    sup_cap: float = _key(
+        "integrator.sup_cap", _positive(_number), IntegratorConfig.blowup_sup_cap
+    )
+    energy_cap: float = _key(
+        "integrator.energy_cap", _positive(_number), IntegratorConfig.blowup_energy_cap
+    )
+    sample_interval: Optional[float] = _key(
+        "integrator.sample_interval", _positive(_number), IntegratorConfig.sample_interval
+    )
+    cutoff_radii: Tuple[float, ...] = _key(
+        "integrator.cutoff_radii", _positive(_each(_number)), IntegratorConfig.cutoff_radii
+    )
     diag_alpha: float = _key("diagnostics.alpha", _positive(_number), 0.1)
     diag_A: Optional[float] = _key("diagnostics.A", _positive(_number), None)
     diag_R: Optional[float] = _key("diagnostics.R", _positive(_number), None)

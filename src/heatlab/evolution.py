@@ -86,7 +86,6 @@ class TrajectorySample:
 class Trajectory:
     samples: list[TrajectorySample]
     mode: EquationMode
-    scheme: str
     T_detect: Optional[float] = None
     end_reason: str = "t_max"
     accepted: int = 0
@@ -100,21 +99,6 @@ class Trajectory:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(s, name) for s in self.samples])
-
-
-# (trajectory.csv column, TrajectorySample field)
-_CSV_COLUMNS = (
-    ("t", "t"), ("mass", "mass"), ("energy_norm", "energy_norm"), ("E", "energy"),
-    ("J", "nehari"), ("lp", "lp"), ("sup", "sup"), ("dissipation_cum", "dissipation_cum"),
-    ("s_norm_cum", "s_norm_cum"),
-)
-CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
-
-
-def trajectory_rows(traj: Trajectory):
-    """Yield CSV rows matching CSV_HEADER, full float precision."""
-    for s in traj.samples:
-        yield ",".join(repr(float(getattr(s, name))) for _, name in _CSV_COLUMNS)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -306,7 +290,7 @@ def integrate(
         raise ValueError("initial state overflows: E or J is past double range") from None
     sup0 = max(sample.sup, 1e-300)
 
-    traj = Trajectory(samples=[], mode=mode, scheme=cfg.scheme)
+    traj = Trajectory(samples=[], mode=mode)
 
     def record(t: float):
         traj.samples.append(replace(sample, t=t, dissipation_cum=acc.diss, s_norm_cum=acc.s_norm()))

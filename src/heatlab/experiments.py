@@ -3,18 +3,20 @@
 run_experiment takes a validated ExperimentConfig, assembles the operator,
 computes the threshold constants (their ground state is the one every
 ground-state recipe scales), builds the initial data, integrates, judges the
-run and writes three plain text artifacts into the output directory:
+run, writes three plain text artifacts into the output directory and
+returns the run's summary, the facts of summary.txt as a dict:
 
-  trajectory.csv   one row per recorded sample
+  trajectory.csv   one row per recorded sample (columns: _TRAJECTORY_COLUMNS)
   summary.txt      key = value facts about the run
   constants.txt    variational constants plus a config echo
 
 Every file goes through config._write_artifact with values spelled by
-config._fmt_value (floats by repr), so a rerun of the same config and seed
-produces byte-identical files.  prepare_run alone decides which configs
-have threshold constants.  sweep() repeats the run over one config key and
-aggregates per-run outcomes into sweep.csv, capturing per-row failures
-instead of aborting the axis.
+config._fmt_value (floats by repr), trajectory.csv through config._fmt_csv
+like every other CSV, so a rerun of the same config and seed produces
+byte-identical files.  prepare_run alone decides which configs have
+threshold constants.  sweep() repeats the run over one config key and
+aggregates per-run outcomes into sweep.csv, in the order of the values,
+capturing per-row failures instead of aborting the axis.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _fmt_csv, _fmt_pairs, _write_artifact
 from .diagnostics import concavity, coercivity_check, invariance_check, verdict
 from .evolution import (
-    CSV_HEADER,
     IntegratorConfig,
     Trajectory,
     energy_identity_residual,
     integrate,
     mass_identity_residual,
-    trajectory_rows,
 )
 from .grids import DomainSpec, Field, Grid, build_grid, field_from_function, lp_norm, zero_field
 from .operators import (
@@ -50,6 +50,7 @@ from .variational import (
     EquationMode,
     VariationalConstants,
     classify,
+    _level_from_s,
     mountain_pass_level,
     talenti_constant,
 )
@@ -134,16 +135,6 @@ def default_cutoff_radius(grid: Grid) -> float:
     return 0.5 * min((u - l) / 2.0 for l, u in zip(grid.domain.lower, grid.domain.upper))
 
 
-@dataclass
-class ExperimentResult:
-    cfg: ExperimentConfig
-    op: SpectralOperator
-    mode: EquationMode
-    trajectory: Trajectory
-    consts: Optional[VariationalConstants]
-    summary: dict
-
-
 def _integrator_config(cfg: ExperimentConfig, radii: Tuple[float, ...]) -> IntegratorConfig:
     return IntegratorConfig(
         t_max=cfg.t_max,
@@ -166,8 +157,9 @@ def write_constants(
     none), the extra key = value facts, then the config echo.
 
     In the critical regime the constants are followed by the continuum
-    S_continuum (talenti_constant) and level_continuum = S_continuum^(-d) / d,
-    the level formula at p = (d + 2)/(d - 2), beside the lattice S and level.
+    S_continuum (talenti_constant) and level_continuum, the level the same
+    formula gives for S_continuum (S_continuum^(-d) / d at p = (d + 2)/(d - 2)),
+    beside the lattice S and level.
     """
     consts = setup.consts
     if consts is None:
@@ -177,7 +169,7 @@ def write_constants(
         facts = [(name, getattr(consts, name)) for name in names]
         if consts.regime == "critical":
             s_cont = talenti_constant(cfg.dim)
-            facts += [("S_continuum", s_cont), ("level_continuum", s_cont ** -cfg.dim / cfg.dim)]
+            facts += [("S_continuum", s_cont), ("level_continuum", _level_from_s(s_cont, consts.p))]
         head = _fmt_pairs(facts)
     tail = _fmt_pairs((extra or {}).items()) + "\n# --- config echo ---\n" + cfg.echo_text()
     _write_artifact(out_dir, "constants.txt", head + tail)
@@ -226,8 +218,9 @@ def prepare_run(cfg: ExperimentConfig, need: Optional[str] = None) -> RunSetup:
 
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str, setup: Optional[RunSetup] = None
-) -> ExperimentResult:
-    """Run one configured experiment and write its artifacts into out_dir.
+) -> dict:
+    """Run one configured experiment, write its artifacts into out_dir and
+    return its summary: the facts of summary.txt, in file order.
 
     setup, when given, must come from prepare_run on a config that differs
     from cfg at most in initial.* keys; by default it is built from cfg.
@@ -304,12 +297,25 @@ def run_experiment(
             facts.append(("concavity_error", str(exc)))
     summary = {key: value for key, value in facts if value is not None}
 
-    trajectory_csv = "\n".join((CSV_HEADER, *trajectory_rows(traj))) + "\n"
-    _write_artifact(out_dir, "trajectory.csv", trajectory_csv)
+    _write_artifact(out_dir, "trajectory.csv", _trajectory_csv(traj))
     _write_artifact(out_dir, "summary.txt", _fmt_pairs(summary.items()))
     write_constants(out_dir, cfg, setup)
+    return summary
 
-    return ExperimentResult(cfg=cfg, op=op, mode=mode, trajectory=traj, consts=consts, summary=summary)
+
+# (trajectory.csv column, TrajectorySample field)
+_TRAJECTORY_COLUMNS = (
+    ("t", "t"), ("mass", "mass"), ("energy_norm", "energy_norm"), ("E", "energy"),
+    ("J", "nehari"), ("lp", "lp"), ("sup", "sup"), ("dissipation_cum", "dissipation_cum"),
+    ("s_norm_cum", "s_norm_cum"),
+)
+
+
+def _trajectory_csv(traj: Trajectory) -> str:
+    """trajectory.csv: the column header, then one row per recorded sample."""
+    header = ",".join(column for column, _ in _TRAJECTORY_COLUMNS)
+    rows = ([getattr(s, name) for _, name in _TRAJECTORY_COLUMNS] for s in traj.samples)
+    return _fmt_csv(header, rows)
 
 
 _SWEEP_SUMMARY_KEYS = ("verdict", "T_detect", "t_final", "rate_stat", "concavity_margin")
@@ -323,9 +329,9 @@ def _sweep_worker(args) -> dict:
     row["index"], row["value"] = index, value
     try:
         sub = cfg.with_override(cfg.sweep_key, value)
-        result = run_experiment(sub, run_dir, setup)
+        summary = run_experiment(sub, run_dir, setup)
         for key in _SWEEP_SUMMARY_KEYS:
-            row[key] = result.summary.get(key, "")
+            row[key] = summary.get(key, "")
     except Exception as exc:  # per-row capture keeps the axis alive
         row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
     return row
@@ -357,7 +363,6 @@ def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]
-    rows.sort(key=lambda r: r["index"])
     table = ([row[name] for name in _SWEEP_COLUMNS] for row in rows)
     _write_artifact(out_dir, "sweep.csv", _fmt_csv(SWEEP_HEADER, table))
     return rows

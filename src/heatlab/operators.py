@@ -69,17 +69,21 @@ Both paths transform one field, shape (N,), or a stack of fields, shape
 The `assumption_class` tag records which decay regime a family is certified
 for: "B" means a pointwise Gaussian kernel bound holds (which implies the
 L^2 -> L^q smoothing rates), "A" means only the L^2 -> L^q rates are
-available.  assemble classes a tabulated potential by its sampled node
-values, "B" when none is negative, whether V was given as values or as fn.
-classify_assumption tags an inverse-power potential outside the Kato range
-"neither"; assemble refuses one.
+available.  assemble decides it by one rule: "B" unless the potential it
+samples on the grid has a negative node value, then "A".  The Dirichlet
+and Robin families (OperatorSpec admits sigma >= 0 only) have no potential
+and are "B"; so is a zero or zero-coupling potential and a repulsive
+inverse power, while an attractive one, the inverse square up to the Hardy
+constant included, is "A".  A tabulated potential is classed by its node
+values, whether V was given as values or as fn.  An inverse power outside
+the Kato range is refused by potential_on_grid before any class is set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,7 +143,8 @@ ZERO_POTENTIAL = PotentialSpec()
 class OperatorSpec:
     """Declarative description of a self-adjoint generator L >= lower bound.
 
-    assemble derives its assumption class (see classify_assumption).
+    assemble derives its assumption class from the sampled potential
+    (module docstring): "B" unless some node value of V is negative.
     """
 
     kind: str
@@ -211,42 +216,6 @@ def potential_on_grid(pot: PotentialSpec, grid: Grid) -> np.ndarray:
     return pot.sign * pot.coupling * r ** (-pot.alpha)
 
 
-def classify_assumption(spec: OperatorSpec, dim: int) -> str:
-    """Derive the certified decay class of an operator family.
-
-    Returns "B" (Gaussian kernel bound), "A" (L^2 -> L^q rates only) or
-    "neither".  The rules follow the certified example families: the
-    Dirichlet Laplacian and Robin half-line operators (OperatorSpec admits
-    sigma >= 0 only) carry Gaussian bounds; so do Schrodinger operators with
-    no negative potential part.  Bounded or Kato-range attractive potentials
-    keep the smoothing rates ("A"), as does the attractive inverse-square
-    potential up to the Hardy constant.  An inverse-power potential outside
-    the Kato range is "neither".  A tabulated potential is classed by its
-    node values (_tabulated_class); one given by fn has none before it is
-    sampled on a grid, so it is "A" here, and assemble classes it from the
-    values it samples.
-    """
-    pot = spec.potential
-    if spec.kind != "schrodinger" or pot.is_zero():
-        return "B"
-    if pot.kind == "tabulated_bounded":
-        return _tabulated_class(pot.values)
-    # inverse_power
-    try:
-        validate_potential(pot, dim)
-    except AssemblyError:
-        return "neither"
-    return "B" if pot.sign > 0 else "A"  # a positive sign has no negative part
-
-
-def _tabulated_class(values: Optional[np.ndarray]) -> str:
-    """Class "B" when no node value of a tabulated potential is negative, else "A".
-
-    None (a potential given by fn, not yet sampled) is "A".
-    """
-    return "B" if values is not None and np.min(values) >= 0 else "A"
-
-
 @dataclass
 class SpectralOperator:
     """Eigendecomposition of an assembled generator.
@@ -286,7 +255,7 @@ class SpectralOperator:
     grid: Grid
     mu: np.ndarray
     basis: np.ndarray
-    assumption_class: str = field(default="neither")
+    assumption_class: str  # "B" or "A" (module docstring)
     order: Optional[np.ndarray] = None
     _fold_matrix: Optional[scipy.sparse.csr_matrix] = None  # dense path: the fold F
     _unfold_matrix: Optional[scipy.sparse.csr_matrix] = None  # its transpose
@@ -684,10 +653,7 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
 
-    if spec.kind == "schrodinger" and spec.potential.kind == "tabulated_bounded":
-        klass = _tabulated_class(v)  # from the sampled values, however V was given
-    else:
-        klass = classify_assumption(spec, grid.dim)
+    klass = "B" if v is None or np.min(v) >= 0 else "A"
     op = SpectralOperator(
         spec=spec,
         grid=grid,

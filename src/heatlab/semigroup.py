@@ -212,8 +212,7 @@ def decay_probe_family(op: SpectralOperator, rng=None) -> list[Field]:
     rng = np.random.default_rng(0) if rng is None else rng
     for _ in range(_RANDOM_PROBES):
         v = rng.standard_normal(grid.n_total)
-        nrm = math.sqrt(grid.weight) * np.linalg.norm(v)
-        probes.append(Field(v / nrm, grid))
+        probes.append(Field(v / _lr_norms(v, 2.0, grid.weight), grid))
     return probes
 
 

@@ -12,7 +12,6 @@ import heatlab.experiments as experiments
 import heatlab.variational as variational
 from heatlab.cli import VERIFY_HEADER, main
 from heatlab.config import load_experiment_config
-from heatlab.evolution import CSV_HEADER
 from heatlab.experiments import build_operator, run_experiment
 
 SMALL_RUN = """
@@ -65,7 +64,7 @@ def test_solve_writes_outputs(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, fname)), fname
     with open(os.path.join(out, "trajectory.csv"), encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == "t,mass,energy_norm,E,J,lp,sup,dissipation_cum,s_norm_cum"
     assert len(lines) > 3
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
@@ -351,6 +350,21 @@ def test_config_error_names_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error")
         assert key in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("domain.upper", "inf"), ("equation.p", "nan"), ("initial.amplitude", "nan")]
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, key, value):
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in SMALL_RUN.splitlines()]
+    assert f"{key} = {value}" in lines
+    out = tmp_path / "x"
+    rc = main(["solve", write_cfg(tmp_path, "\n".join(lines) + "\n"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}': expected a finite number" in err
+    assert not out.exists()
 
 
 def test_console_entry_point_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 """Flat key=value experiment configs: parsing, validation, round-trips."""
 
+import dataclasses
 import math
 import pathlib
 import re
@@ -19,6 +20,7 @@ from heatlab.config import (
     load_experiment_config,
     parse_config_text,
 )
+from heatlab.evolution import SCHEMES, IntegratorConfig
 
 BASE = """
 # 1-d cubic source problem
@@ -242,6 +244,41 @@ def test_typed_value_rejection():
     assert exc.value.key == "integrator.dt_init"
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "domain.upper = inf",
+        "domain.upper = " + "1" * 400,  # an integer past double range
+        "domain.lower = -inf, 20.0",
+        "equation.p = nan",
+        "initial.amplitude = nan",
+        "integrator.sup_cap = inf",
+        "integrator.sup_cap = -inf",
+    ],
+)
+def test_non_finite_numbers_rejected(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match="expected a finite number") as exc:
+        ExperimentConfig.from_mapping(base_map(**parse_config_text(line)))
+    assert exc.value.key == key
+
+
+def test_integrator_defaults_are_the_integrators():
+    defaults = {f.name: f.default for f in dataclasses.fields(IntegratorConfig)}
+    renamed = {"sup_cap": "blowup_sup_cap", "energy_cap": "blowup_energy_cap"}
+    keys = [key for key in _SCHEMA if key.startswith("integrator.")]
+    assert len(keys) == 10
+    for key in keys:
+        if key != "integrator.t_max":  # required in both
+            name = key.split(".", 1)[1]
+            assert _SCHEMA[key].metadata["default"] == defaults[renamed.get(name, name)], key
+    for scheme in SCHEMES:
+        cfg = ExperimentConfig.from_mapping(base_map(**{"integrator.scheme": scheme}))
+        assert cfg.scheme == scheme
+    with pytest.raises(ConfigError, match=re.escape(f"expected one of {SCHEMES}")):
+        ExperimentConfig.from_mapping(base_map(**{"integrator.scheme": "etdrk4"}))
+
+
 def test_sweep_axis():
     cfg = ExperimentConfig.from_mapping(base_map(**{
         "sweep.key": "initial.amplitude",
@@ -323,7 +360,7 @@ _FREE_KEYS = {
     "initial.width": _positive,
     "initial.lambda": _nonnegative,
     "initial.k": st.integers(0, 50),
-    "integrator.scheme": st.sampled_from(["exponential_euler", "etdrk2"]),
+    "integrator.scheme": st.sampled_from(SCHEMES),
     "integrator.rel_tol": _positive,
     "integrator.sup_cap": _positive,
     "integrator.energy_cap": _positive,

@@ -40,7 +40,7 @@ def make_traj(times, mode, *, mass=None, energy_norm=None, energy=None,
         )
         for i in range(n)
     ]
-    return Trajectory(samples=samples, mode=mode, scheme="etdrk2", T_detect=T_detect)
+    return Trajectory(samples=samples, mode=mode, T_detect=T_detect)
 
 
 SUB = EquationMode.subcritical(3.0, 1)

@@ -8,7 +8,6 @@ import pytest
 
 import heatlab
 from heatlab.evolution import (
-    CSV_HEADER,
     IntegratorConfig,
     Trajectory,
     TrajectorySample,
@@ -17,8 +16,8 @@ from heatlab.evolution import (
     mass_identity_residual,
     picard_iterate,
     step,
-    trajectory_rows,
 )
+from heatlab.experiments import _trajectory_csv
 from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
 from heatlab.operators import OperatorSpec, assemble
 from heatlab.variational import EquationMode
@@ -258,9 +257,9 @@ def test_absorbing_flow_dissipates_large_data(small_op):
 def test_trajectory_rows_match_header(small_op, cubic_mode):
     u0 = small_bump(small_op, 0.1)
     traj = integrate(u0, small_op, cubic_mode, IntegratorConfig(t_max=0.2))
-    rows = list(trajectory_rows(traj))
+    header, *rows = _trajectory_csv(traj).splitlines()
     assert len(rows) == len(traj.samples)
-    n_cols = len(CSV_HEADER.split(","))
+    n_cols = len(header.split(","))
     first = rows[0].split(",")
     assert len(first) == n_cols
     assert float(first[0]) == 0.0
@@ -315,7 +314,7 @@ def _manual_traj(times, masses, neharis, mode):
         )
         for t, m, j in zip(times, masses, neharis)
     ]
-    return Trajectory(samples=samples, mode=mode, scheme="etdrk2")
+    return Trajectory(samples=samples, mode=mode)
 
 
 def test_mass_residual_requires_samples(cubic_mode):

@@ -27,7 +27,6 @@ from heatlab.operators import (
     _stencil_apply,
     _stencil_matrix,
     assemble,
-    classify_assumption,
     potential_on_grid,
     validate_potential,
 )
@@ -138,25 +137,37 @@ def test_robin_requires_halfline():
 
 
 def test_assumption_classification():
+    # even node counts keep every node off the origin of the symmetric domains
+    line = build_grid(DomainSpec.interval(-5.0, 5.0), 20)
+    halfline = build_grid(DomainSpec.halfline(5.0), 20)
+    box = build_grid(DomainSpec.box(-5.0, 5.0, dim=3), 6)
     zero = OperatorSpec(kind="dirichlet_laplacian")
-    assert classify_assumption(zero, 1) == "B"
+    assert assemble(zero, line).assumption_class == "B"
     robin = OperatorSpec(kind="robin_halfline", sigma=0.3)
-    assert classify_assumption(robin, 1) == "B"
+    assert assemble(robin, halfline).assumption_class == "B"
     repulsive = OperatorSpec(
         kind="schrodinger",
         potential=PotentialSpec(kind="inverse_power", alpha=1.0, coupling=0.2, sign=1),
     )
-    assert classify_assumption(repulsive, 3) == "B"
+    assert assemble(repulsive, box).assumption_class == "B"
     attractive_bounded = OperatorSpec(
         kind="schrodinger",
         potential=PotentialSpec(kind="tabulated_bounded", fn=lambda x: -np.ones(x.shape[:-1]), sign=-1),
     )
-    assert classify_assumption(attractive_bounded, 1) == "A"
+    assert assemble(attractive_bounded, line).assumption_class == "A"
     hardy = OperatorSpec(
         kind="schrodinger",
         potential=PotentialSpec(kind="inverse_power", alpha=2.0, coupling=0.25, sign=-1),
     )
-    assert classify_assumption(hardy, 3) == "A"
+    assert assemble(hardy, box).assumption_class == "A"
+    # an attractive power with zero coupling is V = 0: structured path, class B
+    uncoupled = OperatorSpec(
+        kind="schrodinger",
+        potential=PotentialSpec(kind="inverse_power", alpha=1.0, coupling=0.0, sign=-1),
+    )
+    op = assemble(uncoupled, box)
+    assert op.basis.size == 0
+    assert op.assumption_class == "B"
 
 
 def test_tabulated_class_reads_node_values():
