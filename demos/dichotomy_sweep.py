@@ -6,11 +6,9 @@ up in finite time.  The sweep below runs both sides at a resolution that
 finishes in well under a minute.
 """
 
-import numpy as np
-
 import heatlab
 from heatlab.diagnostics import concavity, verdict
-from heatlab.evolution import IntegratorConfig, integrate
+from heatlab.evolution import IntegratorConfig, integrate_rows
 from heatlab.variational import EquationMode, mountain_pass_level
 
 grid = heatlab.build_grid(heatlab.DomainSpec.interval(-20.0, 20.0), 400)
@@ -19,14 +17,18 @@ mode = EquationMode.subcritical(3.0, 1)
 consts = mountain_pass_level(op, mode)
 phi = consts.ground_state
 
+# each side of the threshold is one stack of rows, integrated in lockstep
+lams = (0.5, 0.9, 0.99, 1.01, 1.1, 1.5)
+trajs = {}
+below, above = [lam for lam in lams if lam < 1], [lam for lam in lams if lam > 1]
+for side, t_max in ((below, 10.0), (above, 60.0)):
+    cfg = IntegratorConfig(t_max=t_max, blowup_sup_cap=1e4)
+    trajs.update(zip(side, integrate_rows([lam * phi for lam in side], op, mode, cfg)))
+
 print(f"level = {consts.level:.6f}, sweeping lambda over the ray\n")
 print("lam   verdict      detail")
-for lam in (0.5, 0.9, 0.99, 1.01, 1.1, 1.5):
-    u0 = lam * phi
-    cfg = IntegratorConfig(
-        t_max=10.0 if lam < 1 else 60.0, blowup_sup_cap=1e4
-    )
-    traj = integrate(u0, op, mode, cfg)
+for lam in lams:
+    traj = trajs[lam]
     v = verdict(traj)
     if v.kind == "BlowsUp":
         e0 = traj.samples[0].energy

@@ -68,6 +68,7 @@ from .evolution import (
     TrajectorySample,
     energy_identity_residual,
     integrate,
+    integrate_rows,
     mass_identity_residual,
     picard_iterate,
     step,
@@ -140,6 +141,7 @@ __all__ = [
     "heat_kernel_column",
     "inner_product",
     "integrate",
+    "integrate_rows",
     "invariance_check",
     "linear_profile_smallness",
     "load_experiment_config",

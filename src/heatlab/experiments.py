@@ -16,7 +16,8 @@ like every other CSV, so a rerun of the same config and seed produces
 byte-identical files.  prepare_run alone decides which configs have
 threshold constants.  sweep() repeats the run over one config key and
 aggregates per-run outcomes into sweep.csv, in the order of the values,
-capturing per-row failures instead of aborting the axis.
+capturing per-row failures instead of aborting the axis; the rows of a
+serial initial.* axis are integrated together by evolution.integrate_rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .evolution import (
     Trajectory,
     energy_identity_residual,
     integrate,
+    integrate_rows,
     mass_identity_residual,
 )
 from .grids import DomainSpec, Field, Grid, build_grid, field_from_function, lp_norm, zero_field
@@ -135,7 +137,21 @@ def default_cutoff_radius(grid: Grid) -> float:
     return 0.5 * min((u - l) / 2.0 for l, u in zip(grid.domain.lower, grid.domain.upper))
 
 
-def _integrator_config(cfg: ExperimentConfig, radii: Tuple[float, ...]) -> IntegratorConfig:
+def _diag_radius(cfg: ExperimentConfig, setup: RunSetup) -> Optional[float]:
+    """The concavity radius: diagnostics.R, by default half the truncation
+    radius in the critical regime."""
+    if cfg.diag_R is None and setup.mode.regime == "critical":
+        return default_cutoff_radius(setup.op.grid)
+    return cfg.diag_R
+
+
+def _integrator_config(cfg: ExperimentConfig, setup: RunSetup) -> IntegratorConfig:
+    """The run's integrator settings; in the critical regime the cutoff
+    radii include the concavity radius."""
+    radii = cfg.cutoff_radii
+    diag_R = _diag_radius(cfg, setup)
+    if setup.mode.regime == "critical" and diag_R not in radii:
+        radii = radii + (diag_R,)
     return IntegratorConfig(
         t_max=cfg.t_max,
         dt_init=cfg.dt_init,
@@ -231,20 +247,24 @@ def run_experiment(
     """
     if setup is None:
         setup = prepare_run(cfg)
-    op, mode, consts, consts_note = setup.op, setup.mode, setup.consts, setup.consts_note
+    u0 = _initial_state(cfg, setup)
+    traj = integrate(u0, setup.op, setup.mode, _integrator_config(cfg, setup))
+    return _finish_run(cfg, out_dir, setup, u0, traj)
+
+
+def _initial_state(cfg: ExperimentConfig, setup: RunSetup) -> Field:
+    """The run's initial data; a failed constants solve is raised here when
+    the data is the ground state itself."""
     if setup.consts_error is not None and cfg.recipe == "scaled_ground_state":
         raise setup.consts_error
-    u0 = make_initial_data(cfg, op, consts)
+    return make_initial_data(cfg, setup.op, setup.consts)
 
-    radii = cfg.cutoff_radii
-    diag_R = cfg.diag_R
-    if mode.regime == "critical":
-        if diag_R is None:
-            diag_R = default_cutoff_radius(op.grid)
-        if diag_R not in radii:
-            radii = radii + (diag_R,)
 
-    traj = integrate(u0, op, mode, _integrator_config(cfg, radii))
+def _finish_run(
+    cfg: ExperimentConfig, out_dir: str, setup: RunSetup, u0: Field, traj: Trajectory
+) -> dict:
+    """Judge an integrated run, write its three artifacts and return its summary."""
+    op, mode, consts = setup.op, setup.mode, setup.consts
     v = verdict(traj)
 
     # summary.txt in file order; a fact whose value is None is left out
@@ -267,7 +287,7 @@ def run_experiment(
         ("s_norm_cum", last.s_norm_cum if mode.regime == "critical" else None),
         ("energy_identity_residual", energy_identity_residual(traj)),
         ("mass_identity_residual", mass_identity_residual(traj) if enough else None),
-        ("constants_status", consts_note),
+        ("constants_status", setup.consts_note),
     ]
     if consts is not None:
         facts.append(("classification_initial", classify(u0, op, mode, consts).membership))
@@ -290,7 +310,7 @@ def run_experiment(
             else:
                 a_val = 10.0 * max(1.0, mass0)
         try:
-            rep = concavity(traj, A=a_val, alpha=cfg.diag_alpha, R=diag_R)
+            rep = concavity(traj, A=a_val, alpha=cfg.diag_alpha, R=_diag_radius(cfg, setup))
             facts += [(f"concavity_{name}", getattr(rep, name))
                       for name in ("A", "alpha", "R", "margin", "t_tilde")]
         except ValueError as exc:
@@ -323,27 +343,61 @@ _SWEEP_COLUMNS = ("index", "value") + _SWEEP_SUMMARY_KEYS + ("error",)
 SWEEP_HEADER = ",".join(_SWEEP_COLUMNS)
 
 
-def _sweep_worker(args) -> dict:
-    cfg, value, run_dir, index, setup = args
+def _sweep_row(index: int, value, outcome) -> dict:
+    """One sweep.csv row from a run's summary or the exception that ended it."""
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row["index"], row["value"] = index, value
-    try:
-        sub = cfg.with_override(cfg.sweep_key, value)
-        summary = run_experiment(sub, run_dir, setup)
-        for key in _SWEEP_SUMMARY_KEYS:
-            row[key] = summary.get(key, "")
-    except Exception as exc:  # per-row capture keeps the axis alive
-        row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+    if isinstance(outcome, Exception):
+        row["error"] = f"{type(outcome).__name__}: {outcome}".replace(",", ";").replace("\n", " ")
+    else:
+        row.update((key, outcome.get(key, "")) for key in _SWEEP_SUMMARY_KEYS)
     return row
+
+
+def _sweep_worker(args) -> dict:
+    cfg, value, run_dir, index, setup = args
+    try:
+        outcome = run_experiment(cfg.with_override(cfg.sweep_key, value), run_dir, setup)
+    except Exception as exc:  # per-row capture keeps the axis alive
+        outcome = exc
+    return _sweep_row(index, value, outcome)
+
+
+def _lockstep_rows(cfg: ExperimentConfig, run_dirs: list, setup: RunSetup) -> list:
+    """The rows of an initial.* axis on a shared setup, integrated together
+    by one integrate_rows call; each row's artifacts equal a standalone
+    run_experiment's, and its failure lands in its own error column."""
+    outcomes: list = []  # per row: (config, initial data) to integrate, or its failure
+    for value in cfg.sweep_values:
+        try:
+            sub = cfg.with_override(cfg.sweep_key, value)
+            outcomes.append((sub, _initial_state(sub, setup)))
+        except Exception as exc:  # per-row capture keeps the axis alive
+            outcomes.append(exc)
+    started = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    trajs = integrate_rows(
+        [outcomes[i][1] for i in started], setup.op, setup.mode, _integrator_config(cfg, setup)
+    )
+    for i, traj in zip(started, trajs):
+        sub, u0 = outcomes[i]
+        try:
+            outcomes[i] = traj if isinstance(traj, ValueError) else _finish_run(
+                sub, run_dirs[i], setup, u0, traj
+            )
+        except Exception as exc:  # per-row capture keeps the axis alive
+            outcomes[i] = exc
+    return [_sweep_row(i, *pair) for i, pair in enumerate(zip(cfg.sweep_values, outcomes))]
 
 
 def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
     """Run the configured sweep axis, one run per value, aggregate sweep.csv.
 
     A serial sweep over an initial.* key builds the operator, mode and
-    constants once and hands them to every row; a parallel sweep, or one
-    whose shared build fails, builds them per row, in at most one worker
-    process per row.
+    constants once, builds each row's initial data, and integrates all rows
+    together in one integrate_rows call; each row's artifacts are the bytes
+    a standalone run_experiment writes.  A parallel sweep, an axis that is
+    not initial.*, or a sweep whose shared build fails runs row by row,
+    building per row, in at most one worker process per row.
     """
     if cfg.sweep_key is None:
         raise ConfigError("sweep.key", "sweep requires sweep.key and sweep.values")
@@ -354,15 +408,16 @@ def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
             setup = prepare_run(cfg)
         except Exception:  # every row rebuilds and records the error itself
             setup = None
-    jobs = [
-        (cfg, value, os.path.join(out_dir, f"run_{i:03d}"), i, setup)
-        for i, value in enumerate(cfg.sweep_values)
-    ]
-    if parallel:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+    run_dirs = [os.path.join(out_dir, f"run_{i:03d}") for i in range(len(cfg.sweep_values))]
+    if setup is not None:
+        rows = _lockstep_rows(cfg, run_dirs, setup)
     else:
-        rows = [_sweep_worker(job) for job in jobs]
+        jobs = [(cfg, value, run_dirs[i], i, None) for i, value in enumerate(cfg.sweep_values)]
+        if parallel:
+            with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+                rows = list(pool.map(_sweep_worker, jobs))
+        else:
+            rows = [_sweep_worker(job) for job in jobs]
     table = ([row[name] for name in _SWEEP_COLUMNS] for row in rows)
     _write_artifact(out_dir, "sweep.csv", _fmt_csv(SWEEP_HEADER, table))
     return rows

@@ -248,7 +248,13 @@ class SpectralOperator:
     one batched block product on the dense path and one DST over the grid
     axes on the structured path, and its columns equal m single calls to
     roundoff (bit for bit on the structured path, whichever path each axis
-    takes).
+    takes).  The sine-matrix and Rader transforms work batch-first, one
+    field per row of an (m, N) array, and from_coeffs scatters its
+    coefficients by order straight into that layout.  A stack that arrives
+    as X.T, X holding one field per row (as evolution.integrate_rows keeps
+    them), is therefore not copied before the transforms, and the result's
+    transpose has contiguous rows, except where to_coeffs gathers a grid of
+    d >= 2 by order or an axis runs scipy.fft.
     """
 
     spec: OperatorSpec
@@ -285,15 +291,20 @@ class SpectralOperator:
 
     def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs)
-        scattered = coeffs
-        if self.basis.size or self.grid.dim > 1:  # a 1-d DST's order is the identity
-            scattered = np.empty(coeffs.shape, dtype=np.result_type(coeffs, float))
-            scattered[self.order] = coeffs
+        dtype = np.result_type(coeffs, float)
         if self.basis.size:
+            scattered = np.empty(coeffs.shape, dtype=dtype)
+            scattered[self.order] = coeffs
             blocks = self.basis @ scattered.reshape(self.basis.shape[:2] + (-1,))
             out = (self._unfold_matrix @ blocks.reshape(self.n_modes, -1)).reshape(coeffs.shape)
             out /= math.sqrt(self.grid.weight * self.basis.shape[0])  # the fold's 2^(-k/2)
             return out
+        scattered = coeffs
+        if self.grid.dim > 1:  # a 1-d DST's order is the identity
+            # scattered straight into batch-first order, the layout _sine_matmul
+            # multiplies in, so a stack is not copied again there
+            scattered = np.empty(coeffs.shape[::-1], dtype=dtype).T
+            scattered[self.order] = coeffs
         shape = self.grid.n + coeffs.shape[1:]
         out = _grid_dst(scattered.reshape(shape), self.grid.dim, overwrite=scattered is not coeffs)
         out = out.reshape(coeffs.shape)
@@ -374,18 +385,21 @@ def _axis_path(n: int) -> str:
     a large prime factor.  Rader's transform needs n + 1 prime and
     convolves at n / 2, or at next_fast_len(n - 1) when n / 2 is not a fast
     length (prime at 262, 718, 1438 and 2038 below).  One field and an
-    (n, 8) stack, best of 7 x 400 calls (same host):
+    (n, 8) stack, best of 7 x 400 calls (same host), except the (n, 8)
+    Rader column, re-measured for the batch-first _rader_dst as the
+    minimum of 41 x 50 calls, interleaved with the axis-0 version it
+    replaced (in brackets):
 
                           one field (us)     (n, 8) stack (us)
            n   n + 1        dst   rader         dst   rader
-         262   263         49.9    34.1       204.3    77.9
-         400   401         50.3    26.8       247.0    93.6
-         640   641         98.7    34.5       370.5    93.2
-         718   719         73.5    49.2       352.8   165.6
-        1200   1201       130.0    40.1       580.8   142.2
-        1438   1439       137.6    52.3       649.0   281.5
-        1600   1601       190.6    45.1      1066.4   204.6
-        2038   2039       203.5    71.6       932.7   393.3
+         262   263         49.9    34.1       204.3    58.2  (61.2)
+         400   401         50.3    26.8       247.0    53.4  (56.8)
+         640   641         98.7    34.5       370.5    70.7  (73.9)
+         718   719         73.5    49.2       352.8   131.2 (133.9)
+        1200   1201       130.0    40.1       580.8   123.5 (137.4)
+        1438   1439       137.6    52.3       649.0   278.8 (294.3)
+        1600   1601       190.6    45.1      1066.4   172.0 (189.2)
+        2038   2039       203.5    71.6       932.7   369-719 (365-413)
          632   3 211       52.7       -       264.7       -
          801   2 401       86.1       -       453.4       -
         1204   5 241       88.9       -       579.6       -
@@ -438,7 +452,8 @@ def _sine_matmul(x: np.ndarray, dim: int, axes: list[bool]) -> np.ndarray:
     axis of every field as the rows of one (rest x n) @ (n x n) product with
     the symmetric matrix, which also rotates that axis to the back; after
     dim passes the axes are back in order.  An unflagged axis is only
-    rotated.
+    rotated.  A stack already in batch-first order (the transpose of a
+    C-ordered array, as from_coeffs scatters it) is not copied first.
     """
     grid = x.shape[:dim]
     m = math.prod(x.shape[dim:])
@@ -511,18 +526,27 @@ def _rader_dst(x: np.ndarray) -> np.ndarray:
     IEEE 56, 1968), and since g^h = -1 and both factors are odd, a
     negacyclic one of length h: one complex FFT pair at n / 2, where a
     chirp-z transform needs one at about 2n (plan at _rader_plan).
-    Trailing axes are a batch; each FFT runs along axis 0 over all of them,
-    so a stacked call equals the single calls bit for bit.
+
+    Trailing axes are a batch.  The transform runs along the last axis of
+    the batch-first view x.reshape(n, -1).T, one field per row, as
+    _sine_matmul does, and the result is returned as a view of that
+    batch-first array.  A stack handed over as X.T, with X one field per
+    row, is therefore not copied, and its result's transpose has
+    contiguous rows.  Each FFT runs along the rows of the whole batch, so
+    a stacked call equals the single calls bit for bit.  At n = 1600 (2-core
+    Xeon, minimum of 41 x 50 calls, interleaved), a rows-first stack of two
+    fields takes 56 us this way against 74 us along axis 0 and 80 us as two
+    single calls, and one of four fields 84 us against 110 us.
     """
     n, h = x.shape[0], x.shape[0] // 2
     size, gather, fold, kernel_hat, post, order = _rader_plan(n)
-    z = np.take(x.reshape(n, -1), gather, axis=0) * fold[:, None]
-    c = scipy.fft.fft(z[:h] + z[h:], n=size, axis=0, overwrite_x=True)
-    c *= kernel_hat[:, None]
-    c = scipy.fft.ifft(c, axis=0, norm="forward", overwrite_x=True)[:h]
-    c *= post[:, None]
-    parts = c.view(float).reshape(h, -1, 2).transpose(0, 2, 1).reshape(n, -1)
-    return np.take(parts, order, axis=0).reshape(x.shape)
+    z = np.take(x.reshape(n, -1).T, gather, axis=1) * fold
+    c = scipy.fft.fft(z[:, :h] + z[:, h:], n=size, axis=1, overwrite_x=True)
+    c *= kernel_hat
+    c = scipy.fft.ifft(c, axis=1, norm="forward", overwrite_x=True)[:, :h]
+    c *= post
+    # each row of c.view(float) interleaves the real and imaginary parts
+    return np.take(c.view(float), order, axis=1).T.reshape(x.shape)
 
 
 def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:

@@ -475,17 +475,24 @@ def test_ground_state_command_solves_once(tmp_path, count_solves):
 
 def test_serial_sweep_builds_operator_and_constants_once(tmp_path, monkeypatch, count_solves):
     text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5, 0.9\n"
-    assemblies = []
-    original = experiments.assemble
+    calls = {"assemble": 0, "integrate": 0, "integrate_rows": 0}
 
-    def counting(*args, **kwargs):
-        assemblies.append(1)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(experiments, name)
 
-    monkeypatch.setattr(experiments, "assemble", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    for name in calls:
+        counting(name)
     out = str(tmp_path / "sweep")
     assert main(["sweep", write_cfg(tmp_path, text), "--out", out, "--threads", "1"]) == 0
-    assert len(assemblies) == 1 and len(count_solves) == 1
+    assert calls["assemble"] == 1 and len(count_solves) == 1
+    # the rows are integrated together in one lockstep call, none alone
+    assert calls["integrate_rows"] == 1 and calls["integrate"] == 0
     # every row writes what a standalone run of its config writes
     cfg = load_experiment_config(str(tmp_path / "run.cfg"))
     for i, lam in enumerate((0.5, 1.5, 0.9)):

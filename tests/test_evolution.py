@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import heatlab
+import heatlab.evolution as evolution
 from heatlab.evolution import (
     IntegratorConfig,
     Trajectory,
     TrajectorySample,
     energy_identity_residual,
     integrate,
+    integrate_rows,
     mass_identity_residual,
     picard_iterate,
     step,
@@ -223,6 +225,110 @@ def test_overflowing_initial_state_is_refused(small_op):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="initial state overflows"):
                 integrate(u0, small_op, mode, IntegratorConfig(t_max=1.0))
+
+
+def _assert_rows_equal_solo_runs(u0s, op, mode, cfg):
+    """integrate_rows gives every row exactly what integrate gives it alone."""
+    rows = integrate_rows(u0s, op, mode, cfg)
+    assert len(rows) == len(u0s)
+    for u0, row in zip(u0s, rows):
+        try:
+            alone = integrate(u0, op, mode, cfg)
+        except ValueError as exc:
+            assert isinstance(row, ValueError) and str(row) == str(exc)
+            continue
+        assert row.samples == alone.samples
+        assert (row.accepted, row.rejected, row.end_reason, row.T_detect) == (
+            alone.accepted, alone.rejected, alone.end_reason, alone.T_detect
+        )
+        assert np.array_equal(row.final_state.values, alone.final_state.values)
+        assert row.final_state.values.base is None  # owns its data, not a view of a stack
+    return rows
+
+
+@pytest.fixture(scope="module")
+def rader_op():
+    """n = 400: n + 1 is prime, so the line transforms by Rader's DST."""
+    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 400)
+    return assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+
+
+@pytest.mark.parametrize("scheme, max_steps", [("etdrk2", 110), ("exponential_euler", 250)])
+def test_integrate_rows_equals_integrate_row_by_row(rader_op, cubic_mode, scheme, max_steps):
+    # one row dissipates to t_max, one blows up past the sup cap, and the
+    # slower blow-up is cut by the step limit
+    sech = sech_profile(rader_op.grid)
+    cfg = IntegratorConfig(
+        t_max=3.0, blowup_sup_cap=1e2, rel_tol=1e-4, max_steps=max_steps, scheme=scheme
+    )
+    u0s = [a * sech for a in (0.5, 4.0, 1.5)]
+    rows = _assert_rows_equal_solo_runs(u0s, rader_op, cubic_mode, cfg)
+    assert [row.end_reason for row in rows] == ["t_max", "sup_cap", "step_limit"]
+
+
+@pytest.mark.parametrize("path", ["rader", "dense"])
+def test_integrate_rows_with_sample_interval(path, rader_op, well_op, cubic_mode):
+    # on the dense path a stacked product would equal single calls only to
+    # roundoff, so the rows are transformed one by one there
+    op = rader_op if path == "rader" else well_op
+    sech = sech_profile(op.grid)
+    cfg = IntegratorConfig(t_max=3.0, blowup_sup_cap=1e2, rel_tol=1e-4, sample_interval=0.25)
+    _assert_rows_equal_solo_runs([0.5 * sech, 1.5 * sech], op, cubic_mode, cfg)
+
+
+def test_integrate_rows_critical_batch_with_cutoffs():
+    grid = build_grid(DomainSpec.box(-4.0, 4.0, 3), 9)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    bump = field_from_function(grid, lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)))
+    cfg = IntegratorConfig(t_max=1.0, rel_tol=1e-5, cutoff_radii=(1.0, 2.0))
+    rows = _assert_rows_equal_solo_runs(
+        [0.3 * bump, 3.0 * bump, 1.0 * bump], op, EquationMode.critical(3), cfg
+    )
+    assert {row.end_reason for row in rows} == {"t_max", "dt_underflow"}
+    assert set(rows[0].samples[-1].cutoff_mass) == {1.0, 2.0}
+
+
+def test_integrate_rows_refuses_overflowing_initial_row_alone(small_op, cubic_mode):
+    u0s = [small_bump(small_op, amp) for amp in (0.1, 1e80, 0.2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _assert_rows_equal_solo_runs(u0s, small_op, cubic_mode, IntegratorConfig(t_max=1.0))
+    assert isinstance(rows[1], ValueError) and "initial state overflows" in str(rows[1])
+    assert [row.end_reason for row in (rows[0], rows[2])] == ["t_max", "t_max"]
+
+
+@pytest.mark.parametrize("amp, dt_init", [(1e60, 1e-200), (1e70, 1e-90)])
+def test_integrate_rows_overflow_inside_a_stacked_step(small_op, cubic_mode, amp, dt_init):
+    # 1e60: a rate overflows at the first acceptance, as in
+    # test_accepted_state_with_overflowing_rate_ends_named; 1e70: the source
+    # term overflows inside the stacked attempt, which is redone row by row
+    # until that row's dt is small enough
+    u0s = [small_bump(small_op, a) for a in (0.1, amp, 0.2)]
+    cfg = IntegratorConfig(t_max=1.0, dt_init=dt_init, dt_min=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _assert_rows_equal_solo_runs(u0s, small_op, cubic_mode, cfg)
+    assert [row.end_reason for row in rows] == ["t_max", "sup_cap", "t_max"]
+    assert rows[1].T_detect == rows[1].t_final > 0.0
+
+
+def test_integrate_rows_redoes_a_stacked_acceptance(monkeypatch, small_op, cubic_mode):
+    # make every fifth stacked source term overflow: with all rows accepted
+    # that is the acceptance's, whose source terms are then taken row by row
+    raised = []
+    original = evolution._source_term
+
+    def overflowing(mode, u):
+        if u.ndim == 2 and len(u) > 1:
+            raised.append(len(raised) % 5 == 4)
+            if raised[-1]:
+                raise FloatingPointError("stacked source term overflows")
+        return original(mode, u)
+
+    monkeypatch.setattr(evolution, "_source_term", overflowing)
+    u0s = [small_bump(small_op, amp) for amp in (0.1, 0.2, 0.3)]
+    _assert_rows_equal_solo_runs(u0s, small_op, cubic_mode, IntegratorConfig(t_max=1.0))
+    assert any(raised)
 
 
 @pytest.mark.parametrize("case", ["structured_line", "dense_well", "critical_box"])

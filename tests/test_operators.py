@@ -434,6 +434,35 @@ def test_batched_transforms_match_single_calls(batch_op):
                 assert np.array_equal(batched[:, j], single)
 
 
+@pytest.mark.parametrize(
+    "shape, paths",
+    [
+        ((64,), ["matmul"]),
+        ((400,), ["rader"]),
+        ((1600,), ["rader"]),
+        ((632,), ["dst"]),
+        ((400, 12), ["rader", "matmul"]),
+    ],
+)
+def test_rows_first_stack_equals_single_calls(shape, paths):
+    # the integrator keeps a stack one field per row and hands it over as X.T
+    assert [_axis_path(n) for n in shape] == paths
+    domain = DomainSpec.interval(-1.0, 1.0) if len(shape) == 1 else DomainSpec.box(-1.0, 1.0, 2)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), build_grid(domain, shape))
+    rows = np.random.default_rng(len(paths)).standard_normal((5, op.grid.n_total))
+    for transform in (op.to_coeffs, op.from_coeffs):
+        stacked = transform(rows.T)
+        assert stacked.shape == rows.T.shape
+        for k, row in enumerate(rows):
+            assert np.array_equal(stacked[:, k], transform(row))
+
+
+def test_rader_dst_of_rows_first_stack_is_a_batch_first_view():
+    rows = np.random.default_rng(3).standard_normal((4, 1600))
+    out = _rader_dst(rows.T)
+    assert out.base is not None and out.T.flags.c_contiguous  # no copy back to (n, m)
+
+
 @pytest.mark.parametrize("n", [262, 400, 718, 1200, 1600, 2038])
 def test_rader_dst_matches_scipy_and_inverts(n):
     # h = n / 2 is smooth at 400, 1200 and 1600 (negacyclic convolution of
