@@ -405,11 +405,8 @@ def integrate_rows(
     def advance(rows: list[_Row]):
         """One attempt per row, by step doubling from its (c, n0): each row
         accepts or rejects its own."""
-        if len(rows) == 1:  # its own 1-d arrays: no broadcasting in the stage updates
-            dt, c, n0 = rows[0].dt, rows[0].c, rows[0].n0
-        else:
-            dt = np.array([[row.dt] for row in rows])
-            c, n0 = np.stack([row.c for row in rows]), np.stack([row.n0 for row in rows])
+        dt = np.array([[row.dt] for row in rows])
+        c, n0 = np.stack([row.c for row in rows]), np.stack([row.n0 for row in rows])
         try:
             full = st.step(c, n0, st.multipliers(dt, cfg.scheme), cfg.scheme)
             half_mult = st.multipliers(0.5 * dt, cfg.scheme)
@@ -423,14 +420,13 @@ def integrate_rows(
                     advance([row])
                 return
             half = None
-        if half is not None and half.ndim == 1:  # one row: a stack of one from here
-            full, mid, u_mid, n_half, half = (x[None] for x in (full, mid, u_mid, n_half, half))
         accepted = []
         for k, row in enumerate(rows):
             err = math.inf
             if half is not None:
-                diff = float(np.linalg.norm(full[k] - half[k]))
-                err = diff / max(float(np.linalg.norm(half[k])), 1e-300)
+                with np.errstate(over="ignore"):  # an inf norm rejects the attempt
+                    diff = float(np.linalg.norm(full[k] - half[k]))
+                    err = diff / max(float(np.linalg.norm(half[k])), 1e-300)
             if math.isfinite(err) and err <= cfg.rel_tol:
                 row.err = err
                 accepted.append(k)

@@ -14,10 +14,11 @@ Every file goes through config._write_artifact with values spelled by
 config._fmt_value (floats by repr), trajectory.csv through config._fmt_csv
 like every other CSV, so a rerun of the same config and seed produces
 byte-identical files.  prepare_run alone decides which configs have
-threshold constants.  sweep() repeats the run over one config key and
-aggregates per-run outcomes into sweep.csv, in the order of the values,
-capturing per-row failures instead of aborting the axis; the rows of a
-serial initial.* axis are integrated together by evolution.integrate_rows.
+threshold constants.  _run_rows, the one runner, integrates rows that
+share one setup together in one evolution.integrate_rows call.
+run_experiment is one such row; sweep() runs one config key's values in
+groups of such rows and aggregates per-run outcomes into sweep.csv, in the
+order of the values, capturing per-row failures instead of aborting the axis.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .evolution import (
     IntegratorConfig,
     Trajectory,
     energy_identity_residual,
-    integrate,
     integrate_rows,
     mass_identity_residual,
 )
@@ -232,32 +232,49 @@ def prepare_run(cfg: ExperimentConfig, need: Optional[str] = None) -> RunSetup:
         return RunSetup(op, mode, None, f"failed: {exc}", exc)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str, setup: Optional[RunSetup] = None
-) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run one configured experiment, write its artifacts into out_dir and
     return its summary: the facts of summary.txt, in file order.
 
-    setup, when given, must come from prepare_run on a config that differs
-    from cfg at most in initial.* keys; by default it is built from cfg.
-    A failed constants solve is noted in summary.txt, unless the initial
-    data is the ground state itself: then the error propagates.  out_dir is
-    created only once the run has artifacts to write, so a refused run
-    leaves none behind.
+    The run is _run_rows with one row on its own setup.  A failed constants
+    solve is noted in summary.txt, unless the initial data is the ground
+    state itself: then the error propagates.  out_dir is created only once
+    the run has artifacts to write, so a refused run leaves none behind.
     """
-    if setup is None:
-        setup = prepare_run(cfg)
-    u0 = _initial_state(cfg, setup)
-    traj = integrate(u0, setup.op, setup.mode, _integrator_config(cfg, setup))
-    return _finish_run(cfg, out_dir, setup, u0, traj)
+    (outcome,) = _run_rows([cfg], [out_dir], prepare_run(cfg))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _initial_state(cfg: ExperimentConfig, setup: RunSetup) -> Field:
-    """The run's initial data; a failed constants solve is raised here when
-    the data is the ground state itself."""
-    if setup.consts_error is not None and cfg.recipe == "scaled_ground_state":
-        raise setup.consts_error
-    return make_initial_data(cfg, setup.op, setup.consts)
+def _run_rows(cfgs: list, out_dirs: list, setup: RunSetup) -> list:
+    """Run configs that share setup (they differ at most in initial.* keys),
+    each into its out_dir, integrating all rows in one integrate_rows call.
+
+    Returns, per row in order, its summary or the exception that ended it;
+    one row's failure never touches another.  A failed constants solve ends
+    a row whose initial data is the ground state itself.
+    """
+    outcomes: list = []  # per row: its initial data, then its summary; or its failure
+    for cfg in cfgs:
+        try:
+            if setup.consts_error is not None and cfg.recipe == "scaled_ground_state":
+                raise setup.consts_error
+            outcomes.append(make_initial_data(cfg, setup.op, setup.consts))
+        except Exception as exc:  # per-row capture keeps the other rows alive
+            outcomes.append(exc)
+    started = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    trajs = integrate_rows(
+        [outcomes[i] for i in started], setup.op, setup.mode, _integrator_config(cfgs[0], setup)
+    )
+    for i, traj in zip(started, trajs):
+        try:
+            outcomes[i] = traj if isinstance(traj, ValueError) else _finish_run(
+                cfgs[i], out_dirs[i], setup, outcomes[i], traj
+            )
+        except Exception as exc:  # per-row capture keeps the other rows alive
+            outcomes[i] = exc
+    return outcomes
 
 
 def _finish_run(
@@ -354,70 +371,49 @@ def _sweep_row(index: int, value, outcome) -> dict:
     return row
 
 
-def _sweep_worker(args) -> dict:
-    cfg, value, run_dir, index, setup = args
-    try:
-        outcome = run_experiment(cfg.with_override(cfg.sweep_key, value), run_dir, setup)
-    except Exception as exc:  # per-row capture keeps the axis alive
-        outcome = exc
-    return _sweep_row(index, value, outcome)
-
-
-def _lockstep_rows(cfg: ExperimentConfig, run_dirs: list, setup: RunSetup) -> list:
-    """The rows of an initial.* axis on a shared setup, integrated together
-    by one integrate_rows call; each row's artifacts equal a standalone
-    run_experiment's, and its failure lands in its own error column."""
-    outcomes: list = []  # per row: (config, initial data) to integrate, or its failure
-    for value in cfg.sweep_values:
+def _sweep_group(job) -> list:
+    """The sweep.csv rows of one group of rows that share a setup: job is
+    (cfg, out_dir, indices into cfg.sweep_values).  A value that fails its
+    override fails its own row; a failed build fails each of the others."""
+    cfg, out_dir, indices = job
+    outcomes: dict = {}  # per row index: its config, then its summary; or its failure
+    for i in indices:
         try:
-            sub = cfg.with_override(cfg.sweep_key, value)
-            outcomes.append((sub, _initial_state(sub, setup)))
-        except Exception as exc:  # per-row capture keeps the axis alive
-            outcomes.append(exc)
-    started = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    trajs = integrate_rows(
-        [outcomes[i][1] for i in started], setup.op, setup.mode, _integrator_config(cfg, setup)
-    )
-    for i, traj in zip(started, trajs):
-        sub, u0 = outcomes[i]
-        try:
-            outcomes[i] = traj if isinstance(traj, ValueError) else _finish_run(
-                sub, run_dirs[i], setup, u0, traj
-            )
+            outcomes[i] = cfg.with_override(cfg.sweep_key, cfg.sweep_values[i])
         except Exception as exc:  # per-row capture keeps the axis alive
             outcomes[i] = exc
-    return [_sweep_row(i, *pair) for i, pair in enumerate(zip(cfg.sweep_values, outcomes))]
+    ready = [i for i in indices if not isinstance(outcomes[i], Exception)]
+    if ready:
+        subs = [outcomes[i] for i in ready]
+        run_dirs = [os.path.join(out_dir, f"run_{i:03d}") for i in ready]
+        try:
+            outcomes.update(zip(ready, _run_rows(subs, run_dirs, prepare_run(subs[0]))))
+        except Exception as exc:  # a failed build (or step loop) fails each row of the group
+            outcomes.update((i, exc) for i in ready)
+    return [_sweep_row(i, cfg.sweep_values[i], outcomes[i]) for i in indices]
 
 
 def sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> list:
     """Run the configured sweep axis, one run per value, aggregate sweep.csv.
 
-    A serial sweep over an initial.* key builds the operator, mode and
-    constants once, builds each row's initial data, and integrates all rows
-    together in one integrate_rows call; each row's artifacts are the bytes
-    a standalone run_experiment writes.  A parallel sweep, an axis that is
-    not initial.*, or a sweep whose shared build fails runs row by row,
-    building per row, in at most one worker process per row.
+    The rows run in groups, each through one _run_rows call on one setup.
+    An initial.* axis leaves the operator, mode and constants alone, so it
+    splits into min(threads, rows) groups, row i in group i mod groups;
+    any other axis runs one row per group.  With threads > 1 the groups
+    run in at most threads worker processes.  Every row's artifacts are
+    the bytes a standalone run_experiment writes, whatever the grouping.
     """
     if cfg.sweep_key is None:
         raise ConfigError("sweep.key", "sweep requires sweep.key and sweep.values")
-    parallel = threads > 1 and len(cfg.sweep_values) > 1
-    setup = None
-    if not parallel and cfg.sweep_values and cfg.sweep_key.startswith("initial."):
-        try:
-            setup = prepare_run(cfg)
-        except Exception:  # every row rebuilds and records the error itself
-            setup = None
-    run_dirs = [os.path.join(out_dir, f"run_{i:03d}") for i in range(len(cfg.sweep_values))]
-    if setup is not None:
-        rows = _lockstep_rows(cfg, run_dirs, setup)
+    indices = range(len(cfg.sweep_values))
+    n_groups = min(threads, len(indices)) if cfg.sweep_key.startswith("initial.") else len(indices)
+    jobs = [(cfg, out_dir, indices[g::n_groups]) for g in range(n_groups)]
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            groups = list(pool.map(_sweep_group, jobs))
     else:
-        jobs = [(cfg, value, run_dirs[i], i, None) for i, value in enumerate(cfg.sweep_values)]
-        if parallel:
-            with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-                rows = list(pool.map(_sweep_worker, jobs))
-        else:
-            rows = [_sweep_worker(job) for job in jobs]
+        groups = [_sweep_group(job) for job in jobs]
+    rows = sorted((row for group in groups for row in group), key=lambda row: row["index"])
     table = ([row[name] for name in _SWEEP_COLUMNS] for row in rows)
     _write_artifact(out_dir, "sweep.csv", _fmt_csv(SWEEP_HEADER, table))
     return rows

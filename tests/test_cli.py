@@ -53,6 +53,24 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls experiments makes to each named function it binds."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    for name in names:
+        counting(name)
+    return calls
+
+
 def test_solve_writes_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     out = str(tmp_path / "out")
@@ -228,23 +246,28 @@ def test_solve_refuses_absorbing_scaled_ground_state(tmp_path, capsys, monkeypat
     assert not out.exists() and assemblies == []
 
 
+def _tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_sweep_runs_axis(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BLOWUP_RUN + SWEEP_LAMBDA)
-    out = str(tmp_path / "sweep")
-    rc = main(["sweep", cfg, "--out", out, "--threads", "2"])
+    # three values at --threads 2: one parallel group integrates two rows
+    text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5, 0.9\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", cfg, "--out", str(out), "--threads", "2"])
     assert rc == 0
-    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()
+    lines = (out / "sweep.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("index,value,verdict")
-    assert len(lines) == 3
+    assert len(lines) == 4
     verdicts = {ln.split(",")[1]: ln.split(",")[2] for ln in lines[1:]}
     assert verdicts["1.5"] == "BlowsUp"
-    serial = str(tmp_path / "sweep_serial")
-    assert main(["sweep", cfg, "--out", serial, "--threads", "1"]) == 0
-    with open(os.path.join(serial, "sweep.csv"), "rb") as fh_serial, open(
-        os.path.join(out, "sweep.csv"), "rb"
-    ) as fh_parallel:
-        assert fh_serial.read() == fh_parallel.read()
+    serial = tmp_path / "sweep_serial"
+    assert main(["sweep", cfg, "--out", str(serial), "--threads", "1"]) == 0
+    parallel_files = _tree_bytes(out)
+    assert len(parallel_files) == 1 + 3 * 3  # sweep.csv and each row's three artifacts
+    assert _tree_bytes(serial) == parallel_files
 
 
 def test_sweep_threads_must_be_positive(tmp_path, capsys):
@@ -283,6 +306,48 @@ def test_parallel_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch)
         assert main(["sweep", cfg, "--out", str(out), "--threads", threads]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
     assert pool_sizes == [2, 2]  # two rows; a serial sweep makes no pool
+
+    # three initial.* rows at --threads 2: two groups, each built and
+    # integrated once (rows 0 and 2 together, row 1 alone)
+    calls = count_calls(monkeypatch, "assemble", "integrate_rows")
+    text = SMALL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.3, 0.2, 0.1\n"
+    out = tmp_path / "sweep_groups"
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out), "--threads", "2"]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+    assert calls == {"assemble": 2, "integrate_rows": 2}
+    assert pool_sizes == [2, 2, 2]
+
+
+def test_sweep_records_a_failed_shared_build_in_every_row(tmp_path, monkeypatch):
+    # a negative inverse-power potential with a node on the origin cannot be
+    # assembled; the group's one build fails, and every row says so
+    text = """
+equation.regime = subcritical
+equation.p = 3.0
+domain.kind = interval
+domain.lower = -5.0
+domain.upper = 5.0
+grid.n = 9
+operator.kind = schrodinger
+potential.kind = inverse_power
+potential.alpha = 0.5
+potential.coupling = 1.0
+potential.sign = -1
+initial.recipe = gaussian
+integrator.t_max = 1.0
+sweep.key = initial.amplitude
+sweep.values = 0.3, 0.2, 0.1
+"""
+    calls = count_calls(monkeypatch, "assemble")
+    out = tmp_path / "sweep"
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert calls["assemble"] == 1
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row.split(",")[-1].startswith(
+            "AssemblyError: inverse_power potential is singular at a grid node; "
+        )
 
 
 def test_sweep_empty_axis(tmp_path):
@@ -475,24 +540,12 @@ def test_ground_state_command_solves_once(tmp_path, count_solves):
 
 def test_serial_sweep_builds_operator_and_constants_once(tmp_path, monkeypatch, count_solves):
     text = BLOWUP_RUN + "sweep.key = initial.lambda\nsweep.values = 0.5, 1.5, 0.9\n"
-    calls = {"assemble": 0, "integrate": 0, "integrate_rows": 0}
-
-    def counting(name):
-        original = getattr(experiments, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, name, counted)
-
-    for name in calls:
-        counting(name)
+    calls = count_calls(monkeypatch, "assemble", "integrate_rows")
     out = str(tmp_path / "sweep")
     assert main(["sweep", write_cfg(tmp_path, text), "--out", out, "--threads", "1"]) == 0
     assert calls["assemble"] == 1 and len(count_solves) == 1
-    # the rows are integrated together in one lockstep call, none alone
-    assert calls["integrate_rows"] == 1 and calls["integrate"] == 0
+    # the rows are integrated together in one lockstep call
+    assert calls["integrate_rows"] == 1
     # every row writes what a standalone run of its config writes
     cfg = load_experiment_config(str(tmp_path / "run.cfg"))
     for i, lam in enumerate((0.5, 1.5, 0.9)):

@@ -297,12 +297,13 @@ def test_integrate_rows_refuses_overflowing_initial_row_alone(small_op, cubic_mo
     assert [row.end_reason for row in (rows[0], rows[2])] == ["t_max", "t_max"]
 
 
-@pytest.mark.parametrize("amp, dt_init", [(1e60, 1e-200), (1e70, 1e-90)])
+@pytest.mark.parametrize("amp, dt_init", [(1e60, 1e-200), (1e70, 1e-90), (1e60, 1e-90)])
 def test_integrate_rows_overflow_inside_a_stacked_step(small_op, cubic_mode, amp, dt_init):
     # 1e60: a rate overflows at the first acceptance, as in
     # test_accepted_state_with_overflowing_rate_ends_named; 1e70: the source
     # term overflows inside the stacked attempt, which is redone row by row
-    # until that row's dt is small enough
+    # until that row's dt is small enough; 1e60 from dt 1e-90: the
+    # step-doubling error norm overflows, rejecting attempts without a warning
     u0s = [small_bump(small_op, a) for a in (0.1, amp, 0.2)]
     cfg = IntegratorConfig(t_max=1.0, dt_init=dt_init, dt_min=1e-200)
     with warnings.catch_warnings():
