@@ -234,7 +234,8 @@ class SpectralOperator:
     rows are the blocks' rows in block order), makes one batched block
     product and gathers the block coefficients by order, the stable
     ascending permutation of the block eigenvalues; from_coeffs scatters,
-    multiplies and unfolds by the stored transpose F^T.  On the
+    multiplies block by block over the live prefix (below) and unfolds by
+    the stored transpose F^T.  On the
     structured path the transforms are the orthonormal DST-I of the field
     reshaped to the grid, each axis by sine matrix, Rader or scipy.fft,
     basis is an N x 0 array because no matrix exists, and order is the
@@ -244,11 +245,18 @@ class SpectralOperator:
     what marks the structured path.
 
     to_coeffs and from_coeffs take one vector of length N or an (N, m)
-    stack, one field per column, and return the same shape.  A stack costs
-    one batched block product on the dense path and one DST over the grid
-    axes on the structured path, and its columns equal m single calls to
-    roundoff (bit for bit on the structured path, whichever path each axis
-    takes).  The sine-matrix and Rader transforms work batch-first, one
+    stack, one field per column, and return the same shape.  On the
+    structured path a stack costs one DST over the grid axes, and its
+    columns equal m single calls bit for bit, whichever path each axis
+    takes.  On the dense path to_coeffs makes one batched block product,
+    and from_coeffs makes one product per parity block b over its live
+    prefix: basis[b][:, :k_b] times the block's first k_b coefficient rows,
+    k_b one past its last row that is nonzero in some column
+    (_live_lengths).  Each block's modes ascend, so the underflowed tail of
+    a decayed stack e^{-t(mu + shift)} c, exact zeros, costs nothing; a
+    fully live block gives the batched product bit for bit, and a stack's
+    columns equal m single calls to roundoff.  The sine-matrix and Rader
+    transforms work batch-first, one
     field per row of an (m, N) array, and from_coeffs scatters its
     coefficients by order straight into that layout.  A stack that arrives
     as X.T, X holding one field per row (as evolution.integrate_rows keeps
@@ -295,7 +303,11 @@ class SpectralOperator:
         if self.basis.size:
             scattered = np.empty(coeffs.shape, dtype=dtype)
             scattered[self.order] = coeffs
-            blocks = self.basis @ scattered.reshape(self.basis.shape[:2] + (-1,))
+            scattered = scattered.reshape(self.basis.shape[:2] + (-1,))
+            blocks = np.empty(scattered.shape, dtype=dtype)
+            rows_live = np.any(scattered != 0, axis=2, keepdims=True)  # in some column
+            for b, live in enumerate(_live_lengths(rows_live)[:, 0]):
+                np.matmul(self.basis[b, :, :live], scattered[b, :live], out=blocks[b])
             out = (self._unfold_matrix @ blocks.reshape(self.n_modes, -1)).reshape(coeffs.shape)
             out /= math.sqrt(self.grid.weight * self.basis.shape[0])  # the fold's 2^(-k/2)
             return out
@@ -328,6 +340,20 @@ class SpectralOperator:
 
     def matvec(self, values):
         return self.apply_multiplier(self.mu, values)
+
+
+def _live_lengths(blocks: np.ndarray) -> np.ndarray:
+    """One past the last nonzero row of each block, per column; 0 if it has none.
+
+    blocks is (n_blocks, M, m), one block of mode rows per parity block, and
+    the result is (n_blocks, m).  Each block's modes ascend, so a decayed
+    stack e^{-t(mu + shift)} c ends in the exact zeros of e^{-t(mu + shift)}
+    underflowing, and rows past the live length add nothing to a product.
+    """
+    nonzero = blocks != 0
+    live = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    live[~np.any(nonzero, axis=1)] = 0
+    return live
 
 
 def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:

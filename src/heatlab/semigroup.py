@@ -16,6 +16,15 @@ the spectrum is positive.
 Every flow, kernel columns and the Gaussian verifier included, goes through
 _semigroup_orbit, which uses the same transforms on the dense and structured
 paths.  Only smoothing_norm_2_to_inf reads the dense basis blocks themselves.
+On the dense path both stop at each parity block's last live mode: e^{-t(mu
++ shift)} underflows to exact zeros on the top of each block's ascending
+spectrum, and from_coeffs and the 2 -> inf row sums multiply only the modes
+before them, so a long time costs a fraction of a short one.
+
+A semigroup with mu_1 + shift < 0 grows (the unshifted class-A operators);
+where a flow, a kernel column or the 2 -> inf norm would pass double range
+the call raises ValueError("semigroup grows past double range at t = ..."),
+never a NaN, an inf or a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 import scipy.fft
 
 from .grids import Field, _lr_norms
-from .operators import _ROW_BLOCK, SpectralOperator, _dirichlet_axis_eigenvalues
+from .operators import _ROW_BLOCK, SpectralOperator, _dirichlet_axis_eigenvalues, _live_lengths
 
 _COLUMN_BLOCK = 128  # time x field columns per from_coeffs in _semigroup_orbit
 _DECAY_TIMES = 12  # times in default_decay_t_grid
@@ -80,16 +89,20 @@ def apply_semigroup(op: SpectralOperator, t: float, f: Field, shifted: bool = Fa
     return Field(next(_semigroup_orbit(op, f, (t,), shifted))[:, 0], op.grid)
 
 
-def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
-    """Yield e^{-t(L + shift)} f over a time grid, one array per block of times.
+def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False, divisor: float = 1.0):
+    """Yield e^{-t(L + shift)} f / divisor over a time grid, one array per block of times.
 
     f is a Field or an (N, m) stack of field values, one field per column.
     All fields go through one forward transform.  The times are then taken
     in consecutive blocks of k times, with k * m at most _COLUMN_BLOCK (and
     k >= 1), and each block costs one from_coeffs of k * m columns: on the
-    dense path one batched block product instead of k * m matvecs.  A block
-    is yielded as an (N, k) array for a Field, column j at the block's j-th
-    time, and as an (N, k, m) array for a stack.
+    dense path one product per parity block over its live modes instead of
+    k * m matvecs.  A block is yielded as an (N, k) array for a Field,
+    column j at the block's j-th time, and as an (N, k, m) array for a
+    stack.  Where mu_1 + shift < 0 the flow grows like e^{-t(mu_1 + shift)};
+    a block in which some time's values leave double range raises
+    ValueError("semigroup grows past double range at t = ...") naming the
+    block's least such time, and no RuntimeWarning escapes.
     """
     values = f.values if isinstance(f, Field) else np.asarray(f)
     times = np.asarray(times, dtype=float)
@@ -103,9 +116,14 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False):
     step = max(1, _COLUMN_BLOCK // m)
     for start in range(0, times.size, step):
         block_t = times[start : start + step]
-        decayed = np.exp(np.outer(rate, -block_t))[:, :, None] * c[:, None, :]
-        out = op.from_coeffs(decayed.reshape(n, -1)).reshape(n, block_t.size, m)
-        del decayed  # not held across the yield
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            decayed = np.exp(np.outer(rate, -block_t))[:, :, None] * c[:, None, :]
+            out = op.from_coeffs(decayed.reshape(n, -1)).reshape(n, block_t.size, m)
+            del decayed  # not held across the yield
+            if divisor != 1.0:
+                out /= divisor
+        if not np.all(np.isfinite(out)):
+            raise _growth_error(block_t[~np.all(np.isfinite(out), axis=(0, 2))])
         yield out if values.ndim == 2 else out[:, :, 0]
 
 
@@ -126,9 +144,7 @@ def _kernel_orbit(op: SpectralOperator, times, cols):
         raise ValueError("kernel time must be > 0")
     units = np.zeros((op.grid.n_total, len(cols)))
     units[cols, np.arange(len(cols))] = 1.0
-    for block in _semigroup_orbit(op, units, times):
-        block /= op.grid.weight
-        yield block
+    yield from _semigroup_orbit(op, units, times, divisor=op.grid.weight)
 
 
 def smoothing_norm_2_to_inf(
@@ -143,11 +159,21 @@ def smoothing_norm_2_to_inf(
     by sqrt(w).  On the dense path node x's row of Q is its folded row p(x)
     of every parity block, scaled by 2^(-k/2) (see SpectralOperator), so its
     squared norm is 2^-k sum_b (basis[b, p(x)]^2 @ decay_b) with
-    decay_b[q, j] = e^{-2 t_j (mu_bq + shift)}: one batched product over
-    fixed blocks of _ROW_BLOCK folded rows, O(N^2 / 2^k) with no N x N
-    temporary, keeping a running per-time maximum.  On the structured path
-    eigenvectors and e^{-2 t mu} are both products over axes, so the
-    largest row norm is the product of the per-axis largest row norms.
+    decay_b[q, j] = e^{-2 t_j (mu_bq + shift)}, taken over fixed blocks of
+    _ROW_BLOCK folded rows with a running per-time maximum
+    (_dense_max_row_sq).  Column j of decay_b ends in exact zeros past its
+    live length k_bj, where e^{-2 t_j (mu + shift)} underflows, so the cost
+    is about sum_bj M k_bj multiply-adds, M = N / 2^k: at most N^2 T / 2^k
+    for T times, and nothing for a time at which every mode has underflowed.
+    On the structured path eigenvectors and e^{-2 t mu} are both products
+    over axes, so the largest row norm is the product of the per-axis
+    largest row norms.
+
+    Where mu_1 + shift < 0 the norm grows like e^{-t(mu_1 + shift)}, and its
+    square passes double range near t = 354.9 / -(mu_1 + shift) (the
+    unshifted Gaussian well, mu_1 = -0.955, reaches it at t = 371.6); the call
+    then raises ValueError("semigroup grows past double range at t = ...")
+    naming the least such time, with no RuntimeWarning.
     """
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
@@ -155,23 +181,76 @@ def smoothing_norm_2_to_inf(
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times > 0)):
         raise ValueError("need finite t > 0")
     shift = float(shifted)
-    if op.basis.size:
-        n_blocks, size, _ = op.basis.shape
-        rate = np.empty(op.n_modes)
-        rate[op.order] = op.mu + shift  # block order
-        decay = np.exp(-2.0 * np.outer(rate, times)).reshape(n_blocks, size, times.size)
-        max_sq = np.zeros(times.size)
-        for start in range(0, size, _ROW_BLOCK):
-            rows = op.basis[:, start : start + _ROW_BLOCK]
-            max_sq = np.maximum(max_sq, np.max(np.sum(rows**2 @ decay, axis=0), axis=0))
-        max_sq /= n_blocks
-    else:
-        max_sq = np.exp(-2.0 * times * shift)
-        for n, h in zip(op.grid.n, op.grid.h):
-            axis_decay = np.exp(-2.0 * np.outer(_dirichlet_axis_eigenvalues(n, h), times))
-            max_sq = max_sq * np.max(_sine_row_sq(axis_decay), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a growing semigroup is checked below
+        if op.basis.size:
+            max_sq = _dense_max_row_sq(op, times, shift)
+        else:
+            max_sq = np.exp(-2.0 * times * shift)
+            for n, h in zip(op.grid.n, op.grid.h):
+                axis_decay = np.exp(-2.0 * np.outer(_dirichlet_axis_eigenvalues(n, h), times))
+                max_sq = max_sq * np.max(_sine_row_sq(axis_decay), axis=0)
+    past = ~np.isfinite(max_sq)
+    if np.any(past):
+        raise _growth_error(times[past])
     norms = np.sqrt(max_sq / op.grid.weight)
     return float(norms[0]) if scalar else norms
+
+
+def _dense_max_row_sq(op: SpectralOperator, times: np.ndarray, shift: float) -> np.ndarray:
+    """Largest squared row norm of the dense e^{-t(L+shift)} Q at each time.
+
+    The decay table takes the times in ascending order, so each block's
+    live lengths (operators._live_lengths) descend along it.  A block's run
+    of consecutive times whose live modes fill the same number of
+    _ROW_BLOCK-mode row blocks makes one product, of the squared rows'
+    first k columns against the slice decay[b, :k, run] (a view, not a
+    copy), k the run's longest live length: at most ceil(M / _ROW_BLOCK)
+    products a block, each at most _ROW_BLOCK - 1 modes longer than its
+    times need.
+    Each row block squares only its block's longest live prefix, a dead
+    time adds nothing and a block with no live time is skipped.  The
+    results go back to input order.  Memory: the N x T decay table, two
+    N x T boolean masks while the live lengths are taken, one
+    _ROW_BLOCK x M buffer of squares and two _ROW_BLOCK x T sums, all
+    allocated once per call.
+    """
+    n_blocks, size, _ = op.basis.shape
+    rows = min(_ROW_BLOCK, size)
+    rate = np.empty(op.n_modes)
+    rate[op.order] = op.mu + shift  # block order
+    by_time = np.argsort(times, kind="stable")
+    decay = np.multiply.outer(rate, -2.0 * times[by_time])
+    decay = np.exp(decay, out=decay).reshape(n_blocks, size, times.size)
+    live = _live_lengths(decay)
+    runs = []  # per block: (live prefix, first time, end time) of each product
+    for lengths in live:
+        filled = -(-lengths // _ROW_BLOCK)  # row blocks of live modes
+        edges = np.r_[0, np.flatnonzero(np.diff(filled)) + 1, times.size]
+        spans = zip(edges[:-1], edges[1:])
+        runs.append([(lengths[a:e].max(), a, e) for a, e in spans if filled[a]])
+    squares = np.empty((size, rows)).T  # column-major like the basis blocks
+    total, part = np.empty((rows, times.size)), np.empty((rows, times.size))
+    max_sq = np.zeros(times.size)
+    for start in range(0, size, _ROW_BLOCK):
+        r = min(rows, size - start)
+        total[:r] = 0.0
+        for b, block_runs in enumerate(runs):
+            if not block_runs:
+                continue
+            widest = max(run[0] for run in block_runs)
+            np.square(op.basis[b, start : start + r, :widest], out=squares[:r, :widest])
+            for k, a, e in block_runs:
+                np.matmul(squares[:r, :k], decay[b, :k, a:e], out=part[:r, a:e])
+                total[:r, a:e] += part[:r, a:e]
+        np.maximum(max_sq, np.max(total[:r], axis=0), out=max_sq)
+    out = np.empty(times.size)
+    out[by_time] = max_sq / n_blocks
+    return out
+
+
+def _growth_error(times: np.ndarray) -> ValueError:
+    """The outcome of a semigroup that grows past double range (README)."""
+    return ValueError(f"semigroup grows past double range at t = {float(np.min(times)):.6g}")
 
 
 def _sine_row_sq(d: np.ndarray) -> np.ndarray:

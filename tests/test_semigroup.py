@@ -8,7 +8,14 @@ import pytest
 
 import heatlab
 from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
-from heatlab.operators import OperatorSpec, PotentialSpec, SpectralOperator, assemble
+from heatlab.operators import (
+    _ROW_BLOCK,
+    OperatorSpec,
+    PotentialSpec,
+    SpectralOperator,
+    _live_lengths,
+    assemble,
+)
 from heatlab.semigroup import (
     EstimateSpec,
     GaussReport,
@@ -22,6 +29,7 @@ from heatlab.semigroup import (
     verify_l2lq_decay,
     verify_spacetime,
 )
+from heatlab.variational import _BOUND_T_MIN, _BOUND_TIMES
 
 
 @pytest.fixture(scope="module")
@@ -125,11 +133,6 @@ def test_smoothing_norm_is_sharp_2_to_inf(small_op):
 SMOOTHING_TIMES = np.geomspace(1e-4, 20.0, 40)
 
 
-def _node_basis(op):
-    """The node-order orthonormal eigenvectors, one per column, in mu order."""
-    return op.from_coeffs(np.eye(op.n_modes)) * math.sqrt(op.grid.weight)
-
-
 @pytest.fixture(scope="module")
 def odd_well_op():
     """The well_op potential at an odd n, so on one unfolded block."""
@@ -138,27 +141,70 @@ def odd_well_op():
     return assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
 
 
-def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op):
-    # two folded blocks of 200 rows; one block of two row blocks, one partial
+@pytest.fixture(scope="module")
+def hardy_op():
+    """The certify Hardy operator: 8 folded blocks of 216."""
+    grid = build_grid(DomainSpec.box((-5.0,) * 3, (5.0,) * 3), 12)
+    pot = PotentialSpec(kind="inverse_power", alpha=2.0, coupling=0.25, sign=-1)
+    return assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+
+
+def _untruncated_from_coeffs(op, coeffs):
+    """The dense from_coeffs as one batched product over every mode of every block."""
+    scattered = np.empty_like(coeffs)
+    scattered[op.order] = coeffs
+    blocks = op.basis @ scattered.reshape(op.basis.shape[:2] + (-1,))
+    out = (op._unfold_matrix @ blocks.reshape(op.n_modes, -1)).reshape(coeffs.shape)
+    return out / math.sqrt(op.grid.weight * op.basis.shape[0])
+
+
+def _node_basis(op):
+    """The node-order orthonormal eigenvectors, one per column, in mu order."""
+    return _untruncated_from_coeffs(op, np.eye(op.n_modes)) * math.sqrt(op.grid.weight)
+
+
+def _underflow_times(op, shifted):
+    """Unsorted times, duplicates on both sides of the top modes' underflow edge.
+
+    Shifted, they add a time at which a whole parity block has underflowed
+    while the lowest mode lives (where there are two blocks or more), and
+    one at which every mode has.
+    """
+    rate = op.mu + (1.0 if shifted else 0.0)
+    edge = 372.5 / rate[-1]  # e^{-2 t rate} underflows on the top modes past it
+    times = edge * np.array([3.0, 0.01, 1.0, 20.0, 1.0, 0.5, 3.0, 1.02, 1e-4])
+    if shifted:
+        by_block = np.empty(op.n_modes)
+        by_block[op.order] = rate
+        lowest = np.sort(by_block.reshape(op.basis.shape[:2])[:, 0])
+        if lowest.size > 1:
+            times = np.r_[times, 372.5 / math.sqrt(lowest[0] * lowest[1])]
+        times = np.r_[times, 1e4 / rate[0]]
+    return times
+
+
+def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op, hardy_op):
+    # two folded blocks of 200 rows; one block of two row blocks, one partial;
+    # eight folded blocks of 216
     assert well_op.basis.shape == (2, 200, 200) and odd_well_op.basis.shape == (1, 401, 401)
-    for op in (well_op, odd_well_op):
+    assert hardy_op.basis.shape == (8, 216, 216)
+    for op in (well_op, odd_well_op, hardy_op):
         q = _node_basis(op)
         for shifted in (False, True):
-            got = smoothing_norm_2_to_inf(op, SMOOTHING_TIMES, shifted=shifted)
-            assert isinstance(got, np.ndarray) and got.shape == SMOOTHING_TIMES.shape
-            loop = np.array(
-                [smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in SMOOTHING_TIMES]
-            )
-            assert np.max(np.abs(got - loop) / loop) <= 1e-13
-            # the whole node-order formula, one time at a time
-            shift = 1.0 if shifted else 0.0
-            ref = np.array(
-                [
-                    math.sqrt(np.max((q**2) @ np.exp(-2.0 * t * (op.mu + shift))) / op.grid.weight)
-                    for t in SMOOTHING_TIMES
-                ]
-            )
-            assert np.max(np.abs(got - ref) / ref) <= 1e-13
+            rate = op.mu + (1.0 if shifted else 0.0)
+            for times in (SMOOTHING_TIMES, _underflow_times(op, shifted)):
+                got = smoothing_norm_2_to_inf(op, times, shifted=shifted)
+                assert isinstance(got, np.ndarray) and got.shape == times.shape
+                loop = np.array([smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in times])
+                assert np.all(np.abs(got - loop) <= 1e-13 * loop)
+                # the whole node-order formula, one time at a time, in input order
+                ref = np.array(
+                    [
+                        math.sqrt(np.max((q**2) @ np.exp(-2.0 * t * rate)) / op.grid.weight)
+                        for t in times
+                    ]
+                )
+                assert np.all(np.abs(got - ref) <= 1e-14 * ref)  # 0 where every mode is dead
 
 
 def test_smoothing_norm_scalar_and_invalid_times(small_op, well_op):
@@ -190,6 +236,84 @@ def test_dense_smoothing_norm_builds_no_square_temporary():
         tracemalloc.stop()
     # a whole basis**2 alone would be n * n * 8 / 2 bytes
     assert peak < n * n * 8 / 2
+
+
+def test_live_lengths_end_at_the_last_nonzero_row():
+    blocks = np.zeros((3, 4, 2))
+    blocks[0, :2, 0] = 1.0  # a prefix
+    blocks[0, 3, 1] = -1.0  # a last row
+    blocks[1, 1, 0] = 2.0  # a zero before it counts as live
+    blocks[2, 0, 1] = math.nan  # live, not zero
+    assert _live_lengths(blocks).tolist() == [[2, 4], [2, 0], [0, 1]]
+
+
+def test_from_coeffs_live_prefix_matches_untruncated_product(well_op, odd_well_op, hardy_op):
+    # the 1-d folded well (unshifted it is class A: mu_1 < 0, so its head
+    # decays grow), the odd well on one unfolded block, the 3-d Hardy op
+    rng = np.random.default_rng(3)
+    for op, n_blocks in ((well_op, 2), (odd_well_op, 1), (hardy_op, 8)):
+        assert op.basis.shape[0] == n_blocks
+        size = op.basis.shape[1]
+        c = rng.standard_normal((op.n_modes, 3))
+        dead_block = c.copy()
+        dead_block[op.order // size == n_blocks - 1] = 0.0  # the last block all dead
+        edge = 745.0 / op.mu[-1]  # e^{-t mu} underflows on the top modes past it
+        truncated = 0
+        for shifted in (False, True):
+            rate = op.mu + float(shifted)
+            for t in (0.0, 0.5 * edge, edge, 1.5 * edge, 20.0 * edge):
+                for coeffs in (c, dead_block):
+                    stack = np.exp(-t * rate)[:, None] * coeffs
+                    scattered = np.empty_like(stack)
+                    scattered[op.order] = stack
+                    live = np.max(_live_lengths(scattered.reshape(n_blocks, size, -1)), axis=1)
+                    truncated += int(np.any(live < size))
+                    for x in (stack, stack[:, 0]):
+                        got, ref = op.from_coeffs(x), _untruncated_from_coeffs(op, x)
+                        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert truncated >= 5
+        assert np.array_equal(op.from_coeffs(np.zeros((op.n_modes, 2))), np.zeros((op.n_modes, 2)))
+
+
+def test_dense_smoothing_norm_buffers_on_the_sobolev_grid():
+    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 1200)
+    pot = PotentialSpec(kind="tabulated_bounded", fn=lambda x: -2.0 * np.exp(-x[..., 0] ** 2))
+    op = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+    n_blocks, size, _ = op.basis.shape
+    assert n_blocks == 2
+    # sobolev_bound_from_semigroup's time grid
+    t_max = 40.0 / (1.0 + op.mu_min)
+    times = np.exp(np.linspace(math.log(_BOUND_T_MIN), math.log(t_max), _BOUND_TIMES))
+    n, n_t = grid.n_total, times.size
+    tracemalloc.start()
+    try:
+        smoothing_norm_2_to_inf(op, times, shifted=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the decay table, two boolean masks of it, the squares and the two sums
+    buffers = 8 * n * n_t + 2 * n * n_t + 8 * _ROW_BLOCK * size + 2 * 8 * _ROW_BLOCK * n_t
+    assert peak <= buffers + 64 * 1024
+
+
+def test_growing_semigroup_ends_in_named_outcome(well_op):
+    # unshifted, the class-A well grows like e^{0.955 t}
+    op = well_op
+    assert op.assumption_class == "A" and op.mu_min < -0.9
+    with pytest.raises(ValueError, match=r"semigroup grows past double range at t = 1e\+06$"):
+        smoothing_norm_2_to_inf(op, 1e6)
+    with pytest.raises(ValueError, match=r"semigroup grows past double range at t = 1e\+06$"):
+        heat_kernel_column(op, 1e6, 200)
+    with pytest.raises(ValueError, match="semigroup grows past double range"):
+        verify_l2lq_decay(op, EstimateSpec(r=2.0))  # the default window for mu_1 < 0
+    # the norm squares the growth, so it leaves the range at half the kernel's time
+    with pytest.raises(ValueError, match=r"at t = 500$"):
+        smoothing_norm_2_to_inf(op, np.array([1e3, 10.0, 500.0, 1e6]))
+    assert np.isfinite(smoothing_norm_2_to_inf(op, 371.0))
+    assert np.max(heat_kernel_column(op, 500.0, 200).values) > 1e200
+    with pytest.raises(ValueError, match=r"at t = 800$"):
+        heat_kernel_column(op, 800.0, 200)
+    assert smoothing_norm_2_to_inf(op, 1e6, shifted=True) == 0.0
 
 
 def _decay_reference(op, est, shifted, probes):
