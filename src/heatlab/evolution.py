@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, Grid, _lq_integral
+from .grids import Field, _lq_integral
 from .operators import SpectralOperator
 from .variational import EquationMode, _functionals, _source_term
 
@@ -181,37 +181,38 @@ class _Stepper:
 
     def rates(self, c: np.ndarray, n_hat: np.ndarray, abs_u: np.ndarray) -> tuple[float, float]:
         """The time integrands at one state: ||u_t||^2 = ||a c - N^||^2 and, in
-        the critical regime, int |u|^q (0 otherwise); each is inf past double
-        range."""
-        return (
-            _sq_norm(self.a * c - n_hat),
-            _lq_integral(abs_u, self.q, self.op.grid.weight) if self.q is not None else 0.0,
-        )
+        the critical regime, int |u|^q (0 otherwise); each is inf or nan past
+        double range."""
+        ut = self.a * c - n_hat
+        q_int = _lq_integral(abs_u, self.q, self.op.grid.weight) if self.q is not None else 0.0
+        return float(ut @ ut), q_int
 
     def state_stats(
         self, c: np.ndarray, u_phys: np.ndarray, n0: np.ndarray, cutoffs: dict[float, np.ndarray]
-    ) -> tuple[TrajectorySample, float, tuple[float, float]]:
-        """The state's sample (t and the running integrals left at 0), ||u||_E^2
-        and rates.  Raises FloatingPointError when E, J, the mass or a cutoff
-        mass is past double range."""
+    ) -> Optional[tuple[TrajectorySample, tuple[float, float]]]:
+        """The state's sample (t and the running integrals left at 0) and
+        rates, or None when E, J, the mass or a cutoff mass is past double
+        range."""
         weight = self.op.grid.weight
         abs_u = np.abs(u_phys)
-        en_sq, lp_p1, energy, nehari = _functionals(self.a, c, abs_u, self.mode, weight)
-        with np.errstate(over="raise"):
-            cutoff = {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()}
-            sample = TrajectorySample(
-                t=0.0,
-                mass=float(c @ c),  # coefficients carry sqrt(weight): c.c is the L^2 mass
-                energy_norm=math.sqrt(max(en_sq, 0.0)),
-                energy=energy,
-                nehari=nehari,
-                lp=lp_p1 ** (1.0 / (self.mode.p + 1.0)),
-                sup=float(np.max(abs_u)) if abs_u.size else 0.0,
-                dissipation_cum=0.0,
-                s_norm_cum=0.0,
-                cutoff_mass=cutoff or None,
-            )
-        return sample, en_sq, self.rates(c, n0, abs_u)
+        rep = _functionals(self.a, c, abs_u, self.mode, weight)
+        mass = float(c @ c)  # coefficients carry sqrt(weight): c.c is the L^2 mass
+        cutoff = {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()}
+        if not all(map(math.isfinite, (rep.energy, rep.nehari, mass, *cutoff.values()))):
+            return None
+        sample = TrajectorySample(
+            t=0.0,
+            mass=mass,
+            energy_norm=rep.energy_norm,
+            energy=rep.energy,
+            nehari=rep.nehari,
+            lp=rep.lp,
+            sup=float(np.max(abs_u)) if abs_u.size else 0.0,
+            dissipation_cum=0.0,
+            s_norm_cum=0.0,
+            cutoff_mass=cutoff or None,
+        )
+        return sample, self.rates(c, n0, abs_u)
 
 
 def step(
@@ -221,16 +222,21 @@ def step(
     mode: EquationMode,
     scheme: str = "exponential_euler",
 ) -> Field:
-    """Advance one explicit exponential step of size dt (no adaptivity)."""
+    """Advance one explicit exponential step of size dt (no adaptivity).
+
+    Raises ValueError when the stepped field is past double range.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     st = _Stepper(op, mode)
-    c = op.to_coeffs(u.values)
-    return Field(
-        op.from_coeffs(st.step(c, st.n_hat(u.values), st.multipliers(dt, scheme), scheme)), u.grid
-    )
+    c = op.to_coeffs(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        out = op.from_coeffs(st.step(c, st.n_hat(u.values), st.multipliers(dt, scheme), scheme))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("step overflows: the stepped field is past double range")
+    return Field(out, op.grid)
 
 
 def _cutoff_profiles(op: SpectralOperator, radii: tuple[float, ...]) -> dict[float, np.ndarray]:
@@ -255,20 +261,21 @@ class _Accumulators:
         self.s_int = 0.0
         self.q = q_crit  # None outside the critical regime
 
-    def advance(self, dt: float, prev: tuple, mid: tuple, cur: tuple):
+    def advance(self, dt: float, prev: tuple, mid: tuple, cur: tuple) -> bool:
         """Add one accepted step to both time integrals, from the rates of its
-        start, midpoint and end.
+        start, midpoint and end, and return whether they stayed finite.
 
-        An overflowed (inf) rate raises FloatingPointError and leaves the
-        integrals as they were, so an overflow never enters them.
+        A non-finite integral leaves both as they were, so an overflow never
+        enters them.
         """
         diss = self.diss + dt / 6.0 * (prev[0] + 4.0 * mid[0] + cur[0])
         s_int = self.s_int
         if self.q is not None:
             s_int += dt / 6.0 * (prev[1] + 4.0 * mid[1] + cur[1])
         if not (math.isfinite(diss) and math.isfinite(s_int)):
-            raise FloatingPointError("dissipation or space-time integral overflows")
+            return False
         self.diss, self.s_int = diss, s_int
+        return True
 
     def s_norm(self) -> float:
         if self.q is None or self.s_int <= 0.0:
@@ -276,36 +283,21 @@ class _Accumulators:
         return self.s_int ** (1.0 / self.q)
 
 
-def _sq_norm(v: np.ndarray) -> float:
-    """v . v, or inf past double range (trapped, not warned).
-
-    The dissipation rates go through here; _Accumulators.advance refuses an
-    inf, so the accepted step ends as an overflow instead.
-    """
-    try:
-        with np.errstate(over="raise"):
-            return float(v @ v)
-    except FloatingPointError:
-        return math.inf
-
-
 @dataclass(eq=False, slots=True)
 class _Row:
     """One trajectory in integrate_rows' step loop.
 
     c, n0 and u_phys are its coefficients, transformed source term and grid
-    values, each a contiguous 1-d array; sample, en_sq and rates are the
+    values, each a contiguous 1-d array; sample and rates are the
     statistics of that state, and err is the error of its last attempt.
     """
 
     traj: Trajectory
     acc: _Accumulators
-    grid: Grid
     c: np.ndarray
     n0: np.ndarray
     u_phys: np.ndarray
     sample: TrajectorySample
-    en_sq: float
     rates: tuple
     sup0: float
     dt: float
@@ -328,8 +320,8 @@ def integrate(
     t_end is t_max or the detection time.  Dissipation and critical
     space-time integrals are accumulated at every accepted step regardless
     of the sample cadence.  Raises ValueError when u0 overflows double
-    precision, so that its E or J is not finite.  The run is integrate_rows
-    with one row.
+    precision, so that its E or J is not finite, or lives on another grid
+    than op's.  The run is integrate_rows with one row.
     """
     (traj,) = integrate_rows([u0], op, mode, cfg)
     if isinstance(traj, ValueError):
@@ -355,12 +347,16 @@ def integrate_rows(
     runs on the row's own contiguous 1-d array.  Stacked transforms equal
     single calls bit for bit (on the dense path each row is transformed
     alone), so each trajectory is bit for bit the one integrate gives its
-    state alone.  When a stacked evaluation overflows, that attempt, or the
-    source term of that acceptance, is redone row by row, so that each row
-    meets the outcome it meets alone.  The rows of a serial sweep share the
-    fixed cost of each call: on the 1-d dichotomy sweep (n = 1600, 4 rows)
-    the loop takes 0.64 of the time of four integrate calls (median of 7
-    interleaved pairs, 2-core Xeon).
+    state alone.  Overflow is a value, not an exception: the loop computes
+    without floating-point warnings, and a row judges what it got.  A
+    non-finite step error rejects the attempt and shrinks dt by 4; a
+    non-finite E, J, mass, cutoff mass or time integral at an accepted state
+    ends the row as sup_cap with its last finite sample.  Each row's values
+    touch only that row, so one stacked attempt gives every row its own
+    outcome.  The rows of a serial sweep share the fixed cost of each call:
+    on the 1-d dichotomy sweep (n = 1600, 4 rows) the loop takes 0.64 of the
+    time of four integrate calls (median of 7 interleaved pairs, 2-core
+    Xeon).
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
@@ -378,7 +374,7 @@ def integrate_rows(
             traj.T_detect = row.t
         if not traj.samples or traj.samples[-1].t < row.t:
             record(row, row.t)
-        traj.final_state = Field(row.u_phys, row.grid)  # Field copies: no view of a stack
+        traj.final_state = Field(row.u_phys, op.grid)  # Field copies: no view of a stack
         row.ended = True
 
     def exploding(row: _Row) -> bool:
@@ -407,27 +403,17 @@ def integrate_rows(
         accepts or rejects its own."""
         dt = np.array([[row.dt] for row in rows])
         c, n0 = np.stack([row.c for row in rows]), np.stack([row.n0 for row in rows])
-        try:
-            full = st.step(c, n0, st.multipliers(dt, cfg.scheme), cfg.scheme)
-            half_mult = st.multipliers(0.5 * dt, cfg.scheme)
-            mid = st.step(c, n0, half_mult, cfg.scheme)
-            u_mid = st.values(mid)
-            n_half = st.n_hat(u_mid)
-            half = st.step(mid, n_half, half_mult, cfg.scheme)
-        except FloatingPointError:
-            if len(rows) > 1:  # redo the attempt row by row
-                for row in rows:
-                    advance([row])
-                return
-            half = None
+        full = st.step(c, n0, st.multipliers(dt, cfg.scheme), cfg.scheme)
+        half_mult = st.multipliers(0.5 * dt, cfg.scheme)
+        mid = st.step(c, n0, half_mult, cfg.scheme)
+        u_mid = st.values(mid)
+        n_half = st.n_hat(u_mid)
+        half = st.step(mid, n_half, half_mult, cfg.scheme)
         accepted = []
         for k, row in enumerate(rows):
-            err = math.inf
-            if half is not None:
-                with np.errstate(over="ignore"):  # an inf norm rejects the attempt
-                    diff = float(np.linalg.norm(full[k] - half[k]))
-                    err = diff / max(float(np.linalg.norm(half[k])), 1e-300)
-            if math.isfinite(err) and err <= cfg.rel_tol:
+            diff = float(np.linalg.norm(full[k] - half[k]))
+            err = diff / max(float(np.linalg.norm(half[k])), 1e-300)
+            if err <= cfg.rel_tol:  # False for a nan error
                 row.err = err
                 accepted.append(k)
                 continue
@@ -443,25 +429,19 @@ def integrate_rows(
 
         # accept: propagate the two-half-step solution
         u_phys = st.values(half)
-        try:
-            n0 = st.n_hat(u_phys)
-        except FloatingPointError:
-            n0 = None  # each row's source term is taken alone below
+        n0 = st.n_hat(u_phys)
         for k, row in enumerate(rows):
             row.t += row.dt
             row.c, row.u_phys = half[k], u_phys[k]
-            try:
-                mid_rates = st.rates(mid[k], n_half[k], np.abs(u_mid[k]))
-                row_n0 = n0[k] if n0 is not None else st.n_hat(row.u_phys)
-                state = st.state_stats(row.c, row.u_phys, row_n0, cutoffs)
-                row.acc.advance(row.dt, row.rates, mid_rates, state[2])
-            except FloatingPointError:
-                # the accepted state overflows the nonlinearity, E, J or a
-                # rate: explosion, recorded with the last finite sample
+            state = st.state_stats(row.c, row.u_phys, n0[k], cutoffs)
+            mid_rates = st.rates(mid[k], n_half[k], np.abs(u_mid[k]))
+            if state is None or not row.acc.advance(row.dt, row.rates, mid_rates, state[1]):
+                # the accepted state's E, J or a time integral is past double
+                # range: explosion, recorded with the last finite sample
                 finish(row, "sup_cap", detect=True)
                 continue
-            row.n0 = row_n0
-            row.sample, row.en_sq, row.rates = state
+            row.n0 = n0[k]
+            row.sample, row.rates = state
             row.traj.accepted += 1
 
             if cfg.sample_interval is None or row.t >= row.next_sample - 1e-14:
@@ -471,7 +451,7 @@ def integrate_rows(
 
             if row.sample.sup > cfg.blowup_sup_cap:
                 finish(row, "sup_cap", detect=True)
-            elif row.en_sq > cfg.blowup_energy_cap**2:
+            elif row.sample.energy_norm > cfg.blowup_energy_cap:
                 finish(row, "energy_cap", detect=True)
             else:
                 grow = 0.9 * (cfg.rel_tol / max(row.err, 1e-16)) ** expo
@@ -479,35 +459,32 @@ def integrate_rows(
 
     out: list = []
     rows = []
-    for u0 in u0s:
-        c = op.to_coeffs(np.asarray(u0.values, dtype=float))
-        u_phys = u0.values.copy()
-        try:
-            n0 = st.n_hat(u_phys)
-            sample, en_sq, rates = st.state_stats(c, u_phys, n0, cutoffs)
-        except FloatingPointError:
-            out.append(ValueError("initial state overflows: E or J is past double range"))
-            continue
-        row = _Row(
-            traj=Trajectory(samples=[], mode=mode),
-            acc=_Accumulators(st.q),
-            grid=u0.grid,
-            c=c,
-            n0=n0,
-            u_phys=u_phys,
-            sample=sample,
-            en_sq=en_sq,
-            rates=rates,
-            sup0=max(sample.sup, 1e-300),
-            dt=cfg.dt_init,
-            next_sample=cfg.sample_interval if cfg.sample_interval else 0.0,
-        )
-        record(row, 0.0)
-        out.append(row.traj)
-        rows.append(row)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged, never warned
+        for u0 in u0s:
+            c, n0 = op.to_coeffs(u0), st.n_hat(u0.values)
+            stats = st.state_stats(c, u0.values, n0, cutoffs)
+            if stats is None:
+                out.append(ValueError("initial state overflows: E or J is past double range"))
+                continue
+            sample, rates = stats
+            row = _Row(
+                traj=Trajectory(samples=[], mode=mode),
+                acc=_Accumulators(st.q),
+                c=c,
+                n0=n0,
+                u_phys=u0.values,
+                sample=sample,
+                rates=rates,
+                sup0=max(sample.sup, 1e-300),
+                dt=cfg.dt_init,
+                next_sample=cfg.sample_interval if cfg.sample_interval else 0.0,
+            )
+            record(row, 0.0)
+            out.append(row.traj)
+            rows.append(row)
 
-    while rows := [row for row in rows if running(row)]:
-        advance(rows)
+        while rows := [row for row in rows if running(row)]:
+            advance(rows)
     return out
 
 
@@ -519,6 +496,8 @@ class PicardResult:
     iterates k and k+1; ratios are consecutive quotients of diffs, so values
     below 1/2 certify the contraction regime.  converged is False when the
     iteration is expanding; the limit is then meaningless and reported as is.
+    It is False too when an iterate leaves double range: the iteration stops
+    there, with that non-finite diff last and no iterate for it.
     """
 
     iterates: list[Field]
@@ -548,33 +527,34 @@ def picard_iterate(
     m = n_quad
     ds = t_span / m
     props = np.exp(-np.outer(np.arange(m + 1) * ds, st.a))  # props[j] = e^{-j ds A}
-    c0 = op.to_coeffs(np.asarray(u0.values, dtype=float))
+    c0 = op.to_coeffs(u0)
     linear = props * c0  # row j: linear flow at slice j
 
     states = linear.copy()
-    iterates = [Field(op.from_coeffs(states[m]), u0.grid)]
+    iterates = [Field(op.from_coeffs(states[m]), op.grid)]
     diffs: list[float] = []
     ratios: list[float] = []
     converged = True
     for _ in range(n_iter):
-        n_hats = np.stack([st.n_hat(op.from_coeffs(states[j])) for j in range(m + 1)])
-        new = linear.copy()
-        for i in range(1, m + 1):
-            wts = np.full(i + 1, ds)
-            wts[0] = wts[-1] = 0.5 * ds
-            # sum_j w_j e^{-(s_i - s_j) A} N_j with uniform-slice propagators
-            contrib = np.einsum("j,jk,jk->k", wts, props[i::-1], n_hats[: i + 1])
-            new[i] = new[i] + contrib
-        # coefficient transforms carry sqrt(w): row norms are already L^2 norms
-        diff = float(np.max(np.linalg.norm(new - states, axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite diff is judged below
+            n_hats = np.stack([st.n_hat(op.from_coeffs(states[j])) for j in range(m + 1)])
+            new = linear.copy()
+            for i in range(1, m + 1):
+                wts = np.full(i + 1, ds)
+                wts[0] = wts[-1] = 0.5 * ds
+                # sum_j w_j e^{-(s_i - s_j) A} N_j with uniform-slice propagators
+                contrib = np.einsum("j,jk,jk->k", wts, props[i::-1], n_hats[: i + 1])
+                new[i] = new[i] + contrib
+            # coefficient transforms carry sqrt(w): row norms are already L^2 norms
+            diff = float(np.max(np.linalg.norm(new - states, axis=1)))
         diffs.append(diff)
+        if not math.isfinite(diff):  # the iterate left double range: no Field of it
+            converged = False
+            break
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
         states = new
-        iterates.append(Field(op.from_coeffs(states[m]), u0.grid))
-        if not math.isfinite(diff):
-            converged = False
-            break
+        iterates.append(Field(op.from_coeffs(states[m]), op.grid))
     if len(ratios) >= 2 and ratios[-1] > 1.0 and ratios[-2] > 1.0:
         converged = False
     return PicardResult(iterates=iterates, diffs=diffs, ratios=ratios, converged=converged)

@@ -283,7 +283,11 @@ class SpectralOperator:
         return float(self.mu[0])
 
     def to_coeffs(self, values) -> np.ndarray:
+        """Coefficients of a raw vector or stack, or of a Field, which must
+        live on this operator's grid (ValueError otherwise)."""
         if isinstance(values, Field):
+            if values.grid is not self.grid and values.grid != self.grid:
+                raise ValueError("field and operator live on different grids")
             values = values.values
         values = np.asarray(values)
         if self.basis.size:

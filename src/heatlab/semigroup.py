@@ -108,7 +108,7 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False, divi
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("semigroup time must be >= 0")
-    c = op.to_coeffs(values)
+    c = op.to_coeffs(f)  # a Field off op.grid is refused there
     n = c.shape[0]
     c = c.reshape(n, -1)
     m = c.shape[1]
@@ -371,7 +371,7 @@ def verify_spacetime(op: SpectralOperator, f: Field) -> float:
     construction, not a bound that a field or an operator can fail.  Returns
     0 for the zero field.
     """
-    c = op.to_coeffs(f.values)
+    c = op.to_coeffs(f)
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0

@@ -172,31 +172,34 @@ _OVERFLOW = "field overflows: E or J is past double range"
 def _source_term(mode: EquationMode, u: np.ndarray) -> np.ndarray:
     """The source term sign |u|^(p-1) u on the grid; zeros for nonlinearity "none".
 
-    Raises FloatingPointError when it is past double range.
+    Entries past double range come back inf (or nan), not warned; each
+    caller judges them.
     """
     if mode.sign == 0.0:
         return np.zeros_like(u)
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return mode.sign * np.abs(u) ** (mode.p - 1.0) * u
 
 
 def _functionals(
     a: np.ndarray, c: np.ndarray, abs_u: np.ndarray, mode: EquationMode, weight: float
-) -> tuple[float, float, float, float]:
-    """(||u||_E^2, int |u|^(p+1), E, J) from the coefficients c and |u| on the grid.
+) -> FunctionalReport:
+    """E, J, ||u||_E and ||u||_{p+1} from the coefficients c and |u| on the grid.
 
-    a is the energy multiplier of each coefficient.  Raises FloatingPointError
-    when E or J is past double range.
+    a is the energy multiplier of each coefficient.  Past double range E and
+    J come back inf or nan, not warned; each caller judges them.
     """
-    with np.errstate(over="ignore"):  # an infinite E or J is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         en_sq = float(np.sum(a * np.abs(c) ** 2))
     lp_p1 = _lq_integral(abs_u, mode.p + 1.0, weight)
     nl = mode.sign * lp_p1
-    e_val = 0.5 * en_sq - nl / (mode.p + 1.0)
-    j_val = en_sq - nl
-    if not (math.isfinite(e_val) and math.isfinite(j_val)):
-        raise FloatingPointError("E or J is past double range")
-    return en_sq, lp_p1, e_val, j_val
+    return FunctionalReport(
+        energy=0.5 * en_sq - nl / (mode.p + 1.0),
+        nehari=en_sq - nl,
+        energy_norm=math.sqrt(max(en_sq, 0.0)),
+        lp=lp_p1 ** (1.0 / (mode.p + 1.0)),
+        p=mode.p,
+    )
 
 
 def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalReport:
@@ -205,20 +208,10 @@ def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalRepo
     Raises ValueError when E or J is past double range.
     """
     a = _mode_multiplier(op, mode)
-    c = op.to_coeffs(u.values)
-    try:
-        en_sq, lp_p1, e_val, j_val = _functionals(a, c, np.abs(u.values), mode, u.grid.weight)
-    except FloatingPointError:
-        raise ValueError(_OVERFLOW) from None
-    membership = "Zero" if lp_norm(u, 2.0) == 0.0 else None
-    return FunctionalReport(
-        energy=e_val,
-        nehari=j_val,
-        energy_norm=math.sqrt(max(en_sq, 0.0)),
-        lp=lp_p1 ** (1.0 / (mode.p + 1.0)),
-        p=mode.p,
-        membership=membership,
-    )
+    rep = _functionals(a, op.to_coeffs(u), np.abs(u.values), mode, op.grid.weight)
+    if not (math.isfinite(rep.energy) and math.isfinite(rep.nehari)):
+        raise ValueError(_OVERFLOW)
+    return replace(rep, membership="Zero") if lp_norm(u, 2.0) == 0.0 else rep
 
 
 def energy_gradient(u: Field, op: SpectralOperator, mode: EquationMode) -> Field:
@@ -229,12 +222,11 @@ def energy_gradient(u: Field, op: SpectralOperator, mode: EquationMode) -> Field
     if np.iscomplexobj(u.values):
         raise ValueError("gradient is defined for real fields")
     a = _mode_multiplier(op, mode)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            grad = op.apply_multiplier(a, u.values) - _source_term(mode, u.values)
-    except FloatingPointError:
-        raise ValueError(_OVERFLOW) from None
-    return Field(grad, u.grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        grad = op.from_coeffs(a * op.to_coeffs(u)) - _source_term(mode, u.values)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError(_OVERFLOW)
+    return Field(grad, op.grid)
 
 
 def nehari_projection(u: Field, op: SpectralOperator, mode: EquationMode) -> ProjectionResult:

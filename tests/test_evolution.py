@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab
-import heatlab.evolution as evolution
 from heatlab.evolution import (
     IntegratorConfig,
     Trajectory,
@@ -298,38 +300,117 @@ def test_integrate_rows_refuses_overflowing_initial_row_alone(small_op, cubic_mo
 
 
 @pytest.mark.parametrize("amp, dt_init", [(1e60, 1e-200), (1e70, 1e-90), (1e60, 1e-90)])
-def test_integrate_rows_overflow_inside_a_stacked_step(small_op, cubic_mode, amp, dt_init):
+def test_integrate_rows_overflow_inside_a_stacked_step(small_op, well_op, cubic_mode, amp, dt_init):
     # 1e60: a rate overflows at the first acceptance, as in
     # test_accepted_state_with_overflowing_rate_ends_named; 1e70: the source
-    # term overflows inside the stacked attempt, which is redone row by row
-    # until that row's dt is small enough; 1e60 from dt 1e-90: the
-    # step-doubling error norm overflows, rejecting attempts without a warning
-    u0s = [small_bump(small_op, a) for a in (0.1, amp, 0.2)]
+    # term overflows inside the stacked attempt, whose non-finite step error
+    # rejects it for that row alone until the row's dt is small enough; 1e60
+    # from dt 1e-90: the step-doubling error norm overflows, rejecting
+    # attempts without a warning.  On the structured and the dense path.
     cfg = IntegratorConfig(t_max=1.0, dt_init=dt_init, dt_min=1e-200)
+    for op in (small_op, well_op):
+        u0s = [small_bump(op, a) for a in (0.1, amp, 0.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = _assert_rows_equal_solo_runs(u0s, op, cubic_mode, cfg)
+        assert [row.end_reason for row in rows] == ["t_max", "sup_cap", "t_max"]
+        assert rows[1].T_detect == rows[1].t_final > 0.0
+
+
+@pytest.mark.parametrize("path", ["structured", "dense"])
+def test_integrate_rows_one_row_overflowing_at_an_accepted_step(
+    path, small_op, well_op, cubic_mode
+):
+    # caps past reach, so only overflow can end the 1e50 row: it accepts
+    # steps until the rates of an accepted state (||u_t||^2 = ||a c - N^||^2,
+    # from the stacked source term) make the dissipation integral overflow,
+    # while the attempt that produced that state was finite; the row ends
+    # sup_cap with its last finite sample, and its neighbours run on
+    op = small_op if path == "structured" else well_op
+    u0s = [small_bump(op, a) for a in (0.1, 1e50, 0.2)]
+    cfg = IntegratorConfig(
+        t_max=1.0, dt_min=1e-200, blowup_sup_cap=1e300, blowup_energy_cap=1e150
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rows = _assert_rows_equal_solo_runs(u0s, small_op, cubic_mode, cfg)
+        rows = _assert_rows_equal_solo_runs(u0s, op, cubic_mode, cfg)
     assert [row.end_reason for row in rows] == ["t_max", "sup_cap", "t_max"]
-    assert rows[1].T_detect == rows[1].t_final > 0.0
+    exploded = rows[1]
+    assert exploded.accepted > 0 and exploded.samples[-1].sup < cfg.blowup_sup_cap
+    assert exploded.samples[-1] == replace(exploded.samples[-2], t=exploded.T_detect)
+    assert np.all(np.isfinite(exploded.column("dissipation_cum")))
 
 
-def test_integrate_rows_redoes_a_stacked_acceptance(monkeypatch, small_op, cubic_mode):
-    # make every fifth stacked source term overflow: with all rows accepted
-    # that is the acceptance's, whose source terms are then taken row by row
-    raised = []
-    original = evolution._source_term
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    amp_exp=st.floats(20.0, 200.0),
+    dt_exp=st.floats(-200.0, -3.0),
+    path=st.sampled_from(["structured", "dense"]),
+)
+def test_integrate_rows_with_a_huge_row_equal_solo_runs(
+    small_op, well_op, cubic_mode, amp_exp, dt_exp, path
+):
+    # whatever a huge row meets (refusal, rejected attempts, an overflow at
+    # an accepted step, the sup cap), its neighbours are untouched and every
+    # row ends in a named outcome with finite samples
+    op = small_op if path == "structured" else well_op
+    u0s = [small_bump(op, a) for a in (0.1, 10.0**amp_exp, 0.2)]
+    cfg = IntegratorConfig(t_max=1.0, dt_init=10.0**dt_exp, dt_min=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _assert_rows_equal_solo_runs(u0s, op, cubic_mode, cfg)
+    assert [rows[0].end_reason, rows[2].end_reason] == ["t_max", "t_max"]
+    if isinstance(rows[1], ValueError):
+        assert "initial state overflows" in str(rows[1])
+    else:
+        assert rows[1].end_reason in {"sup_cap", "energy_cap", "dt_underflow", "step_limit"}
+    for row in rows:
+        if isinstance(row, Trajectory):
+            for name in ("mass", "energy", "nehari", "sup", "dissipation_cum"):
+                assert np.all(np.isfinite(row.column(name)))
 
-    def overflowing(mode, u):
-        if u.ndim == 2 and len(u) > 1:
-            raised.append(len(raised) % 5 == 4)
-            if raised[-1]:
-                raise FloatingPointError("stacked source term overflows")
-        return original(mode, u)
 
-    monkeypatch.setattr(evolution, "_source_term", overflowing)
-    u0s = [small_bump(small_op, amp) for amp in (0.1, 0.2, 0.3)]
-    _assert_rows_equal_solo_runs(u0s, small_op, cubic_mode, IntegratorConfig(t_max=1.0))
-    assert any(raised)
+def test_step_and_picard_name_an_overflow(small_op, cubic_mode):
+    # |u|^2 u of a 1e120 bump is past double range
+    u0 = small_bump(small_op, 1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="step overflows"):
+            step(u0, 1e-3, small_op, cubic_mode)
+        res = picard_iterate(u0, small_op, cubic_mode, t_span=0.1, n_iter=4, n_quad=8)
+    assert not res.converged
+    assert len(res.diffs) == 1 and not math.isfinite(res.diffs[0])
+    assert len(res.iterates) == 1  # the linear flow; no Field of the non-finite iterate
+
+
+def test_energy_cap_bounds_the_energy_norm(small_op, cubic_mode):
+    # the cap is compared with ||u||_E itself: a blow-up meets a small cap
+    # first, and a cap whose square is past double range still compares
+    cfg = IntegratorConfig(t_max=5.0, blowup_sup_cap=1e300, blowup_energy_cap=10.0)
+    burst = integrate(small_bump(small_op, 3.0), small_op, cubic_mode, cfg)
+    assert burst.end_reason == "energy_cap" and burst.T_detect == burst.t_final
+    assert burst.samples[-2].energy_norm <= 10.0 < burst.samples[-1].energy_norm
+    cfg = IntegratorConfig(t_max=1.0, blowup_energy_cap=1e200)
+    assert integrate(small_bump(small_op, 0.1), small_op, cubic_mode, cfg).end_reason == "t_max"
+
+
+def test_field_off_the_operator_grid_is_refused(small_op, cubic_mode):
+    # same node count, different interval: the values would transform, but
+    # as samples of another function
+    other = build_grid(DomainSpec.interval(0.0, 1.0), 200)
+    u0 = field_from_function(other, lambda x: 0.1 * np.sin(np.pi * x[..., 0]))
+    calls = (
+        lambda: integrate(u0, small_op, cubic_mode, IntegratorConfig(t_max=1.0)),
+        lambda: integrate_rows([u0], small_op, cubic_mode, IntegratorConfig(t_max=1.0)),
+        lambda: step(u0, 1e-3, small_op, cubic_mode),
+        lambda: picard_iterate(u0, small_op, cubic_mode, t_span=0.1),
+        lambda: heatlab.energy(u0, small_op, cubic_mode),
+        lambda: heatlab.energy_gradient(u0, small_op, cubic_mode),
+        lambda: heatlab.apply_semigroup(small_op, 0.1, u0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="different grids"):
+            call()
 
 
 @pytest.mark.parametrize("case", ["structured_line", "dense_well", "critical_box"])
