@@ -19,7 +19,13 @@ paths.  Only smoothing_norm_2_to_inf reads the dense basis blocks themselves.
 On the dense path both stop at each parity block's last live mode: e^{-t(mu
 + shift)} underflows to exact zeros on the top of each block's ascending
 spectrum, and from_coeffs and the 2 -> inf row sums multiply only the modes
-before them, so a long time costs a fraction of a short one.
+before them, so a long time costs a fraction of a short one.  Every e^{-t
+rate} table comes from _decay_table, which counts a factor below the
+smallest normal double as underflowed (0), so the live prefix ends at the
+last normal factor and no product meets a subnormal operand.  The 2 -> inf
+row sums of short times (t <= 1 / (mu_max - mu_min)) come from a truncated
+Taylor series of 20 moment columns instead (Moler & Van Loan, SIAM Review
+45, 2003) when more than 20 times lie there.
 
 A semigroup with mu_1 + shift < 0 grows (the unshifted class-A operators);
 where a flow, a kernel column or the 2 -> inf norm would pass double range
@@ -45,6 +51,8 @@ _RANDOM_PROBES = 5  # random unit fields in decay_probe_family
 _SPECTRUM_TOL = 1e-12  # verify_spacetime needs mu_1 above it
 _GAUSS_COLUMNS = 6  # kernel columns y sampled by verify_gaussian_bound
 _GAUSS_FLOOR = 1e-12  # kernel samples kept above this fraction of their column maximum
+_MOMENTS = 20  # Taylor moment columns J of _dense_max_row_sq's short-time head (1/J! < 2^-60)
+_TINY = np.finfo(float).tiny  # _decay_table sets factors below it to 0
 
 
 @dataclass(frozen=True)
@@ -99,10 +107,12 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False, divi
     dense path one product per parity block over its live modes instead of
     k * m matvecs.  A block is yielded as an (N, k) array for a Field,
     column j at the block's j-th time, and as an (N, k, m) array for a
-    stack.  Where mu_1 + shift < 0 the flow grows like e^{-t(mu_1 + shift)};
-    a block in which some time's values leave double range raises
-    ValueError("semigroup grows past double range at t = ...") naming the
-    block's least such time, and no RuntimeWarning escapes.
+    stack.  The factors e^{-t(mu + shift)} come from _decay_table, so one
+    below the smallest normal double counts as underflowed and from_coeffs
+    stops before it.  Where mu_1 + shift < 0 the flow grows like
+    e^{-t(mu_1 + shift)}; a block in which some time's values leave double
+    range raises ValueError("semigroup grows past double range at t = ...")
+    naming the block's least such time, and no RuntimeWarning escapes.
     """
     values = f.values if isinstance(f, Field) else np.asarray(f)
     times = np.asarray(times, dtype=float)
@@ -117,7 +127,7 @@ def _semigroup_orbit(op: SpectralOperator, f, times, shifted: bool = False, divi
     for start in range(0, times.size, step):
         block_t = times[start : start + step]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            decayed = np.exp(np.outer(rate, -block_t))[:, :, None] * c[:, None, :]
+            decayed = _decay_table(rate, block_t)[:, :, None] * c[:, None, :]
             out = op.from_coeffs(decayed.reshape(n, -1)).reshape(n, block_t.size, m)
             del decayed  # not held across the yield
             if divisor != 1.0:
@@ -159,12 +169,21 @@ def smoothing_norm_2_to_inf(
     by sqrt(w).  On the dense path node x's row of Q is its folded row p(x)
     of every parity block, scaled by 2^(-k/2) (see SpectralOperator), so its
     squared norm is 2^-k sum_b (basis[b, p(x)]^2 @ decay_b) with
-    decay_b[q, j] = e^{-2 t_j (mu_bq + shift)}, taken over fixed blocks of
-    _ROW_BLOCK folded rows with a running per-time maximum
-    (_dense_max_row_sq).  Column j of decay_b ends in exact zeros past its
-    live length k_bj, where e^{-2 t_j (mu + shift)} underflows, so the cost
-    is about sum_bj M k_bj multiply-adds, M = N / 2^k: at most N^2 T / 2^k
-    for T times, and nothing for a time at which every mode has underflowed.
+    decay_b[q, j] = e^{-2 t_j (mu_bq + shift)}.  _dense_max_row_sq reads
+    each block once, by mode blocks of _ROW_BLOCK, with one product per
+    mode block into one table of row sums.  Column j of decay_b ends in
+    exact zeros past its live length k_bj, where e^{-2 t_j (mu + shift)}
+    is below the smallest normal double (_decay_table), so the cost is
+    about sum_bj M k_bj multiply-adds, M = N / 2^k: at most N^2 T / 2^k for
+    T times, and nothing for a time at which every mode has underflowed.
+    When more than J = 20 times lie at or below t_h = 1 / (mu_max -
+    mu_min), where every mode is live, those times share J Taylor moment
+    columns instead of one column each, to a relative roundoff of about
+    e^2 J eps (_dense_max_row_sq).  On the n = 3200 Gaussian well that is
+    152 of sobolev_bound_from_semigroup's 300 times.  A factor below the
+    smallest normal double counts as 0: the result moves only where it is
+    itself at the underflow floor, and on the dense path a time at which
+    every factor is below it gives exactly 0.
     On the structured path eigenvectors and e^{-2 t mu} are both products
     over axes, so the largest row norm is the product of the per-axis
     largest row norms.
@@ -187,7 +206,7 @@ def smoothing_norm_2_to_inf(
         else:
             max_sq = np.exp(-2.0 * times * shift)
             for n, h in zip(op.grid.n, op.grid.h):
-                axis_decay = np.exp(-2.0 * np.outer(_dirichlet_axis_eigenvalues(n, h), times))
+                axis_decay = _decay_table(_dirichlet_axis_eigenvalues(n, h), 2.0 * times)
                 max_sq = max_sq * np.max(_sine_row_sq(axis_decay), axis=0)
     past = ~np.isfinite(max_sq)
     if np.any(past):
@@ -199,53 +218,108 @@ def smoothing_norm_2_to_inf(
 def _dense_max_row_sq(op: SpectralOperator, times: np.ndarray, shift: float) -> np.ndarray:
     """Largest squared row norm of the dense e^{-t(L+shift)} Q at each time.
 
-    The decay table takes the times in ascending order, so each block's
-    live lengths (operators._live_lengths) descend along it.  A block's run
-    of consecutive times whose live modes fill the same number of
-    _ROW_BLOCK-mode row blocks makes one product, of the squared rows'
-    first k columns against the slice decay[b, :k, run] (a view, not a
-    copy), k the run's longest live length: at most ceil(M / _ROW_BLOCK)
-    products a block, each at most _ROW_BLOCK - 1 modes longer than its
-    times need.
-    Each row block squares only its block's longest live prefix, a dead
-    time adds nothing and a block with no live time is skipped.  The
-    results go back to input order.  Memory: the N x T decay table, two
-    N x T boolean masks while the live lengths are taken, one
-    _ROW_BLOCK x M buffer of squares and two _ROW_BLOCK x T sums, all
-    allocated once per call.
+    Row x of block b adds basis[b, x]^2 @ F_b[:, j] to column j of one
+    M x T' table of row sums that every block shares, F the factor columns.
+    The times are sorted ascending, and each time past the head (below) has
+    its own column e^{-2t(mu + shift)} from _decay_table, where a factor
+    below the smallest normal double is 0, so each block's live lengths
+    (operators._live_lengths) descend along those columns and end at the
+    last normal factor.  Every block is read once, in column order, by mode
+    blocks of _ROW_BLOCK: its columns k0:k1 are squared into one buffer
+    (contiguous, as the blocks are column-major) and multiplied, in one
+    product, by rows k0:k1 of the prefix of columns still live past k0; the
+    product is added into the table.  That is ceil(M / _ROW_BLOCK) products
+    a block (14 on the n = 3200 well), each at most _ROW_BLOCK - 1 modes
+    longer than its times need, about sum_bj M k_bj multiply-adds in all,
+    and a mode block that no time reaches is never squared.
+
+    The head (Moler & Van Loan, SIAM Review 45, 2003): with a = mu + shift
+    over all blocks, c the midpoint of its range and t_h = 1 / (a_max -
+    a_min),
+
+        e^{-2ta} = e^{-2tc} sum_{j<J} (t/t_h)^j s^j / j!,  s = -2 t_h (a - c),
+
+    for t <= t_h, s in [-1, 1] and J = _MOMENTS (1/J! < 2^-60).  When more
+    than J times lie at or below t_h, the J moment columns s^j / j! take
+    their place ahead of the factor columns, always live, and each such
+    time is the table's J moment sums against the powers (t/t_h)^j, scaled
+    by e^{-2tc}; its relative roundoff is at most about e^2 J eps.  With J
+    such times or fewer every time has its own column, so a scalar or a
+    short call never takes the head.
+
+    The results go back to input order.  Memory: the N x T' factor and
+    moment columns, a boolean mask of them while the subnormal factors are
+    zeroed and another while the live lengths are taken, one M x _ROW_BLOCK
+    buffer of squares, and the M x T' table and product buffer, all
+    allocated once per call; T' = T with no head, T - (head times) + J with
+    one.
     """
     n_blocks, size, _ = op.basis.shape
-    rows = min(_ROW_BLOCK, size)
+    width = min(_ROW_BLOCK, size)
     rate = np.empty(op.n_modes)
     rate[op.order] = op.mu + shift  # block order
+    lo, hi = op.mu[0] + shift, op.mu[-1] + shift
+    mid, t_head = 0.5 * (hi + lo), (1.0 / (hi - lo) if hi > lo else 0.0)
     by_time = np.argsort(times, kind="stable")
-    decay = np.multiply.outer(rate, -2.0 * times[by_time])
-    decay = np.exp(decay, out=decay).reshape(n_blocks, size, times.size)
-    live = _live_lengths(decay)
-    runs = []  # per block: (live prefix, first time, end time) of each product
-    for lengths in live:
-        filled = -(-lengths // _ROW_BLOCK)  # row blocks of live modes
-        edges = np.r_[0, np.flatnonzero(np.diff(filled)) + 1, times.size]
-        spans = zip(edges[:-1], edges[1:])
-        runs.append([(lengths[a:e].max(), a, e) for a, e in spans if filled[a]])
-    squares = np.empty((size, rows)).T  # column-major like the basis blocks
-    total, part = np.empty((rows, times.size)), np.empty((rows, times.size))
-    max_sq = np.zeros(times.size)
-    for start in range(0, size, _ROW_BLOCK):
-        r = min(rows, size - start)
-        total[:r] = 0.0
-        for b, block_runs in enumerate(runs):
-            if not block_runs:
-                continue
-            widest = max(run[0] for run in block_runs)
-            np.square(op.basis[b, start : start + r, :widest], out=squares[:r, :widest])
-            for k, a, e in block_runs:
-                np.matmul(squares[:r, :k], decay[b, :k, a:e], out=part[:r, a:e])
-                total[:r, a:e] += part[:r, a:e]
-        np.maximum(max_sq, np.max(total[:r], axis=0), out=max_sq)
+    ascending = times[by_time]
+    n_head = int(np.searchsorted(ascending, t_head, side="right"))
+    if n_head <= _MOMENTS:
+        n_head = 0
+    n_moments = _MOMENTS if n_head else 0
+    factors = np.empty((op.n_modes, n_moments + times.size - n_head))
+    if n_head:
+        s = -2.0 * t_head * (rate - mid)
+        factors[:, 0] = 1.0
+        for j in range(1, _MOMENTS):
+            np.multiply(factors[:, j - 1], s / j, out=factors[:, j])
+    _decay_table(rate, 2.0 * ascending[n_head:], out=factors[:, n_moments:])
+    factors = factors.reshape(n_blocks, size, -1)
+    live = _live_lengths(factors[:, :, n_moments:])
+    squares = np.empty((width, size)).T  # column-major like the basis blocks
+    total = np.zeros((size, factors.shape[2]))
+    part = np.empty_like(total)
+    for b in range(n_blocks):
+        for start in range(0, size, width):
+            cols = n_moments + int(np.count_nonzero(live[b] > start))
+            if not cols:
+                break
+            stop = min(start + width, size)
+            np.square(op.basis[b, :, start:stop], out=squares[:, : stop - start])
+            np.matmul(squares[:, : stop - start], factors[b, start:stop, :cols], out=part[:, :cols])
+            total[:, :cols] += part[:, :cols]
+    max_sq = np.empty(times.size)
+    max_sq[n_head:] = np.max(total[:, n_moments:], axis=0)
+    head = ascending[:n_head]
+    powers = (head / t_head) ** np.arange(n_moments)[:, None]
+    for start in range(0, n_head, part.shape[1]):
+        stop = min(start + part.shape[1], n_head)
+        np.matmul(total[:, :n_moments], powers[:, start:stop], out=part[:, : stop - start])
+        max_sq[start:stop] = np.max(part[:, : stop - start], axis=0)
+    max_sq[:n_head] *= np.exp(-2.0 * head * mid)
     out = np.empty(times.size)
     out[by_time] = max_sq / n_blocks
     return out
+
+
+def _decay_table(
+    rate: np.ndarray, times: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The factors e^{-t rate}, one row per rate and one column per time.
+
+    Every e^{-t rate} table in this module comes from here.  A factor below
+    the smallest normal double (np.finfo(float).tiny) is set to 0, as if it
+    had underflowed: a product with a subnormal operand is slow on x86, and
+    the term it drops is below tiny times its coefficient, so it can change
+    only a result that is already at the underflow floor.  The zeros join
+    the underflowed tail that _live_lengths cuts off.  A factor past double
+    range is inf, with no RuntimeWarning, for the caller to judge.  out, if
+    given, is filled and returned.
+    """
+    table = np.multiply.outer(rate, -times, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(table, out=table)
+    table[table < _TINY] = 0.0
+    return table
 
 
 def _growth_error(times: np.ndarray) -> ValueError:
@@ -312,7 +386,9 @@ def verify_l2lq_decay(
     probes are stacked and transformed once, and the whole (time, probe)
     grid of the flow comes from one product per block of _semigroup_orbit
     (a single block for the default 12 times and 10 probes); the L^r norms
-    are taken column-wise from that block.
+    are taken column-wise from that block.  Caller-given probes must live
+    on op's grid; one that does not is refused before any transform, with
+    to_coeffs' ValueError("field and operator live on different grids").
 
     Pass logic: the fitted slope matches -beta within 0.1, or the running
     constant norm * t^beta never exceeds its left-anchor value by more than
@@ -330,6 +406,8 @@ def verify_l2lq_decay(
 
     if probes is None:
         probes = decay_probe_family(op, rng=rng)
+    if any(f.grid is not op.grid and f.grid != op.grid for f in probes):
+        raise ValueError("field and operator live on different grids")  # as to_coeffs says
     w = op.grid.weight
     stack = np.stack([f.values for f in probes], axis=1)
     orbit = _semigroup_orbit(op, stack, t_grid, shifted)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import heatlab
+import heatlab.semigroup as semigroup
 from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
 from heatlab.operators import (
     _ROW_BLOCK,
@@ -17,8 +18,10 @@ from heatlab.operators import (
     assemble,
 )
 from heatlab.semigroup import (
+    _MOMENTS,
     EstimateSpec,
     GaussReport,
+    _decay_table,
     apply_semigroup,
     decay_probe_family,
     default_decay_t_grid,
@@ -183,8 +186,29 @@ def _underflow_times(op, shifted):
     return times
 
 
+def _head_edge(op):
+    """t_h = 1 / (mu_max - mu_min), the last time _dense_max_row_sq's head covers."""
+    return 1.0 / (op.mu[-1] - op.mu[0])
+
+
+def _edge_times(op):
+    """Just below, at and just above the head edge t_h: three times, so no head."""
+    t_h = _head_edge(op)
+    return np.array([np.nextafter(t_h, 0.0), t_h, np.nextafter(t_h, 1.0)])
+
+
+def _head_times(op):
+    """More than J head times, unsorted, with duplicates and the edge times among them."""
+    t_h = _head_edge(op)
+    head = t_h * np.geomspace(1e-9, 1.0, _MOMENTS + 4)
+    tail = t_h * np.array([1.5, 2.0, 2.0, 40.0, 1e3])
+    times = np.r_[head, head[::5], _edge_times(op), 0.5 * t_h, tail]
+    assert np.count_nonzero(times <= t_h) > _MOMENTS
+    return np.random.default_rng(7).permutation(times)
+
+
 def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op, hardy_op):
-    # two folded blocks of 200 rows; one block of two row blocks, one partial;
+    # two folded blocks of 200 rows; one block of two mode blocks, one partial;
     # eight folded blocks of 216
     assert well_op.basis.shape == (2, 200, 200) and odd_well_op.basis.shape == (1, 401, 401)
     assert hardy_op.basis.shape == (8, 216, 216)
@@ -192,7 +216,8 @@ def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op, ha
         q = _node_basis(op)
         for shifted in (False, True):
             rate = op.mu + (1.0 if shifted else 0.0)
-            for times in (SMOOTHING_TIMES, _underflow_times(op, shifted)):
+            underflow = _underflow_times(op, shifted)
+            for times in (SMOOTHING_TIMES, underflow, _edge_times(op), _head_times(op)):
                 got = smoothing_norm_2_to_inf(op, times, shifted=shifted)
                 assert isinstance(got, np.ndarray) and got.shape == times.shape
                 loop = np.array([smoothing_norm_2_to_inf(op, t, shifted=shifted) for t in times])
@@ -205,6 +230,64 @@ def test_smoothing_norm_array_matches_scalar_loop_dense(well_op, odd_well_op, ha
                     ]
                 )
                 assert np.all(np.abs(got - ref) <= 1e-14 * ref)  # 0 where every mode is dead
+
+
+def test_smoothing_norm_head_needs_more_than_j_times(monkeypatch, well_op, odd_well_op, hardy_op):
+    # with J head times or fewer every time has its own factor column
+    for op in (well_op, odd_well_op, hardy_op):
+        t_h = _head_edge(op)
+        tail = t_h * np.geomspace(1.5, 100.0, 6)
+        for n_head in (1, _MOMENTS // 2, _MOMENTS):
+            times = np.r_[tail[:3], t_h * np.geomspace(0.01, 1.0, n_head), tail[3:]]
+            assert np.count_nonzero(times <= t_h) == n_head
+            for shifted in (False, True):
+                got = smoothing_norm_2_to_inf(op, times, shifted=shifted)
+                with monkeypatch.context() as m:
+                    m.setattr(semigroup, "_MOMENTS", 10**9)  # a head no call reaches
+                    ref = smoothing_norm_2_to_inf(op, times, shifted=shifted)
+                assert np.array_equal(got, ref)
+
+
+def test_decay_table_has_no_subnormal_factor():
+    tiny = np.finfo(float).tiny
+    rate = np.linspace(-3.0, 800.0, 4001)
+    times = np.array([0.0, 0.5, 0.9, 0.93, 0.95, 1.0, 1.2])
+    ref = np.exp(np.multiply.outer(rate, -times))
+    assert np.any((ref > 0.0) & (ref < tiny))  # exp alone makes subnormals here
+    table = _decay_table(rate, times)
+    assert not np.any((table > 0.0) & (table < tiny))
+    normal = ref >= tiny
+    assert np.array_equal(table[normal], ref[normal]) and np.all(table[~normal] == 0.0)
+    out = np.empty((rate.size, times.size + 2))
+    assert _decay_table(rate, times, out=out[:, 2:]).base is out
+    assert np.array_equal(out[:, 2:], table)
+
+
+def test_subnormal_factors_move_only_results_at_the_floor(well_op, hardy_op):
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(5)
+    for op in (well_op, hardy_op):
+        q = _node_basis(op)
+        c = rng.standard_normal((op.n_modes, 2))
+        values = op.from_coeffs(c)  # the fields with coefficients c
+        for shifted in (False, True):
+            rate = op.mu + (1.0 if shifted else 0.0)
+            # e^{-720} is subnormal: at t the top modes' factors are, the rest normal
+            t = 720.0 / rate[-1]
+            factors = np.exp(-t * rate)
+            assert np.any((factors > 0.0) & (factors < tiny)) and factors[0] >= tiny
+            flow = next(semigroup._semigroup_orbit(op, values, (t,), shifted))[:, 0]
+            ref = _untruncated_from_coeffs(op, factors[:, None] * c)
+            assert np.max(np.abs(flow - ref)) <= 1e-14 * np.max(np.abs(ref))
+            norm = smoothing_norm_2_to_inf(op, t / 2.0, shifted=shifted)
+            ref = math.sqrt(np.max((q**2) @ factors) / op.grid.weight)
+            assert abs(norm - ref) <= 1e-14 * ref
+        # shifted, every factor is below tiny and some are not zero: the results are 0
+        rate = op.mu + 1.0
+        t = 720.0 / rate[0]
+        assert np.all(np.exp(-t * rate) < tiny) and np.exp(-t * rate[0]) > 0.0
+        assert smoothing_norm_2_to_inf(op, t / 2.0, shifted=True) == 0.0
+        assert not np.any(next(semigroup._semigroup_orbit(op, values, (t,), True)))
 
 
 def test_smoothing_norm_scalar_and_invalid_times(small_op, well_op):
@@ -291,8 +374,14 @@ def test_dense_smoothing_norm_buffers_on_the_sobolev_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the decay table, two boolean masks of it, the squares and the two sums
-    buffers = 8 * n * n_t + 2 * n * n_t + 8 * _ROW_BLOCK * size + 2 * 8 * _ROW_BLOCK * n_t
+    # the factor and moment columns, two boolean masks of them, the squares,
+    # the table of row sums and the product buffer
+    n_head = np.count_nonzero(times <= 1.0 / (op.mu[-1] - op.mu[0]))
+    assert n_head > _MOMENTS
+    cols = n_t - n_head + _MOMENTS
+    buffers = 8 * n * cols + 2 * n * cols + 8 * size * _ROW_BLOCK + 2 * 8 * size * cols
+    # no more than the row-block kernel's decay table, masks, squares and sums
+    assert buffers <= 8 * n * n_t + 2 * n * n_t + 8 * _ROW_BLOCK * size + 2 * 8 * _ROW_BLOCK * n_t
     assert peak <= buffers + 64 * 1024
 
 
@@ -348,6 +437,28 @@ def test_decay_verifier_matches_per_time_semigroup(small_op, well_op):
             assert rep.slope == pytest.approx(slope, rel=1e-12, abs=0)
             assert rep.prefactor == pytest.approx(prefactor, rel=1e-12, abs=0)
             assert rep.probe_slopes == pytest.approx(probe_slopes, rel=1e-12, abs=0)
+
+
+def test_decay_verifier_refuses_probes_off_the_operator_grid(monkeypatch, small_op):
+    # sin(pi x) on (0, 1) at the operator's node count: its values alone
+    # would stack and run against the (-20, 20) operator
+    other = build_grid(DomainSpec.interval(0.0, 1.0), small_op.grid.n_total)
+    stray = field_from_function(other, lambda x: np.sin(math.pi * x[..., 0]))
+    probes = decay_probe_family(small_op)[:3] + [stray]
+    seen = []
+    to_coeffs = SpectralOperator.to_coeffs
+    monkeypatch.setattr(
+        SpectralOperator, "to_coeffs", lambda self, v: seen.append(v) or to_coeffs(self, v)
+    )
+    for r in (2.0, math.inf):
+        with pytest.raises(ValueError, match="^field and operator live on different grids$"):
+            verify_l2lq_decay(small_op, EstimateSpec(r=r), probes=probes)
+    assert seen == []  # refused before any transform
+    # an equal grid built again is the operator's grid
+    same = build_grid(DomainSpec.interval(-20.0, 20.0), small_op.grid.n_total)
+    assert same is not small_op.grid
+    bump = field_from_function(same, lambda x: np.exp(-x[..., 0] ** 2))
+    assert verify_l2lq_decay(small_op, EstimateSpec(r=math.inf), probes=probes[:3] + [bump]).passed
 
 
 def test_spacetime_identity_exact(small_op):
