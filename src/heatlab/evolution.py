@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Field, _lq_integral
-from .operators import SpectralOperator
+from .operators import SpectralOperator, _MirrorSector, _mirror_sector, _sector_folds
 from .variational import EquationMode, _functionals, _source_term
 
 SCHEMES = ("exponential_euler", "etdrk2")
@@ -123,43 +123,50 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 class _Stepper:
     """Coefficient-space stepping kernels and state statistics for one
-    (operator, mode) pair.
+    (operator, mode) pair, on the whole grid or on a mirror sector of it.
 
     The kernels take one field, shape (N,), with a scalar dt, or a stack of
     k fields, one per row, shape (k, N), with one dt per row; the state
-    statistics take one row.
+    statistics take one row.  On a sector N is its node count, and the
+    fields, coefficients, eigenvalues and node weights are the sector's.
     """
 
-    def __init__(self, op: SpectralOperator, mode: EquationMode):
-        self.op = op
+    def __init__(
+        self, op: SpectralOperator, mode: EquationMode, sector: Optional[_MirrorSector] = None
+    ):
+        space = op if sector is None else sector
+        self.to_coeffs, self.from_coeffs = space.to_coeffs, space.from_coeffs
+        self.weight = op.grid.weight if sector is None else sector.weight
+        self.stacked = sector is not None or not op.basis.size
         self.mode = mode
-        self.a = op.mu + mode.shift
+        self.a = space.mu + mode.shift
         self.q = 2.0 * mode.p_critical if mode.regime == "critical" else None
 
     def _rows(self, transform, x: np.ndarray) -> np.ndarray:
-        """transform (op.to_coeffs or op.from_coeffs) of one field or of a
-        stack, one field per row, with contiguous rows out.
+        """transform (to_coeffs or from_coeffs) of one field or of a stack,
+        one field per row, with contiguous rows out.
 
-        On the structured path a stack goes in as one (N, k) call, x.T, and
-        its columns equal the single calls bit for bit.  A lone row goes in
-        as the 1-d row itself.  On the dense path, where a stacked product
-        equals single calls only to roundoff, so does every row.
+        On the structured path and on a sector a stack goes in as one
+        (N, k) call, x.T, and its columns equal the single calls bit for
+        bit.  A lone row goes in as the 1-d row itself.  On the dense path,
+        where a stacked product equals single calls only to roundoff, so
+        does every row.
         """
         if x.ndim == 1:
             return transform(x)
         if len(x) == 1:
             return transform(x[0])[None]
-        if self.op.basis.size:
+        if not self.stacked:
             return np.stack([transform(row) for row in x])
         return np.ascontiguousarray(transform(x.T).T)
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        return self._rows(self.op.from_coeffs, c)
+        return self._rows(self.from_coeffs, c)
 
     def n_hat(self, u_phys: np.ndarray) -> np.ndarray:
         nl = _source_term(self.mode, u_phys)
         # zeros need no transform
-        return self._rows(self.op.to_coeffs, nl) if self.mode.sign else nl
+        return self._rows(self.to_coeffs, nl) if self.mode.sign else nl
 
     def multipliers(self, dt, scheme: str) -> tuple:
         """(e^z, dt phi1(z), dt phi2(z)) at z = -dt a; phi2 only for ETDRK2.
@@ -184,7 +191,7 @@ class _Stepper:
         the critical regime, int |u|^q (0 otherwise); each is inf or nan past
         double range."""
         ut = self.a * c - n_hat
-        q_int = _lq_integral(abs_u, self.q, self.op.grid.weight) if self.q is not None else 0.0
+        q_int = _lq_integral(abs_u, self.q, self.weight) if self.q is not None else 0.0
         return float(ut @ ut), q_int
 
     def state_stats(
@@ -193,11 +200,10 @@ class _Stepper:
         """The state's sample (t and the running integrals left at 0) and
         rates, or None when E, J, the mass or a cutoff mass is past double
         range."""
-        weight = self.op.grid.weight
         abs_u = np.abs(u_phys)
-        rep = _functionals(self.a, c, abs_u, self.mode, weight)
+        rep = _functionals(self.a, c, abs_u, self.mode, self.weight)
         mass = float(c @ c)  # coefficients carry sqrt(weight): c.c is the L^2 mass
-        cutoff = {r: weight * float(np.sum((chi * abs_u) ** 2)) for r, chi in cutoffs.items()}
+        cutoff = {r: _lq_integral(chi * abs_u, 2.0, self.weight) for r, chi in cutoffs.items()}
         if not all(map(math.isfinite, (rep.energy, rep.nehari, mass, *cutoff.values()))):
             return None
         sample = TrajectorySample(
@@ -288,8 +294,9 @@ class _Row:
     """One trajectory in integrate_rows' step loop.
 
     c, n0 and u_phys are its coefficients, transformed source term and grid
-    values, each a contiguous 1-d array; sample and rates are the
-    statistics of that state, and err is the error of its last attempt.
+    values, each a contiguous 1-d array, on the mirror sector when sector
+    is set; sample and rates are the statistics of that state, and err is
+    the error of its last attempt.
     """
 
     traj: Trajectory
@@ -305,6 +312,7 @@ class _Row:
     t: float = 0.0
     err: float = 0.0
     ended: bool = False
+    sector: Optional[_MirrorSector] = None
 
 
 def integrate(
@@ -357,6 +365,24 @@ def integrate_rows(
     on the 1-d dichotomy sweep (n = 1600, 4 rows) the loop takes 0.64 of the
     time of four integrate calls (median of 7 interleaved pairs, 2-core
     Xeon).
+
+    Mirror-even rows step on the half grid.  On a structured operator whose
+    every axis takes the sine-matrix path, a row that equals its mirror
+    image along some axes (the rule of operators._mirror_axes) never
+    leaves the mirror-even sine modes of those axes, so it runs on their
+    mirror sector (operators module docstring): its mirror average on the
+    half grid, the kept modes and per-node weights.  The rows are grouped
+    by the axes they fold, and each group, the unfolded one included, runs
+    its own lockstep loop, one after the other; a row's trajectory is
+    therefore bit for bit its solo run, and the output keeps the input
+    order.  The initial sample and its rates are the full-grid evaluation
+    whatever the row folds (samples[0] is variational.energy of u0 bit for
+    bit, and the grid check and the overflow refusal come first), and
+    final_state is the unfolded Field on op.grid, mirror-symmetric exactly.
+    On the 13^3 critical_3d grid, where a folded row holds 7^3 of 13^3
+    values, the whole critical_3d solve took 0.27 s against 0.46 s (medians
+    of 12 fresh-process pairs, 2-core Xeon, 2 OpenBLAS threads); the steps
+    are the same and every fact moves at roundoff.
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)
@@ -374,7 +400,8 @@ def integrate_rows(
             traj.T_detect = row.t
         if not traj.samples or traj.samples[-1].t < row.t:
             record(row, row.t)
-        traj.final_state = Field(row.u_phys, op.grid)  # Field copies: no view of a stack
+        u = row.u_phys if row.sector is None else row.sector.unfold(row.u_phys)
+        traj.final_state = Field(u, op.grid)  # Field copies: no view of a stack
         row.ended = True
 
     def exploding(row: _Row) -> bool:
@@ -398,7 +425,7 @@ def integrate_rows(
             row.dt = min(row.dt, cfg.t_max - row.t)
         return not row.ended
 
-    def advance(rows: list[_Row]):
+    def advance(rows: list[_Row], st: _Stepper, cutoffs: dict[float, np.ndarray]):
         """One attempt per row, by step doubling from its (c, n0): each row
         accepts or rejects its own."""
         dt = np.array([[row.dt] for row in rows])
@@ -458,7 +485,7 @@ def integrate_rows(
                 row.dt = min(max(row.dt * min(max(grow, 0.2), 5.0), cfg.dt_min), cfg.dt_max)
 
     out: list = []
-    rows = []
+    groups: dict[tuple[bool, ...], list[_Row]] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged, never warned
         for u0 in u0s:
             c, n0 = op.to_coeffs(u0), st.n_hat(u0.values)
@@ -481,10 +508,21 @@ def integrate_rows(
             )
             record(row, 0.0)
             out.append(row.traj)
-            rows.append(row)
+            groups.setdefault(_sector_folds(op, u0.values), []).append(row)
 
-        while rows := [row for row in rows if running(row)]:
-            advance(rows)
+        for folds, rows in groups.items():
+            sector = _mirror_sector(op, folds)
+            group_st, group_cutoffs = st, cutoffs
+            if sector is not None:
+                group_st = _Stepper(op, mode, sector)
+                # a node stands for its mirror images: the mean of their chi^2
+                group_cutoffs = {r: np.sqrt(sector.restrict(chi**2)) for r, chi in cutoffs.items()}
+                for row in rows:
+                    row.sector = sector
+                    row.u_phys = sector.restrict(row.u_phys)
+                    row.c, row.n0 = sector.to_coeffs(row.u_phys), group_st.n_hat(row.u_phys)
+            while rows := [row for row in rows if running(row)]:
+                advance(rows, group_st, group_cutoffs)
     return out
 
 

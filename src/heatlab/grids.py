@@ -220,16 +220,29 @@ def _lr_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
     return scale * _lq_integral(a / scale, r, weight) ** (1.0 / r)
 
 
-def _lq_integral(abs_u: np.ndarray, q: float, weight: float) -> float | np.ndarray:
+def _lq_integral(
+    abs_u: np.ndarray, q: float, weight: float | np.ndarray
+) -> float | np.ndarray:
     """weight * sum |u|^q over axis 0, or inf past double range (not warned).
 
     A float for one field, shape (N,), an array for a stack, one entry per
-    column.  The L^(p+1) power sum of variational._functionals, the
-    critical space-time integrand and _lr_norms go through here: an
-    overflow comes back as inf, which each caller refuses by name.
+    column.  weight is a grid's one node weight, or one positive weight per
+    node, shape (N,), as on a mirror sector (operators._MirrorSector),
+    where each node stands for its mirror images.  Per-node weights enter
+    relative to the largest, which multiplies the sum as the scalar does:
+    equal weights give the scalar call's sum bit for bit, and a sector's
+    ratios, 2^-k, scale each term exactly.  The L^(p+1) power sum of
+    variational._functionals, the critical space-time integrand, the cutoff
+    masses of evolution and _lr_norms go through here: an overflow comes
+    back as inf, which each caller refuses by name.
     """
     with np.errstate(over="ignore"):
-        sums = weight * np.sum(abs_u**q, axis=0)
+        if np.ndim(weight):
+            top = float(np.max(weight))
+            ratios = np.reshape(weight / top, (-1,) + (1,) * (abs_u.ndim - 1))
+            sums = top * np.sum(ratios * abs_u**q, axis=0)
+        else:
+            sums = weight * np.sum(abs_u**q, axis=0)
     return float(sums) if sums.ndim == 0 else sums
 
 

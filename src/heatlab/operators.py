@@ -28,6 +28,21 @@ spectral multipliers in the returned eigenbasis.  Two paths compute it:
   prime-length sine transform, one negacyclic convolution of length n / 2,
   which beats pocketfft's Bluestein fallback by about 4x at n = 1600;
   every other axis is O(n log n) in one shared scipy.fft.dstn call.
+  The box's reflections commute with this operator, and the source term
+  sign |u|^(p-1) u keeps a field's parity, so a field that is mirror-even
+  along an axis keeps only that axis' odd sine modes k = 1, 3, 5, ... under
+  the flow.  evolution.integrate_rows steps such a field in its mirror
+  sector (_MirrorSector, _mirror_sector): on each folded axis the half
+  grid j < ceil(n/2), each node standing for itself and its mirror (the
+  centre node of an odd n for itself alone), and the ceil(n/2) odd modes,
+  transformed by half sine matrices (_half_sine_matrices); the other axes
+  keep the whole sine matrix.  A field folds an axis when it equals its
+  mirror image along it within _FOLD_TOL * max|u| (_mirror_axes, the rule
+  the dense fold applies to V), and only where every axis of the grid
+  takes the sine-matrix path: Rader and scipy.fft axes have no fast
+  half-length transform (the half matrix at n = 1600 is 800 x 800, slower
+  than Rader), and the dense path keeps its full basis.  On the 13^3
+  critical grid a mirror-even field holds 7^3 values in place of 13^3.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  A grid
   axis is folded when the domain is an interval or a box (not a halfline),
@@ -96,7 +111,7 @@ from .grids import Field, Grid
 POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
 _ROW_BLOCK = 256  # matrix rows per pass where an N x N temporary is avoided
-_FOLD_TOL = 1e-12  # a folded axis needs max|V - mirror V| <= _FOLD_TOL * max|V|
+_FOLD_TOL = 1e-12  # the mirror rule: max|x - mirror x| <= _FOLD_TOL * max|x| (_mirror_axes)
 
 
 class AssemblyError(ValueError):
@@ -377,7 +392,9 @@ def _grid_dst(x: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
         elif path == "rader":
             x = np.moveaxis(_rader_dst(np.moveaxis(x, ax, 0)), 0, ax)
     if "matmul" in paths:
-        x = _sine_matmul(x, dim, [path == "matmul" for path in paths])
+        x = _sine_matmul(
+            x, dim, [_sine_matrix(n) if path == "matmul" else None for n, path in zip(x.shape, paths)]
+        )
     return x
 
 
@@ -473,25 +490,160 @@ def _sine_matrix(n: int) -> np.ndarray:
     return s
 
 
-def _sine_matmul(x: np.ndarray, dim: int, axes: list[bool]) -> np.ndarray:
-    """Orthonormal DST-I along the grid axes flagged in axes, by the sine matrix.
+def _sine_matmul(x: np.ndarray, dim: int, matrices: list) -> np.ndarray:
+    """Products with one square matrix per grid axis: the DST-I by the sine
+    matrix, or a mirror sector's half transforms (_half_sine_matrices).
 
-    The batch axis goes first and a single field is a batch of one, so
-    every field runs the same BLAS calls, alone or in a stack, and a stack
-    equals its single calls bit for bit.  Each pass takes the leading grid
-    axis of every field as the rows of one (rest x n) @ (n x n) product with
-    the symmetric matrix, which also rotates that axis to the back; after
-    dim passes the axes are back in order.  An unflagged axis is only
-    rotated.  A stack already in batch-first order (the transpose of a
-    C-ordered array, as from_coeffs scatters it) is not copied first.
+    An axis whose entry is None is only rotated.  The batch axis goes first
+    and a single field is a batch of one, so every field runs the same BLAS
+    calls, alone or in a stack, and a stack equals its single calls bit for
+    bit.  Each pass takes the leading grid axis of every field as the rows
+    of one (rest x n) @ (n x n) product with the axis' matrix, which also
+    rotates that axis to the back; after dim passes the axes are back in
+    order.  Each matrix is the right factor: row vector times matrix, so
+    the symmetric sine matrix serves as is.  A stack already in batch-first
+    order (the transpose of a C-ordered array, as from_coeffs scatters it)
+    is not copied first.
     """
     grid = x.shape[:dim]
     m = math.prod(x.shape[dim:])
     y = np.ascontiguousarray(x.reshape(-1, m).T)
-    for n, flagged in zip(grid, axes):
+    for n, matrix in zip(grid, matrices):
         rows = y.reshape(m, n, -1).transpose(0, 2, 1)
-        y = rows @ _sine_matrix(n) if flagged else np.ascontiguousarray(rows)
+        y = np.ascontiguousarray(rows) if matrix is None else rows @ matrix
     return y.reshape(m, -1).T.reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _half_sine_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An n-node axis' mirror-even sector: (to, from, multiplicities).
+
+    The sector keeps the nodes j < ceil(n/2), each standing for itself and
+    its mirror n - 1 - j (multiplicity 2; 1 for the centre node of an odd
+    n), and the odd sine modes k = 1, 3, 5, ..., the ones a mirror-even
+    field has.  With E = S[:ceil(n/2), odd k] the coefficients of a
+    mirror-even field are E^T diag(mult) u and its values E c, so `to` is
+    diag(mult) E and `from` is E^T, each the right factor of _sine_matmul;
+    S being orthonormal, the two are exact inverses.
+    """
+    half = (n + 1) // 2
+    mult = np.full(half, 2.0)
+    if n % 2:
+        mult[-1] = 1.0
+    even = _sine_matrix(n)[:half, ::2]
+    matrices = (mult[:, None] * even, np.ascontiguousarray(even.T), mult)
+    for arr in matrices:
+        arr.flags.writeable = False
+    return matrices
+
+
+def _mirror_axes(shaped: np.ndarray) -> tuple[bool, ...]:
+    """Along which axes a grid-shaped array equals its mirror image, within
+    _FOLD_TOL times its largest magnitude.
+
+    The one mirror rule: the dense fold applies it to V (_folded_axes), the
+    mirror sector to a field (_sector_folds).
+    """
+    tol = _FOLD_TOL * float(np.max(np.abs(shaped)))
+    return tuple(
+        float(np.max(np.abs(shaped - np.flip(shaped, ax)))) <= tol for ax in range(shaped.ndim)
+    )
+
+
+def _sector_folds(op: SpectralOperator, values: np.ndarray) -> tuple[bool, ...]:
+    """The grid axes along which a field folds into its mirror sector.
+
+    No axis on the dense path or on a grid with an axis off the
+    sine-matrix path (module docstring); otherwise each axis along which
+    the field equals its mirror image (_mirror_axes).
+    """
+    if op.basis.size or any(_axis_path(n) != "matmul" for n in op.grid.n):
+        return (False,) * op.grid.dim
+    return _mirror_axes(np.reshape(values, op.grid.n))
+
+
+@dataclass(frozen=True, eq=False)
+class _MirrorSector:
+    """The mirror-even sector of a structured operator (module docstring).
+
+    Its nodes are the half grid, in C order, and its modes the kept sine
+    modes, in C order of the per-axis mode indices (not sorted).  mu holds
+    their eigenvalues, the same doubles as the full operator's, and weight
+    the quadrature weight of each node, grid.weight times its mirror
+    multiplicity.  to_coeffs and from_coeffs take one field or an (M, m)
+    stack, like SpectralOperator's, and a mirror-even field's coefficients
+    are its full-grid coefficients on the kept modes, so c.c is its L^2
+    mass.
+    """
+
+    grid: Grid
+    folds: tuple[bool, ...]
+    shape: tuple[int, ...]
+    mu: np.ndarray
+    weight: np.ndarray
+    _to: tuple
+    _from: tuple
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The mirror average of a full-grid field, on the half grid."""
+        shaped = np.reshape(values, self.grid.n)
+        for ax in np.flatnonzero(self.folds):
+            shaped = 0.5 * (shaped + np.flip(shaped, ax))
+        return shaped[tuple(slice(m) for m in self.shape)].ravel()
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The full-grid field whose mirror images are copies of values."""
+        index = [
+            np.minimum(np.arange(n), n - 1 - np.arange(n)) if fold else np.arange(n)
+            for n, fold in zip(self.grid.n, self.folds)
+        ]
+        return np.reshape(values, self.shape)[np.ix_(*index)].ravel()
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        shape = self.shape + values.shape[1:]
+        coeffs = _sine_matmul(values.reshape(shape), self.grid.dim, self._to).reshape(values.shape)
+        coeffs *= math.sqrt(self.grid.weight)
+        return coeffs
+
+    def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        coeffs = np.asarray(coeffs)
+        shape = self.shape + coeffs.shape[1:]
+        out = _sine_matmul(coeffs.reshape(shape), self.grid.dim, self._from).reshape(coeffs.shape)
+        out /= math.sqrt(self.grid.weight)
+        return out
+
+
+def _mirror_sector(op: SpectralOperator, folds: tuple[bool, ...]) -> Optional[_MirrorSector]:
+    """The mirror sector of op that folds the flagged axes, or None when no
+    axis folds.  folds comes from _sector_folds, which only flags axes of a
+    structured operator on the sine-matrix path.
+    """
+    if not any(folds):
+        return None
+    grid = op.grid
+    to, back, mus, mults = [], [], [], []
+    for n, h, fold in zip(grid.n, grid.h, folds):
+        lam = _dirichlet_axis_eigenvalues(n, h)
+        if fold:
+            to_n, from_n, mult = _half_sine_matrices(n)
+            lam = lam[::2]
+        else:
+            to_n = from_n = _sine_matrix(n)
+            mult = np.ones(n)
+        to.append(to_n)
+        back.append(from_n)
+        mus.append(lam)
+        mults.append(mult)
+    return _MirrorSector(
+        grid=grid,
+        folds=tuple(folds),
+        shape=tuple(lam.size for lam in mus),
+        mu=functools.reduce(np.add.outer, mus).ravel(),
+        weight=grid.weight * functools.reduce(np.multiply.outer, mults).ravel(),
+        _to=tuple(to),
+        _from=tuple(back),
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -623,12 +775,8 @@ def _folded_axes(grid: Grid, v: np.ndarray) -> tuple[bool, ...]:
     """Which grid axes the dense path folds (rule in the module docstring)."""
     if grid.domain.kind == "halfline_truncated":
         return (False,) * grid.dim
-    shaped = v.reshape(grid.n)
-    tol = _FOLD_TOL * float(np.max(np.abs(shaped)))
-    return tuple(
-        n % 2 == 0 and float(np.max(np.abs(shaped - np.flip(shaped, ax)))) <= tol
-        for ax, n in enumerate(grid.n)
-    )
+    mirrored = _mirror_axes(v.reshape(grid.n))
+    return tuple(n % 2 == 0 and mirror for n, mirror in zip(grid.n, mirrored))
 
 
 def _fold_rows(shape: tuple[int, ...], folds: tuple[bool, ...], block: int):

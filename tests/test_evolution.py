@@ -22,8 +22,8 @@ from heatlab.evolution import (
     step,
 )
 from heatlab.experiments import _trajectory_csv
-from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
-from heatlab.operators import OperatorSpec, assemble
+from heatlab.grids import DomainSpec, Field, _lq_integral, build_grid, field_from_function
+from heatlab.operators import OperatorSpec, _mirror_sector, _sector_folds, assemble
 from heatlab.variational import EquationMode
 from conftest import sech_profile
 
@@ -536,3 +536,171 @@ def test_critical_run_accumulates_space_time_norm():
     assert s[0] == 0.0
     assert np.all(np.diff(s) >= -1e-15)
     assert s[-1] > 0.0
+
+
+# --------------------------------------------------------------------------
+# mirror-even rows on the half grid
+
+
+def _critical_box():
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 13)  # the critical_3d grid
+    return assemble(OperatorSpec(kind="dirichlet_laplacian"), grid), EquationMode.critical(3)
+
+
+def _box_bump(op, centre=(0.0, 0.0, 0.0)):
+    return field_from_function(
+        op.grid, lambda x: np.exp(-0.5 * np.sum((x - np.array(centre)) ** 2, axis=-1))
+    )
+
+
+def _sectors_built(monkeypatch):
+    """Record every sector integrate_rows builds (None where it declines)."""
+    built = []
+
+    def spy(op, folds):
+        sector = _mirror_sector(op, folds)
+        built.append(sector)
+        return sector
+
+    monkeypatch.setattr("heatlab.evolution._mirror_sector", spy)
+    return built
+
+
+def _full_path_run(u0, op, mode, cfg, monkeypatch):
+    """integrate with the sector builder declining: today's full-grid run."""
+    with monkeypatch.context() as patch:
+        patch.setattr("heatlab.evolution._mirror_sector", lambda op, folds: None)
+        return integrate(u0, op, mode, cfg)
+
+
+def _assert_sector_matches_full_path(u0, op, mode, cfg, folds, monkeypatch):
+    assert _sector_folds(op, u0.values) == folds
+    full = _full_path_run(u0, op, mode, cfg, monkeypatch)
+    built = _sectors_built(monkeypatch)
+    half = integrate(u0, op, mode, cfg)
+    assert [sector.folds for sector in built] == [folds]
+    assert (half.accepted, half.rejected, half.end_reason) == (
+        full.accepted, full.rejected, full.end_reason
+    )
+    assert half.samples[0] == full.samples[0]  # the full-grid evaluation of u0
+    if full.T_detect is None:
+        assert half.T_detect is None
+    else:
+        assert math.isclose(half.T_detect, full.T_detect, rel_tol=1e-12)
+    np.testing.assert_allclose(
+        half.column("s_norm_cum"), full.column("s_norm_cum"), rtol=1e-10, atol=0.0
+    )
+    # the state itself: a blow-up amplifies roundoff on its last samples
+    # (the line run's sup moves 1.4e-9 at 1e4)
+    for name in ("dissipation_cum", "mass", "sup", "energy"):
+        np.testing.assert_allclose(half.column(name), full.column(name), rtol=1e-8, atol=0.0)
+    for a, b in zip(half.samples, full.samples):
+        for r in b.cutoff_mass or {}:
+            assert math.isclose(a.cutoff_mass[r], b.cutoff_mass[r], rel_tol=1e-8)
+    return half, full
+
+
+def test_mirror_sector_matches_full_path_on_critical_3d_minus_datum(monkeypatch):
+    # the critical_3d M- run: a blow-up detected by dt collapse after ~700 steps
+    op, mode = _critical_box()
+    consts = heatlab.mountain_pass_level(op, mode)
+    proj = heatlab.nehari_projection(_box_bump(op), op, mode)
+    u_minus = next(
+        s * proj.projected
+        for s in np.arange(1.05, 2.0, 0.01)
+        if heatlab.energy(s * proj.projected, op, mode).energy <= 0.9 * consts.level
+    )
+    cfg = IntegratorConfig(t_max=30.0, cutoff_radii=(2.5,))
+    half, _ = _assert_sector_matches_full_path(
+        u_minus, op, mode, cfg, (True, True, True), monkeypatch
+    )
+    assert half.end_reason == "dt_underflow" and half.samples[-1].s_norm_cum > 0.0
+
+
+def test_mirror_sector_matches_full_path_on_line_bump(small_op, cubic_mode, monkeypatch):
+    # n = 200, even: the half line of 100 nodes, all of multiplicity 2
+    cfg = IntegratorConfig(t_max=5.0, blowup_sup_cap=1e4)
+    half, _ = _assert_sector_matches_full_path(
+        small_bump(small_op, 3.0), small_op, cubic_mode, cfg, (True,), monkeypatch
+    )
+    assert half.end_reason == "sup_cap"
+
+
+def test_partial_mirror_symmetry_folds_the_other_axes(monkeypatch):
+    # off-centre along axis 0 only, on an odd grid (centre node of
+    # multiplicity 1) with cutoff masses
+    op, mode = _critical_box()
+    u0 = 3.0 * _box_bump(op, centre=(0.4, 0.0, 0.0))
+    cfg = IntegratorConfig(t_max=0.5, rel_tol=1e-5, cutoff_radii=(1.0, 2.5))
+    half, _ = _assert_sector_matches_full_path(
+        u0, op, mode, cfg, (False, True, True), monkeypatch
+    )
+    assert half.T_detect is not None
+
+
+def test_mirror_sector_cutoffs_off_the_origin(cubic_mode, monkeypatch):
+    # on (0, 8) the cutoff radius is measured from an end of the interval,
+    # so chi is not mirror-symmetric: a sector node carries the mean chi^2
+    # of its mirror images
+    grid = build_grid(DomainSpec.interval(0.0, 8.0), 63)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    u0 = field_from_function(grid, lambda x: 0.5 * np.exp(-((x[..., 0] - 4.0) ** 2)))
+    cfg = IntegratorConfig(t_max=0.5, cutoff_radii=(3.0, 5.0))
+    _assert_sector_matches_full_path(u0, op, cubic_mode, cfg, (True,), monkeypatch)
+
+
+def test_lockstep_with_mixed_fold_patterns_equals_solo_runs(monkeypatch):
+    grid = build_grid(DomainSpec.box(-4.0, 4.0, 3), 9)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    mode = EquationMode.critical(3)
+    even, off = _box_bump(op), _box_bump(op, centre=(0.5, 0.0, 0.0))
+    u0s = [0.3 * even, 0.3 * off, 3.0 * even, 1.0 * off]
+    assert [_sector_folds(op, u.values) for u in u0s] == [
+        (True, True, True), (False, True, True)
+    ] * 2
+    built = _sectors_built(monkeypatch)
+    cfg = IntegratorConfig(t_max=1.0, rel_tol=1e-5, cutoff_radii=(1.0, 2.0))
+    rows = _assert_rows_equal_solo_runs(u0s, op, mode, cfg)
+    assert [sector.folds for sector in built[:2]] == [(True, True, True), (False, True, True)]
+    # the output keeps the input order: each row starts from its own datum
+    for u0, row in zip(u0s, rows):
+        assert row.samples[0].sup == float(np.max(np.abs(u0.values)))
+
+
+def test_no_sector_on_rader_dense_or_asymmetric_data(rader_op, well_op, cubic_mode, monkeypatch):
+    box, mode = _critical_box()
+    runs = [
+        (small_bump(rader_op, 0.5), rader_op, cubic_mode),
+        (small_bump(well_op, 0.5), well_op, cubic_mode),
+        (field_from_function(box.grid, lambda x: 0.3 * np.exp(-np.sum((x - 0.3) ** 2, axis=-1))),
+         box, mode),
+    ]
+    built = _sectors_built(monkeypatch)
+    for u0, op, run_mode in runs:
+        assert _sector_folds(op, u0.values) == (False,) * op.grid.dim
+        integrate(u0, op, run_mode, IntegratorConfig(t_max=0.05))
+    assert built == [None, None, None]
+
+
+def test_unfolded_final_state_is_mirror_symmetric():
+    op, mode = _critical_box()
+    u0 = 0.3 * _box_bump(op, centre=(0.4, 0.0, 0.0))
+    traj = integrate(u0, op, mode, IntegratorConfig(t_max=0.2))
+    final = traj.final_state.values.reshape(op.grid.n)
+    assert traj.final_state.grid is op.grid
+    assert not np.array_equal(final, np.flip(final, 0))
+    for ax in (1, 2):
+        assert np.array_equal(final, np.flip(final, ax))
+
+
+@pytest.mark.parametrize("q", [2.0, 10.0 / 3.0, 10.0])
+def test_lq_integral_with_equal_vector_weights_matches_scalar(q):
+    grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 13)
+    x = np.abs(np.random.default_rng(7).standard_normal((grid.n_total, 3)))
+    weights = np.full(grid.n_total, grid.weight)
+    np.testing.assert_array_max_ulp(
+        _lq_integral(x, q, weights), _lq_integral(x, q, grid.weight), maxulp=1
+    )
+    one = _lq_integral(x[:, 0].copy(), q, weights)
+    assert isinstance(one, float)
+    np.testing.assert_array_max_ulp(one, _lq_integral(x[:, 0].copy(), q, grid.weight), maxulp=1)

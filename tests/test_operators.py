@@ -21,9 +21,12 @@ from heatlab.operators import (
     _axis_path,
     _check_reconstruction,
     _folded_axes,
+    _mirror_axes,
+    _mirror_sector,
     _rader_dst,
     _rader_plan,
     _sine_matmul,
+    _sine_matrix,
     _stencil_apply,
     _stencil_matrix,
     assemble,
@@ -508,11 +511,12 @@ def test_grid_with_one_chirp_axis_matches_stencil(shape):
 def test_sine_matmul_matches_scipy_and_inverts(shape):
     x = np.random.default_rng(len(shape)).standard_normal(shape + (2,))
     dim = len(shape)
-    y = _sine_matmul(x, dim, [True] * dim)
+    sines = [_sine_matrix(n) for n in shape]
+    y = _sine_matmul(x, dim, sines)
     ref = scipy.fft.dstn(x, type=1, norm="ortho", axes=tuple(range(dim)))
     assert y.shape == x.shape
     assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(_sine_matmul(y, dim, [True] * dim) - x)) <= 1e-13 * np.max(np.abs(x))
+    assert np.max(np.abs(_sine_matmul(y, dim, sines) - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_axis_path_rule():
@@ -668,3 +672,42 @@ def test_unlocked_31_cube():
     traj = integrate(u0, op, EquationMode.critical(3), IntegratorConfig(t_max=0.01))
     assert traj.end_reason == "t_max"
     assert math.isclose(traj.t_final, 0.01, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, folds",
+    [((13, 13, 13), (True, True, True)), ((12, 7, 9), (True, False, True)), ((200,), (True,))],
+)
+def test_mirror_sector_is_the_full_transform_on_kept_modes(n, folds):
+    lower = (-5.0,) * len(n)
+    grid = build_grid(DomainSpec.box(lower, tuple(-x for x in lower)), n)
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+    sector = _mirror_sector(op, folds)
+    x = np.random.default_rng(5).standard_normal(n)
+    for ax in np.flatnonzero(folds):
+        x = x + np.flip(x, ax)  # mirror-even along the folded axes
+    assert _mirror_axes(x) == folds
+    half = sector.restrict(x.ravel())
+    assert half.size == math.prod(sector.shape) == sector.mu.size
+    assert np.array_equal(sector.unfold(half), x.ravel())
+    # the full coefficients in DST (C) order, on the kept modes
+    full = np.empty(grid.n_total)
+    full[op.order] = op.to_coeffs(x.ravel())
+    unsorted_mu = np.empty(grid.n_total)
+    unsorted_mu[op.order] = op.mu
+    kept = tuple(slice(None, None, 2) if f else slice(None) for f in folds)
+    assert np.array_equal(sector.mu, unsorted_mu.reshape(n)[kept].ravel())
+    coeffs = sector.to_coeffs(half)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(coeffs - full.reshape(n)[kept].ravel())) <= 1e-13 * scale
+    assert np.max(np.abs(full.reshape(n)[kept].ravel())) > 0.1 * scale  # the mass is there
+    assert math.isclose(coeffs @ coeffs, full @ full, rel_tol=1e-13)
+    # weights carry the mirror multiplicities: the L^2 mass on the half grid
+    assert math.isclose(np.sum(sector.weight * half**2), grid.weight * np.sum(x**2), rel_tol=1e-13)
+    assert np.max(np.abs(sector.from_coeffs(coeffs) - half)) <= 1e-13 * np.max(np.abs(half))
+    # a stack, one field per column, equals its single calls bit for bit
+    stack = np.stack([half, 2.0 * half, -half], axis=1)
+    assert np.array_equal(sector.to_coeffs(stack)[:, 1], sector.to_coeffs(2.0 * half))
+    assert np.array_equal(sector.from_coeffs(sector.to_coeffs(stack))[:, 2],
+                          sector.from_coeffs(sector.to_coeffs(-half)))
+
