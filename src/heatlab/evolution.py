@@ -148,14 +148,11 @@ class _Stepper:
 
         On the structured path and on a sector a stack goes in as one
         (N, k) call, x.T, and its columns equal the single calls bit for
-        bit.  A lone row goes in as the 1-d row itself.  On the dense path,
-        where a stacked product equals single calls only to roundoff, so
-        does every row.
+        bit.  On the dense path, where a stacked product equals single
+        calls only to roundoff, so does every row.
         """
         if x.ndim == 1:
             return transform(x)
-        if len(x) == 1:
-            return transform(x[0])[None]
         if not self.stacked:
             return np.stack([transform(row) for row in x])
         return np.ascontiguousarray(transform(x.T).T)
@@ -272,12 +269,14 @@ class _Accumulators:
         start, midpoint and end, and return whether they stayed finite.
 
         A non-finite integral leaves both as they were, so an overflow never
-        enters them.
+        enters them.  Each rate is scaled by its weight before the sum, so
+        rates near double range whose weighted sum is finite stay finite.
         """
-        diss = self.diss + dt / 6.0 * (prev[0] + 4.0 * mid[0] + cur[0])
+        w = dt / 6.0
+        diss = self.diss + (w * prev[0] + 4.0 * w * mid[0] + w * cur[0])
         s_int = self.s_int
         if self.q is not None:
-            s_int += dt / 6.0 * (prev[1] + 4.0 * mid[1] + cur[1])
+            s_int += w * prev[1] + 4.0 * w * mid[1] + w * cur[1]
         if not (math.isfinite(diss) and math.isfinite(s_int)):
             return False
         self.diss, self.s_int = diss, s_int
@@ -575,7 +574,7 @@ def picard_iterate(
     converged = True
     for _ in range(n_iter):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite diff is judged below
-            n_hats = np.stack([st.n_hat(op.from_coeffs(states[j])) for j in range(m + 1)])
+            n_hats = st.n_hat(st.values(states))
             new = linear.copy()
             for i in range(1, m + 1):
                 wts = np.full(i + 1, ds)

@@ -121,7 +121,6 @@ class FunctionalReport:
     nehari: float
     energy_norm: float
     lp: float
-    p: float
     membership: Optional[str] = None
     borderline: bool = False
     note: Optional[str] = None
@@ -198,7 +197,6 @@ def _functionals(
         nehari=en_sq - nl,
         energy_norm=math.sqrt(max(en_sq, 0.0)),
         lp=lp_p1 ** (1.0 / (mode.p + 1.0)),
-        p=mode.p,
     )
 
 

@@ -200,6 +200,21 @@ def test_accepted_state_with_overflowing_rate_ends_named(small_op, cubic_mode):
     assert np.all(np.isfinite(traj.column("s_norm_cum")))
 
 
+def test_finite_simpson_integral_of_rates_near_double_range(small_op, cubic_mode):
+    # each rate ||u_t||^2 is finite but near 1e308, so prev + 4 mid + cur is
+    # not, while dt / 6 times it is: the weights scale each rate first, and
+    # the steps are accepted
+    u0 = field_from_function(small_op.grid, lambda x: 2e51 * np.exp(-x[..., 0] ** 2))
+    cfg = IntegratorConfig(
+        t_max=1.0, dt_init=1e-106, dt_min=1e-110, blowup_sup_cap=1e300, blowup_energy_cap=1e150
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(u0, small_op, cubic_mode, cfg)
+    assert traj.accepted > 0
+    assert np.all(np.isfinite(traj.column("dissipation_cum")))
+
+
 def test_overflowing_critical_integrand_ends_named():
     # a 1e31 bump: |u|^10 is past double range at the start and at the step
     # midpoint, so the space-time integrand overflows before any step is

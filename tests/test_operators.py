@@ -24,11 +24,10 @@ from heatlab.operators import (
     _mirror_axes,
     _mirror_sector,
     _rader_dst,
-    _rader_plan,
-    _sine_matmul,
     _sine_matrix,
     _stencil_apply,
     _stencil_matrix,
+    _tensor_product,
     assemble,
     potential_on_grid,
     validate_potential,
@@ -460,31 +459,24 @@ def test_rows_first_stack_equals_single_calls(shape, paths):
             assert np.array_equal(stacked[:, k], transform(row))
 
 
-def test_rader_dst_of_rows_first_stack_is_a_batch_first_view():
-    rows = np.random.default_rng(3).standard_normal((4, 1600))
-    out = _rader_dst(rows.T)
-    assert out.base is not None and out.T.flags.c_contiguous  # no copy back to (n, m)
-
-
 @pytest.mark.parametrize("n", [262, 400, 718, 1200, 1600, 2038])
 def test_rader_dst_matches_scipy_and_inverts(n):
-    # h = n / 2 is smooth at 400, 1200 and 1600 (negacyclic convolution of
-    # length h) and prime at 262, 718 and 2038 (zero-padded convolution)
+    # the negacyclic convolution runs at h = n / 2, smooth at 400, 1200 and
+    # 1600 and prime at 262, 718 and 2038
     assert _axis_path(n) == "rader"
-    assert (_rader_plan(n)[0] == n // 2) == (n in (400, 1200, 1600))
     rng = np.random.default_rng(n)
-    for x in (rng.standard_normal(n), rng.standard_normal((n, 8))):
+    for x in (rng.standard_normal(n), rng.standard_normal((8, n))):
         y = _rader_dst(x)
-        ref = scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+        ref = scipy.fft.dst(x, type=1, norm="ortho", axis=-1)
         assert y.shape == x.shape
         assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the orthonormal DST-I is its own inverse
         assert np.max(np.abs(_rader_dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
-    for j in range(x.shape[1]):  # a stack is bitwise its single calls
-        assert np.array_equal(y[:, j], _rader_dst(x[:, j]))
+    for j in range(x.shape[0]):  # a stack is bitwise its single calls
+        assert np.array_equal(y[j], _rader_dst(x[j]))
 
 
-def test_chirp_rule_follows_largest_prime_factor_of_n_plus_1():
+def test_rader_rule_follows_largest_prime_factor_of_n_plus_1():
     # the prime path needs the largest prime factor of n + 1 to be n + 1
     # itself: 1601 and 1201 are prime, while 1600 = 2^6 5^2, 14 = 2 7 and
     # 3201 = 3 11 97, and a large proper factor (2049 = 3 683) is not enough
@@ -493,7 +485,7 @@ def test_chirp_rule_follows_largest_prime_factor_of_n_plus_1():
 
 
 @pytest.mark.parametrize("shape", [(400, 12), (12, 400), (12, 262)])
-def test_grid_with_one_chirp_axis_matches_stencil(shape):
+def test_grid_with_one_rader_axis_matches_stencil(shape):
     # one prime-path axis, leading or not, beside a sine-matrix axis
     assert [_axis_path(n) for n in shape].count("rader") == 1
     grid = build_grid(DomainSpec.box((-1.0, -1.0), (1.0, 1.0)), shape)
@@ -509,14 +501,14 @@ def test_grid_with_one_chirp_axis_matches_stencil(shape):
 
 @pytest.mark.parametrize("shape", [(256,), (257,), (12, 12, 12), (13, 13, 13), (6, 7, 8)])
 def test_sine_matmul_matches_scipy_and_inverts(shape):
-    x = np.random.default_rng(len(shape)).standard_normal(shape + (2,))
-    dim = len(shape)
-    sines = [_sine_matrix(n) for n in shape]
-    y = _sine_matmul(x, dim, sines)
-    ref = scipy.fft.dstn(x, type=1, norm="ortho", axes=tuple(range(dim)))
+    x = np.random.default_rng(len(shape)).standard_normal((math.prod(shape), 2))
+    sines = [_sine_matrix(n).__rmatmul__ for n in shape]
+    y = _tensor_product(x, shape, sines)
+    axes = tuple(range(len(shape)))
+    ref = scipy.fft.dstn(x.reshape(shape + (2,)), type=1, norm="ortho", axes=axes).reshape(x.shape)
     assert y.shape == x.shape
     assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(_sine_matmul(y, dim, sines) - x)) <= 1e-13 * np.max(np.abs(x))
+    assert np.max(np.abs(_tensor_product(y, shape, sines) - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_axis_path_rule():
@@ -536,6 +528,14 @@ def test_grid_with_all_three_axis_paths_matches_stencil():
     x = np.random.default_rng(5).standard_normal(grid.n_total)
     ax = _stencil_apply(op, x, None)
     assert np.linalg.norm(op.matvec(x) - ax) <= 1e-12 * np.linalg.norm(ax)
+    # 262 / 2 = 131 is prime: the Rader axis convolves at a prime length
+    ref = np.sqrt(grid.weight) * scipy.fft.dstn(x.reshape(grid.n), type=1, norm="ortho").ravel()
+    assert np.max(np.abs(op.to_coeffs(x) - ref[op.order])) <= 1e-13 * np.max(np.abs(ref))
+    rows = np.random.default_rng(6).standard_normal((3, grid.n_total))
+    for transform in (op.to_coeffs, op.from_coeffs):
+        stacked = transform(rows.T)
+        for k, row in enumerate(rows):
+            assert np.array_equal(stacked[:, k], transform(row))
 
 
 def test_dense_3d_eigenvectors_orthogonal_and_accurate():
