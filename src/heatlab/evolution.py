@@ -365,12 +365,13 @@ def integrate_rows(
     time of four integrate calls (median of 7 interleaved pairs, 2-core
     Xeon).
 
-    Mirror-even rows step on the half grid.  On a structured operator whose
-    every axis takes the sine-matrix path, a row that equals its mirror
-    image along some axes (the rule of operators._mirror_axes) never
-    leaves the mirror-even sine modes of those axes, so it runs on their
-    mirror sector (operators module docstring): its mirror average on the
-    half grid, the kept modes and per-node weights.  The rows are grouped
+    Mirror-even rows step on the half grid.  On a structured operator, a
+    row that equals its mirror image along some axes (the rule of
+    operators._mirror_axes) never leaves the mirror-even sine modes of
+    those axes, so it runs on their mirror sector (operators module
+    docstring): its mirror average on the half grid, the kept modes and the
+    nodes' weights.  Every axis on the sine-matrix or the Rader path folds;
+    an axis on scipy.fft's path does not.  The rows are grouped
     by the axes they fold, and each group, the unfolded one included, runs
     its own lockstep loop, one after the other; a row's trajectory is
     therefore bit for bit its solo run, and the output keeps the input
@@ -381,7 +382,11 @@ def integrate_rows(
     On the 13^3 critical_3d grid, where a folded row holds 7^3 of 13^3
     values, the whole critical_3d solve took 0.27 s against 0.46 s (medians
     of 12 fresh-process pairs, 2-core Xeon, 2 OpenBLAS threads); the steps
-    are the same and every fact moves at roundoff.
+    are the same and every fact moves at roundoff.  On the n = 1600 line of
+    dichotomy_sweep_1d, a Rader axis, every row folds onto 800 nodes and
+    transforms by the half-length Rader transform: the sweep's solve took
+    0.90 s against 1.19 s (medians of 10 fresh-process pairs, same host),
+    with the same step counts and every fact at roundoff.
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)

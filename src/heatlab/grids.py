@@ -227,11 +227,12 @@ def _lq_integral(
 
     A float for one field, shape (N,), an array for a stack, one entry per
     column.  weight is a grid's one node weight, or one positive weight per
-    node, shape (N,), as on a mirror sector (operators._MirrorSector),
-    where each node stands for its mirror images.  Per-node weights enter
-    relative to the largest, which multiplies the sum as the scalar does:
-    equal weights give the scalar call's sum bit for bit, and a sector's
-    ratios, 2^-k, scale each term exactly.  The L^(p+1) power sum of
+    node, shape (N,), as on a mirror sector (operators._MirrorSector) with
+    an odd folded axis, where the nodes stand for different numbers of
+    mirror images.  Per-node weights enter relative to the largest, which
+    multiplies the sum as the scalar does: equal weights give the scalar
+    call's sum bit for bit, and a sector's ratios, 2^-k, scale each term
+    exactly.  The L^(p+1) power sum of
     variational._functionals, the critical space-time integrand, the cutoff
     masses of evolution and _lr_norms go through here: an overflow comes
     back as inf, which each caller refuses by name.

@@ -37,14 +37,16 @@ spectral multipliers in the returned eigenbasis.  Two paths compute it:
   sector (_MirrorSector, _mirror_sector): on each folded axis the half
   grid j < ceil(n/2), each node standing for itself and its mirror (the
   centre node of an odd n for itself alone), and the ceil(n/2) odd modes,
-  transformed by half sine matrices (_half_sine_matrices) in the same
-  routine; the other axes keep the whole sine matrix.  A field folds an
-  axis when it equals its mirror image along it within _FOLD_TOL * max|u|
-  (_mirror_axes, the rule the dense fold applies to V), and only where
-  every axis of the grid takes the sine-matrix path: Rader and scipy.fft
-  axes have no fast half-length transform (the half matrix at n = 1600 is
-  800 x 800, slower than Rader), and the dense path keeps its full basis.  On the 13^3
-  critical grid a mirror-even field holds 7^3 values in place of 13^3.
+  transformed in the same routine by the half sine matrices
+  (_half_sine_matrices) where ceil(n/2) <= 256, and otherwise, on a Rader
+  axis, by a half-length Rader transform (_half_rader: one real
+  negacyclic convolution of length n / 2, run as a complex one of length
+  n / 4); the other axes keep their whole-axis op.  A field folds an axis
+  when it equals its mirror image along it within _FOLD_TOL * max|u|
+  (_mirror_axes, the rule the dense fold applies to V), unless the axis
+  runs scipy.fft, which has no half-length transform; the dense path keeps
+  its full basis.  On the 13^3 critical grid a mirror-even field holds 7^3
+  values in place of 13^3, and on the n = 1600 line 800 in place of 1600.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  A grid
   axis is folded when the domain is an interval or a box (not a halfline),
@@ -379,10 +381,10 @@ def _tensor_product(x: np.ndarray, shape: tuple[int, ...], ops) -> np.ndarray:
     field, shape (N,), or to a stack, shape (N, m), one field per column.
 
     The structured transforms of the whole grid (_axis_op) and of a mirror
-    sector (_half_sine_matrices) all run here.  The batch axis goes first
-    and a single field is a batch of one, so every field runs the same
-    calls, alone or in a stack, and a stack equals its single calls bit for
-    bit.  Each pass hands the axis' op a (batch, rest, n) view whose last
+    sector (_half_sine_matrices, _half_rader) all run here.  The batch axis
+    goes first and a single field is a batch of one, so every field runs
+    the same calls, alone or in a stack, and a stack equals its single
+    calls bit for bit.  Each pass hands the axis' op a (batch, rest, n) view whose last
     axis is the leading grid axis of every field; the op transforms along
     that axis and returns a new array, which rotates the axis to the back,
     so after one pass per axis the axes are back in order.  A stack already
@@ -456,6 +458,25 @@ def _axis_path(n: int) -> str:
     4.2 ms here (scipy.fft.dstn 20.4 ms) against 2.8 ms by sine matrix on
     both axes, while (400, 12) and (12, 400) take 104 and 106 us, the same
     as by matrix.
+
+    A mirror-even field's folded axis (_mirror_sector) has ceil(n/2) nodes
+    and modes.  It multiplies by the half sine matrices where ceil(n/2) is
+    at most _MATMUL_MAX_N, and a longer half, on a Rader axis, runs the
+    half-length Rader transform (_half_rader).  The sector's `to` direction
+    against the whole axis' Rader transform, best of 3 x 7 x 400 calls
+    (same host), batch-first:
+
+                      one field (us)           8-field stack (us)
+           n    half    half   whole      half    half   whole
+               matrix  rader   rader     matrix  rader   rader
+         400      7.1   22.3    24.5       48.6   36.6    51.7
+         718     19.2   46.1    46.1      144.7  155.1   166.6
+        1200    108.2   28.3    34.9      652.2   64.6   117.8
+        1600    102.8   26.8    35.8      752.4   77.5   146.6
+
+    At n = 718 h = n / 2 is odd and prime, so the half transform convolves
+    at length h by a Bluestein FFT and gains little; no shipped grid has
+    such an axis.
     """
     if n <= _MATMUL_MAX_N:
         return "matmul"
@@ -503,24 +524,29 @@ def _axis_op(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return functools.partial(scipy.fft.dst, type=1, norm="ortho", axis=-1)
 
 
-@functools.lru_cache(maxsize=16)
-def _half_sine_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An n-node axis' mirror-even sector: (to, from, multiplicities).
+def _mirror_multiplicities(n: int) -> np.ndarray:
+    """How many nodes of an n-node axis each half-axis node j < ceil(n/2)
+    stands for: itself and its mirror n - 1 - j, or itself alone at the
+    centre node of an odd n."""
+    mult = np.full((n + 1) // 2, 2.0)
+    mult[n // 2 :] = 1.0  # the centre node; no node for even n
+    return mult
 
-    The sector keeps the nodes j < ceil(n/2), each standing for itself and
-    its mirror n - 1 - j (multiplicity 2; 1 for the centre node of an odd
-    n), and the odd sine modes k = 1, 3, 5, ..., the ones a mirror-even
-    field has.  With E = S[:ceil(n/2), odd k] the coefficients of a
-    mirror-even field are E^T diag(mult) u and its values E c, so `to` is
-    diag(mult) E and `from` is E^T, each the right factor of a product in
-    _tensor_product; S being orthonormal, the two are exact inverses.
+
+@functools.lru_cache(maxsize=16)
+def _half_sine_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An n-node axis' mirror-even sector by sine matrix: (to, from).
+
+    The sector keeps the nodes j < ceil(n/2), weighted by their mirror
+    multiplicities (_mirror_multiplicities), and the odd sine modes
+    k = 1, 3, 5, ..., the ones a mirror-even field has.  With
+    E = S[:ceil(n/2), odd k] the coefficients of a mirror-even field are
+    E^T diag(mult) u and its values E c, so `to` is diag(mult) E and `from`
+    is E^T, each the right factor of a product in _tensor_product; S being
+    orthonormal, the two are exact inverses.
     """
-    half = (n + 1) // 2
-    mult = np.full(half, 2.0)
-    if n % 2:
-        mult[-1] = 1.0
-    even = _sine_matrix(n)[:half, ::2]
-    matrices = (mult[:, None] * even, np.ascontiguousarray(even.T), mult)
+    even = _sine_matrix(n)[: (n + 1) // 2, ::2]
+    matrices = (_mirror_multiplicities(n)[:, None] * even, np.ascontiguousarray(even.T))
     for arr in matrices:
         arr.flags.writeable = False
     return matrices
@@ -542,13 +568,15 @@ def _mirror_axes(shaped: np.ndarray) -> tuple[bool, ...]:
 def _sector_folds(op: SpectralOperator, values: np.ndarray) -> tuple[bool, ...]:
     """The grid axes along which a field folds into its mirror sector.
 
-    No axis on the dense path or on a grid with an axis off the
-    sine-matrix path (module docstring); otherwise each axis along which
-    the field equals its mirror image (_mirror_axes).
+    Each axis of a structured operator along which the field equals its
+    mirror image (_mirror_axes), except an axis on scipy.fft's path, which
+    has no half-length transform; no axis on the dense path, which keeps
+    its full basis (module docstring).
     """
-    if op.basis.size or any(_axis_path(n) != "matmul" for n in op.grid.n):
+    if op.basis.size:
         return (False,) * op.grid.dim
-    return _mirror_axes(np.reshape(values, op.grid.n))
+    mirrored = _mirror_axes(np.reshape(values, op.grid.n))
+    return tuple(fold and _axis_path(n) != "dst" for n, fold in zip(op.grid.n, mirrored))
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,17 +587,18 @@ class _MirrorSector:
     modes, in C order of the per-axis mode indices (not sorted).  mu holds
     their eigenvalues, the same doubles as the full operator's, and weight
     the quadrature weight of each node, grid.weight times its mirror
-    multiplicity.  to_coeffs and from_coeffs take one field or an (M, m)
-    stack, like SpectralOperator's, and a mirror-even field's coefficients
-    are its full-grid coefficients on the kept modes, so c.c is its L^2
-    mass.
+    multiplicity: one float where every node stands for 2^k nodes (each
+    folded axis has even n), else one weight per node.  to_coeffs and
+    from_coeffs take one field or an (M, m) stack, like SpectralOperator's,
+    and a mirror-even field's coefficients are its full-grid coefficients
+    on the kept modes, so c.c is its L^2 mass.
     """
 
     grid: Grid
     folds: tuple[bool, ...]
     shape: tuple[int, ...]
     mu: np.ndarray
-    weight: np.ndarray
+    weight: float | np.ndarray
     _to: tuple
     _from: tuple
 
@@ -602,7 +631,13 @@ class _MirrorSector:
 def _mirror_sector(op: SpectralOperator, folds: tuple[bool, ...]) -> Optional[_MirrorSector]:
     """The mirror sector of op that folds the flagged axes, or None when no
     axis folds.  folds comes from _sector_folds, which only flags axes of a
-    structured operator on the sine-matrix path.
+    structured operator on the sine-matrix or the Rader path.
+
+    A folded axis whose half, ceil(n/2) nodes, is short enough for the
+    sine-matrix path (_MATMUL_MAX_N) multiplies by the half sine matrices
+    (_half_sine_matrices); a longer one, a Rader axis, runs the half-length
+    Rader transform (_half_rader).  An axis that does not fold keeps its
+    whole-grid op (_axis_op).
     """
     if not any(folds):
         return None
@@ -610,25 +645,40 @@ def _mirror_sector(op: SpectralOperator, folds: tuple[bool, ...]) -> Optional[_M
     to, back, mus, mults = [], [], [], []
     for n, h, fold in zip(grid.n, grid.h, folds):
         lam = _dirichlet_axis_eigenvalues(n, h)
-        if fold:
-            to_n, from_n, mult = _half_sine_matrices(n)
-            lam = lam[::2]
+        if not fold:
+            ops, mult = (_axis_op(n),) * 2, np.ones(n)
         else:
-            to_n = from_n = _sine_matrix(n)
-            mult = np.ones(n)
-        to.append(to_n.__rmatmul__)
-        back.append(from_n.__rmatmul__)
+            lam, mult = lam[::2], _mirror_multiplicities(n)
+            if lam.size <= _MATMUL_MAX_N:
+                ops = tuple(s.__rmatmul__ for s in _half_sine_matrices(n))
+            else:
+                ops = tuple(functools.partial(_half_rader, plan) for plan in _half_rader_plans(n))
+        to.append(ops[0])
+        back.append(ops[1])
         mus.append(lam)
         mults.append(mult)
+    mult = functools.reduce(np.multiply.outer, mults).ravel()
     return _MirrorSector(
         grid=grid,
         folds=tuple(folds),
         shape=tuple(lam.size for lam in mus),
         mu=functools.reduce(np.add.outer, mus).ravel(),
-        weight=grid.weight * functools.reduce(np.multiply.outer, mults).ravel(),
+        # equal multiplicities make one float, which grids._lq_integral
+        # sums without its per-node branch
+        weight=grid.weight * (float(mult[0]) if np.all(mult == mult[0]) else mult),
         _to=tuple(to),
         _from=tuple(back),
     )
+
+
+def _primitive_root_powers(n: int) -> np.ndarray:
+    """g^e mod p for e = 0..n - 1, p = n + 1 prime and g its least primitive root."""
+    p = n + 1
+    g = next(r for r in range(2, p) if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)))
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * g % p)
+    return np.array(powers)
 
 
 @functools.lru_cache(maxsize=16)
@@ -649,11 +699,7 @@ def _rader_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     order.
     """
     p, h = n + 1, n // 2
-    g = next(r for r in range(2, p) if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)))
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * g % p)
-    powers = np.array(powers)
+    powers = _primitive_root_powers(n)
     j = powers[:h]  # g^a
     m = powers[-np.arange(h) % n]  # g^(-b)
     twist = np.exp((1j * np.pi / h) * np.arange(h))
@@ -698,6 +744,92 @@ def _rader_dst(x: np.ndarray) -> np.ndarray:
     c *= post
     # the last axis of c.view(float) interleaves the real and imaginary parts
     return np.take(c.view(float), order, axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _half_rader_plans(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Plans of the mirror sector's two transforms on a Rader axis: (to, from).
+
+    p = n + 1 is prime and h = n / 2.  Counting nodes j and modes k from 1,
+    both directions are one real transform of length h,
+
+        T(w)_m = sum_(j=1..h) w_j sin(2 pi j m / p),   m = 1..h,
+
+    with fixed signs and index maps: `to` takes w_j = (-1)^(j+1) u_j, and
+    T_m is mode k = p - 2m; `from` takes w_k = c_k for odd k and -c_(p-k)
+    for even k, and T_m is node min(2m, p - 2m).  Take j = g^a and
+    m = g^(-b) mod p (notation at _rader_plan), each folded into 1..h by
+    x -> p - x with a sign where it exceeds h: T is then a real negacyclic
+    convolution of length h over the powers of g.  For even h it runs as a right-angle convolution
+    (Crandall & Fagin, Math. Comp. 62, 1994): the gather interleaves inputs
+    a and a + h/2, so the complex view of the gathered row packs them as
+    w_a + i w_(a+h/2); twisted by exp(i pi a / h) the packed rows convolve
+    cyclically by one complex FFT pair of length h / 2, and the real and
+    imaginary parts of the untwisted result are outputs b and b + h/2.  For
+    odd h (n = 718, 1438, 2038) the gathered row itself is the complex
+    input, of length h, and the real parts are the outputs.  The kernel is
+    packed the same way as the outputs, w_c = sin(2 pi g^(-c) / p), and its
+    spectrum carries the 1/length of the inverse FFT.  A plan is (gather,
+    input signs, twist, kernel spectrum, untwist, order, output factors);
+    order gathers the outputs from the result's float view into node or
+    mode order, and the output factors carry the signs, sqrt(2/p) and, on
+    the way to the modes, the multiplicity 2 of every half-axis node.
+    """
+    p, h = n + 1, n // 2
+    powers = _primitive_root_powers(n)
+    j, m = powers[:h], powers[-np.arange(h) % n]  # g^a, g^(-b)
+    j_half, m_half = np.minimum(j, p - j), np.minimum(m, p - m)
+    length = h // 2 if h % 2 == 0 else h
+    a = np.arange(h)
+    # where input a sits in the gathered row, and output b in the result's float view
+    slot_in = np.where(a < length, 2 * a, 2 * (a - length) + 1) if length < h else a
+    slot_out = slot_in if length < h else 2 * a
+    twist = np.exp((1j * np.pi / h) * np.arange(length))
+    kernel = np.zeros(2 * length)
+    kernel[slot_out] = np.sin((2 * np.pi / p) * m)
+    kernel_hat = scipy.fft.fft(twist * kernel.view(complex)) / length
+    odd = j_half % 2 == 1
+    # (-1)^(j+1) on to's u_j and the - on from's c_(p-k) at even k alike
+    sign_in = np.where(j > h, -1.0, 1.0) * np.where(odd, 1.0, -1.0)
+    sign_out = math.sqrt(2.0 / p) * np.where(m > h, -1.0, 1.0)
+    node = np.minimum(2 * m_half, p - 2 * m_half) - 1
+    plans = []
+    for source, target, mult in (
+        (j_half - 1, h - m_half, 2.0),  # to: node j -> mode p - 2m, index h - m
+        (np.where(odd, j_half // 2, h - j_half // 2), node, 1.0),  # from: mode k -> node
+    ):
+        gather, signs = np.empty(h, dtype=np.intp), np.empty(h)
+        gather[slot_in], signs[slot_in] = source, sign_in
+        order, post = np.empty(h, dtype=np.intp), np.empty(h)
+        order[target], post[target] = slot_out, mult * sign_out
+        plans.append((gather, signs, twist, kernel_hat, twist.conj(), order, post))
+    for plan in plans:
+        for arr in plan:
+            arr.flags.writeable = False
+    return plans[0], plans[1]
+
+
+def _half_rader(plan: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """One of the mirror sector's transforms on a Rader axis, along the last
+    axis of length n / 2 (plan and notation at _half_rader_plans).
+
+    One complex FFT pair of length n / 4 per line (n / 2 where n / 2 is
+    odd), where the full axis' _rader_dst takes one of length n / 2.  Every
+    FFT runs along the last axis, line by line, so a stack equals its
+    single calls bit for bit.
+    """
+    gather, signs, twist, kernel_hat, untwist, order, post = plan
+    z = np.take(x, gather, axis=-1)
+    z *= signs
+    z = z.view(complex) if z.shape[-1] > twist.size else z.astype(complex)
+    z *= twist
+    c = scipy.fft.fft(z, axis=-1, overwrite_x=True)
+    c *= kernel_hat
+    c = scipy.fft.ifft(c, axis=-1, norm="forward", overwrite_x=True)
+    c *= untwist
+    out = np.take(c.view(float), order, axis=-1)
+    out *= post
+    return out
 
 
 def _dirichlet_axis_eigenvalues(n: int, h: float) -> np.ndarray:

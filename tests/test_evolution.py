@@ -21,7 +21,8 @@ from heatlab.evolution import (
     picard_iterate,
     step,
 )
-from heatlab.experiments import _trajectory_csv
+from heatlab.config import load_experiment_config
+from heatlab.experiments import _trajectory_csv, make_initial_data, prepare_run
 from heatlab.grids import DomainSpec, Field, _lq_integral, build_grid, field_from_function
 from heatlab.operators import OperatorSpec, _mirror_sector, _sector_folds, assemble
 from heatlab.variational import EquationMode
@@ -641,6 +642,41 @@ def test_mirror_sector_matches_full_path_on_line_bump(small_op, cubic_mode, monk
     assert half.end_reason == "sup_cap"
 
 
+@pytest.mark.parametrize(
+    "n, amp, t_max, end_reason",
+    [(400, 0.5, 0.05, "t_max"), (1600, 0.5, 5.0, "t_max"), (1600, 3.0, 5.0, "sup_cap")],
+)
+def test_mirror_sector_matches_full_path_on_rader_line(n, amp, t_max, end_reason, cubic_mode,
+                                                        monkeypatch):
+    # Rader axes: at n = 400 the half line takes the half sine matrices, at
+    # n = 1600 the half-length Rader transform
+    op = assemble(OperatorSpec(kind="dirichlet_laplacian"),
+                  build_grid(DomainSpec.interval(-20.0, 20.0), n))
+    cfg = IntegratorConfig(t_max=t_max, blowup_sup_cap=1e4)
+    half, _ = _assert_sector_matches_full_path(
+        small_bump(op, amp), op, cubic_mode, cfg, (True,), monkeypatch
+    )
+    assert half.end_reason == end_reason
+
+
+def test_sweep_rows_of_the_dichotomy_line_fold(tmp_path):
+    # the scaled ground states of the 1-d dichotomy sweep (n = 1600, a
+    # Rader line) are mirror-even, so every row steps on the half line
+    cfg_path = tmp_path / "line.cfg"
+    cfg_path.write_text(
+        "equation.regime = subcritical\nequation.p = 3.0\ndomain.kind = interval\n"
+        "domain.lower = -20.0\ndomain.upper = 20.0\ngrid.n = 1600\n"
+        "operator.kind = dirichlet_laplacian\ninitial.recipe = scaled_ground_state\n"
+        "integrator.t_max = 40.0\n",
+        encoding="utf-8",
+    )
+    cfg = load_experiment_config(str(cfg_path))
+    setup = prepare_run(cfg)
+    for lam in (0.5, 0.9, 1.1, 1.5):
+        u0 = make_initial_data(replace(cfg, lam=lam), setup.op, setup.consts)
+        assert _sector_folds(setup.op, u0.values) == (True,)
+
+
 def test_partial_mirror_symmetry_folds_the_other_axes(monkeypatch):
     # off-centre along axis 0 only, on an odd grid (centre node of
     # multiplicity 1) with cutoff masses
@@ -682,10 +718,13 @@ def test_lockstep_with_mixed_fold_patterns_equals_solo_runs(monkeypatch):
         assert row.samples[0].sup == float(np.max(np.abs(u0.values)))
 
 
-def test_no_sector_on_rader_dense_or_asymmetric_data(rader_op, well_op, cubic_mode, monkeypatch):
+def test_no_sector_on_dst_dense_or_asymmetric_data(well_op, cubic_mode, monkeypatch):
     box, mode = _critical_box()
+    # n + 1 = 633 = 3 211: scipy.fft's path, which has no half-length transform
+    dst_op = assemble(OperatorSpec(kind="dirichlet_laplacian"),
+                      build_grid(DomainSpec.interval(-20.0, 20.0), 632))
     runs = [
-        (small_bump(rader_op, 0.5), rader_op, cubic_mode),
+        (small_bump(dst_op, 0.5), dst_op, cubic_mode),
         (small_bump(well_op, 0.5), well_op, cubic_mode),
         (field_from_function(box.grid, lambda x: 0.3 * np.exp(-np.sum((x - 0.3) ** 2, axis=-1))),
          box, mode),

@@ -21,6 +21,9 @@ from heatlab.operators import (
     _axis_path,
     _check_reconstruction,
     _folded_axes,
+    _half_rader,
+    _half_rader_plans,
+    _half_sine_matrices,
     _mirror_axes,
     _mirror_sector,
     _rader_dst,
@@ -476,6 +479,25 @@ def test_rader_dst_matches_scipy_and_inverts(n):
         assert np.array_equal(y[j], _rader_dst(x[j]))
 
 
+@pytest.mark.parametrize("n", [400, 718, 1200, 1600])
+def test_half_rader_is_the_half_sine_matrix_product_and_inverts(n):
+    # h = n / 2 even (400, 1200, 1600: a right-angle convolution at h / 2)
+    # and odd (718: a complex convolution at h)
+    to, back = _half_rader_plans(n)
+    to_matrix, from_matrix = _half_sine_matrices(n)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n // 2), rng.standard_normal((8, 1, n // 2))):
+        for plan, matrix in ((to, to_matrix), (back, from_matrix)):
+            y, ref = _half_rader(plan, x), x @ matrix
+            assert y.shape == x.shape
+            assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the two directions are exact inverses on the half axis
+        assert np.max(np.abs(_half_rader(back, _half_rader(to, x)) - x)) <= 1e-13 * np.max(np.abs(x))
+    for j in range(x.shape[0]):  # a stack is bitwise its single calls
+        assert np.array_equal(_half_rader(to, x)[j], _half_rader(to, x[j]))
+        assert np.array_equal(_half_rader(back, x)[j], _half_rader(back, x[j]))
+
+
 def test_rader_rule_follows_largest_prime_factor_of_n_plus_1():
     # the prime path needs the largest prime factor of n + 1 to be n + 1
     # itself: 1601 and 1201 are prime, while 1600 = 2^6 5^2, 14 = 2 7 and
@@ -676,7 +698,16 @@ def test_unlocked_31_cube():
 
 @pytest.mark.parametrize(
     "n, folds",
-    [((13, 13, 13), (True, True, True)), ((12, 7, 9), (True, False, True)), ((200,), (True,))],
+    [
+        ((13, 13, 13), (True, True, True)),
+        ((12, 7, 9), (True, False, True)),
+        ((200,), (True,)),
+        ((400,), (True,)),  # a Rader axis whose half takes the sine-matrix path
+        ((1200,), (True,)),  # Rader axes on the half-length Rader transform
+        ((1600,), (True,)),
+        ((718,), (True,)),  # h = n / 2 odd
+        ((1200, 7), (True, False)),
+    ],
 )
 def test_mirror_sector_is_the_full_transform_on_kept_modes(n, folds):
     lower = (-5.0,) * len(n)
@@ -702,7 +733,10 @@ def test_mirror_sector_is_the_full_transform_on_kept_modes(n, folds):
     assert np.max(np.abs(coeffs - full.reshape(n)[kept].ravel())) <= 1e-13 * scale
     assert np.max(np.abs(full.reshape(n)[kept].ravel())) > 0.1 * scale  # the mass is there
     assert math.isclose(coeffs @ coeffs, full @ full, rel_tol=1e-13)
-    # weights carry the mirror multiplicities: the L^2 mass on the half grid
+    # weights carry the mirror multiplicities: the L^2 mass on the half grid,
+    # one float where every folded axis has even n
+    folded_even = all(m % 2 == 0 for m, f in zip(n, folds) if f)
+    assert isinstance(sector.weight, float) == folded_even
     assert math.isclose(np.sum(sector.weight * half**2), grid.weight * np.sum(x**2), rel_tol=1e-13)
     assert np.max(np.abs(sector.from_coeffs(coeffs) - half)) <= 1e-13 * np.max(np.abs(half))
     # a stack, one field per column, equals its single calls bit for bit
