@@ -171,13 +171,13 @@ _OVERFLOW = "field overflows: E or J is past double range"
 def _source_term(mode: EquationMode, u: np.ndarray) -> np.ndarray:
     """The source term sign |u|^(p-1) u on the grid; zeros for nonlinearity "none".
 
-    Entries past double range come back inf (or nan), not warned; each
-    caller judges them.
+    Entries past double range come back inf (or nan); each caller runs this
+    under an errstate that ignores overflow and invalid values, and judges
+    them.
     """
     if mode.sign == 0.0:
         return np.zeros_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return mode.sign * np.abs(u) ** (mode.p - 1.0) * u
+    return mode.sign * np.abs(u) ** (mode.p - 1.0) * u
 
 
 def _functionals(
@@ -186,10 +186,10 @@ def _functionals(
     """E, J, ||u||_E and ||u||_{p+1} from the coefficients c and |u| on the grid.
 
     a is the energy multiplier of each coefficient.  Past double range E and
-    J come back inf or nan, not warned; each caller judges them.
+    J come back inf or nan; each caller runs this under an errstate that
+    ignores overflow and invalid values, and judges them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        en_sq = float(np.sum(a * np.abs(c) ** 2))
+    en_sq = float(np.sum(a * np.abs(c) ** 2))
     lp_p1 = _lq_integral(abs_u, mode.p + 1.0, weight)
     nl = mode.sign * lp_p1
     return FunctionalReport(
@@ -206,7 +206,8 @@ def energy(u: Field, op: SpectralOperator, mode: EquationMode) -> FunctionalRepo
     Raises ValueError when E or J is past double range.
     """
     a = _mode_multiplier(op, mode)
-    rep = _functionals(a, op.to_coeffs(u), np.abs(u.values), mode, op.grid.weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        rep = _functionals(a, op.to_coeffs(u), np.abs(u.values), mode, op.grid.weight)
     if not (math.isfinite(rep.energy) and math.isfinite(rep.nehari)):
         raise ValueError(_OVERFLOW)
     return replace(rep, membership="Zero") if lp_norm(u, 2.0) == 0.0 else rep
@@ -272,23 +273,24 @@ def _nehari_fixed_point(op: SpectralOperator, mode: EquationMode, start: Field) 
     theta = 1.0
     prev_res = math.inf
     bad = 0
-    for _ in range(_SOLVE_MAX_ITER):
-        c = op.to_coeffs(u.values)
-        n_hat = op.to_coeffs(_source_term(mode, u.values))
-        res = float(np.linalg.norm(a * c - n_hat) / max(np.linalg.norm(c), 1e-300))
-        if not math.isfinite(res):
-            raise ConvergenceError("fixed-point iteration diverged", float("inf"))
-        if res <= _SOLVE_TOL:
-            return u
-        if res > prev_res * (1.0 + 1e-12):
-            bad += 1
-            if bad >= 5:
-                theta = max(0.25 * theta, 0.05)
-                bad = 0
-        prev_res = res
-        step = op.from_coeffs(n_hat / a)
-        candidate = Field((1.0 - theta) * u.values + theta * step, u.grid)
-        u = nehari_projection(candidate, op, mode).projected
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is judged below
+        for _ in range(_SOLVE_MAX_ITER):
+            c = op.to_coeffs(u.values)
+            n_hat = op.to_coeffs(_source_term(mode, u.values))
+            res = float(np.linalg.norm(a * c - n_hat) / max(np.linalg.norm(c), 1e-300))
+            if not math.isfinite(res):
+                raise ConvergenceError("fixed-point iteration diverged", float("inf"))
+            if res <= _SOLVE_TOL:
+                return u
+            if res > prev_res * (1.0 + 1e-12):
+                bad += 1
+                if bad >= 5:
+                    theta = max(0.25 * theta, 0.05)
+                    bad = 0
+            prev_res = res
+            step = op.from_coeffs(n_hat / a)
+            candidate = Field((1.0 - theta) * u.values + theta * step, u.grid)
+            u = nehari_projection(candidate, op, mode).projected
     raise ConvergenceError(f"no convergence after {_SOLVE_MAX_ITER} iterations", prev_res)
 
 

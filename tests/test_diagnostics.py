@@ -333,6 +333,13 @@ def test_linear_profile_matches_per_time_semigroup(box3_op):
         assert linear_profile_smallness(u0, op, mode, t_cap=t_cap, n_slices=50) == expected
 
 
+def test_linear_profile_of_an_overflowing_field_is_inf(box3_op):
+    # |u|^10 of a 1e40 bump is past double range: the norm comes back inf,
+    # not warned
+    u0 = heatlab.field_from_function(box3_op.grid, lambda x: 1e40 * np.exp(-np.sum(x**2, axis=-1)))
+    assert linear_profile_smallness(u0, box3_op, EquationMode.critical(3), n_slices=20) == math.inf
+
+
 def test_linear_profile_mode_and_spectrum_guards(box3_op):
     rng = np.random.default_rng(8)
     u0 = heatlab.Field(rng.standard_normal(box3_op.grid.n_total), box3_op.grid)

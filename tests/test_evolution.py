@@ -14,6 +14,7 @@ from heatlab.evolution import (
     IntegratorConfig,
     Trajectory,
     TrajectorySample,
+    _Stepper,
     energy_identity_residual,
     integrate,
     integrate_rows,
@@ -24,7 +25,13 @@ from heatlab.evolution import (
 from heatlab.config import load_experiment_config
 from heatlab.experiments import _trajectory_csv, make_initial_data, prepare_run
 from heatlab.grids import DomainSpec, Field, _lq_integral, build_grid, field_from_function
-from heatlab.operators import OperatorSpec, _mirror_sector, _sector_folds, assemble
+from heatlab.operators import (
+    OperatorSpec,
+    _MirrorSector,
+    _mirror_sector,
+    _sector_folds,
+    assemble,
+)
 from heatlab.variational import EquationMode
 from conftest import sech_profile
 
@@ -44,6 +51,36 @@ def test_config_validation():
         IntegratorConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_max=1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_max", math.nan), ("t_max", math.inf), ("rel_tol", math.nan), ("dt_init", math.nan),
+     ("dt_min", math.nan), ("dt_max", math.inf), ("blowup_sup_cap", math.inf),
+     ("blowup_energy_cap", math.nan), ("sample_interval", math.inf)],
+)
+def test_config_refuses_non_finite_values(field, value):
+    # rel_tol = nan used to reject every attempt until the step limit, and
+    # t_max = nan to run to max_steps
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        IntegratorConfig(**{"t_max": 1.0, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("blowup_sup_cap", -1.0), ("blowup_energy_cap", 0.0), ("sample_interval", 0.0),
+     ("sample_interval", -0.25), ("cutoff_radii", (1.0, -2.0)), ("cutoff_radii", (0.0,))],
+)
+def test_config_refuses_non_positive_caps_intervals_and_radii(field, value):
+    # a sup cap of -1 used to call a dissipating bump sup_cap at once
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        IntegratorConfig(t_max=1.0, **{field: value})
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_config_refuses_max_steps_below_one(max_steps):
+    with pytest.raises(ValueError, match="^max_steps must be at least 1"):
+        IntegratorConfig(t_max=1.0, max_steps=max_steps)
 
 
 def test_step_validation(small_op, cubic_mode):
@@ -758,3 +795,124 @@ def test_lq_integral_with_equal_vector_weights_matches_scalar(q):
     one = _lq_integral(x[:, 0].copy(), q, weights)
     assert isinstance(one, float)
     np.testing.assert_array_max_ulp(one, _lq_integral(x[:, 0].copy(), q, grid.weight), maxulp=1)
+
+
+def _masked_phi1(z):
+    """phi1 as two masked branches: the multiplier formula before the
+    shared expm1."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-5
+    out[small] = 1.0 + z[small] / 2.0 + z[small] ** 2 / 6.0
+    out[~small] = np.expm1(z[~small]) / z[~small]
+    return out
+
+
+def _masked_phi2(z):
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-4
+    out[small] = 0.5 + z[small] / 6.0 + z[small] ** 2 / 24.0
+    out[~small] = (np.expm1(z[~small]) - z[~small]) / z[~small] ** 2
+    return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_multipliers_equal_masked_phi_formulas(small_op, cubic_mode):
+    st = _Stepper(small_op, cubic_mode)
+    # z = -a at dt = 1: zero, +-1e-6, both sides of both Taylor thresholds
+    # and a stiff mode
+    z = np.array([0.0, 1e-6, -1e-6, 9.9e-6, -9.9e-6, 1.01e-5, -1.01e-5,
+                  9.9e-5, -9.9e-5, 1.01e-4, -1.01e-4, -0.3, -1e3])
+    st.a = -z
+    with np.errstate(invalid="ignore"):  # the unused quotient is 0/0 at z = 0
+        ez, dt_phi1, dt_phi2 = st.multipliers(1.0, "etdrk2")
+        assert st.multipliers(1.0, "exponential_euler")[2] is None
+        assert np.array_equal(_bits(ez), _bits(np.exp(z)))
+        assert np.array_equal(_bits(dt_phi1), _bits(_masked_phi1(z)))
+        assert np.array_equal(_bits(dt_phi2), _bits(_masked_phi2(z)))
+        # a (k, 1) column of step sizes gives each row its own call's multipliers
+        dts = [1.0, 0.5, 1e-3, 2e-6]
+        stacked = st.multipliers(np.array(dts)[:, None], "etdrk2")
+        for j, dt in enumerate(dts):
+            for got, want in zip(stacked, st.multipliers(dt, "etdrk2")):
+                assert np.array_equal(_bits(got[j]), _bits(want))
+
+
+def _unfused_attempt(st, c, n0, dt, scheme):
+    """A step-doubling attempt for one row taken one step at a time."""
+    full = st.step(c, n0, st.multipliers(dt, scheme), scheme)
+    half_mult = st.multipliers(0.5 * dt, scheme)
+    mid = st.step(c, n0, half_mult, scheme)
+    u_mid = st.values(mid)
+    n_half = st.n_hat(u_mid)
+    return full, mid, u_mid, n_half, st.step(mid, n_half, half_mult, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["etdrk2", "exponential_euler"])
+@pytest.mark.parametrize("space", ["full_grid", "sine_matrix_sector", "rader_sector", "dense"])
+def test_fused_attempt_equals_unfused_steps(space, scheme, small_op, well_op, cubic_mode):
+    if space == "rader_sector":  # the half line of 800 nodes: half-length Rader
+        op = assemble(OperatorSpec(kind="dirichlet_laplacian"),
+                      build_grid(DomainSpec.interval(-20.0, 20.0), 1600))
+    else:
+        op = well_op if space == "dense" else small_op
+    sector = _mirror_sector(op, (True,)) if space.endswith("sector") else None
+    st = _Stepper(op, cubic_mode, sector)
+    rows = [small_bump(op, amp).values for amp in (0.5, 3.0)]
+    if sector is not None:
+        rows = [sector.restrict(u) for u in rows]
+    c = [st.to_coeffs(u) for u in rows]
+    n0 = [st.n_hat(u) for u in rows]
+    dts = [0.05, 1e-3]
+    fused = st.attempt(c, n0, dts, scheme)
+    for j, dt in enumerate(dts):
+        for got, want in zip(fused, _unfused_attempt(st, c[j], n0[j], dt, scheme)):
+            assert np.array_equal(_bits(got[j]), _bits(want))
+
+
+def test_an_attempt_makes_eight_sector_transforms(monkeypatch):
+    op, mode = _critical_box()
+    calls = []
+    for name in ("to_coeffs", "from_coeffs"):
+        transform = getattr(_MirrorSector, name)
+
+        def counted(self, x, transform=transform):
+            calls.append(x.shape)
+            return transform(self, x)
+
+        monkeypatch.setattr(_MirrorSector, name, counted)
+    # 1.2 times a Nehari projection on the critical_3d grid: rejected
+    # attempts (dt_init 0.5 is too long) and accepted ones
+    u0 = 1.2 * heatlab.nehari_projection(_box_bump(op), op, mode).projected
+    traj = integrate(u0, op, mode, IntegratorConfig(t_max=30.0, dt_init=0.5, max_steps=6))
+    assert traj.rejected >= 1 and traj.accepted >= 1 and traj.end_reason == "step_limit"
+    # two to enter the sector; an accepted attempt makes 8 (a 2-row
+    # stage, a 1-row values/n_hat/stage and the new state's values/n_hat),
+    # a rejected one all but the last 2
+    assert len(calls) == 2 + 8 * traj.accepted + 6 * traj.rejected
+    # one (nodes, rows) stack per stage transform: the full and first half
+    # steps' stage on the 7^3 sector
+    assert calls.count((7**3, 2)) == 2 * (traj.accepted + traj.rejected)
+
+
+@pytest.mark.parametrize("amp, end_reason", [(0.5, "t_max"), (3.0, "sup_cap")])
+def test_energy_identity_residual_is_relative_on_blowup_rows(small_op, cubic_mode, amp,
+                                                              end_reason):
+    traj = integrate(small_bump(small_op, amp), small_op, cubic_mode,
+                     IntegratorConfig(t_max=5.0, blowup_sup_cap=1e4))
+    assert traj.end_reason == end_reason
+    e, d = traj.column("energy"), traj.column("dissipation_cum")
+    defect = np.abs(e + d - e[0])
+    one_scale = float(np.max(defect) / max(abs(e[0]), 1.0))
+    per_sample = max(x / max(abs(e[0]), abs(et), 1.0) for x, et in zip(defect, e))
+    got = energy_identity_residual(traj)
+    assert got == per_sample
+    if end_reason == "t_max":
+        # |E(t)| <= |E(0)| while dissipating: the one denominator, bit for bit
+        assert np.all(np.abs(e) <= abs(e[0])) and got == one_scale
+    else:
+        # E(t) and the dissipation integral explode and cancel: against
+        # |E(0)| alone their roundoff reads as a huge defect
+        assert one_scale > 1e3 and got < 1e-3

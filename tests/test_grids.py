@@ -115,6 +115,15 @@ def test_lp_norm_of_a_large_field_is_finite(small_op):
     assert math.isclose(big, 1e40 * (math.pi / 10.0) ** 0.05, rel_tol=1e-9)
 
 
+def test_norm_past_double_range_is_inf_without_a_warning(small_op):
+    # every ratio is 1, so the sum is finite, but sqrt(n w) * 1e308 is not
+    grid = small_op.grid
+    huge = np.full(grid.n_total, 1e308)
+    assert _lr_norms(huge, 2.0, grid.weight) == math.inf
+    norms = _lr_norms(np.stack([huge, np.ones(grid.n_total)], axis=1), 2.0, grid.weight)
+    assert norms[0] == math.inf and math.isfinite(norms[1])
+
+
 def test_column_norms_match_lp_norm(small_op):
     grid = small_op.grid
     rng = np.random.default_rng(9)

@@ -132,6 +132,21 @@ def test_energy_gradient_refuses_overflow(small_op):
         energy_gradient(u, small_op, EquationMode.subcritical(3.0, 1))
 
 
+def test_energy_refuses_overflow_without_a_warning(small_op):
+    # a_k |c_k|^2 and |u|^4 of a 1e200 bump are past double range; the
+    # errstate is energy's own, so nothing is warned (RuntimeWarnings are
+    # errors in this suite)
+    u = heatlab.field_from_function(small_op.grid, lambda x: 1e200 * np.exp(-0.5 * x[..., 0] ** 2))
+    with pytest.raises(ValueError, match="field overflows: E or J is past double range"):
+        energy(u, small_op, EquationMode.subcritical(3.0, 1))
+
+
+def test_nehari_fixed_point_refuses_an_overflowing_start(small_op):
+    u = heatlab.field_from_function(small_op.grid, lambda x: 1e200 * np.exp(-0.5 * x[..., 0] ** 2))
+    with pytest.raises(ValueError, match="field overflows: E or J is past double range"):
+        variational._nehari_fixed_point(small_op, EquationMode.subcritical(3.0, 1), u)
+
+
 def test_two_routes_agree(line_op, cubic_mode, line_consts):
     alt = mountain_pass_level(line_op, cubic_mode, method="sobolev_formula")
     assert math.isclose(alt.level, line_consts.level, rel_tol=1e-6)
