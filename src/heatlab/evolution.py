@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, _lq_integral, _weight_ratios
+from .grids import Field, _lq_integral
 from .operators import SpectralOperator, _MirrorSector, _mirror_sector, _sector_folds
 from .variational import EquationMode, _functionals, _source_term
 
@@ -131,9 +131,7 @@ class _Stepper:
     ):
         space = op if sector is None else sector
         self.to_coeffs, self.from_coeffs = space.to_coeffs, space.from_coeffs
-        weight = op.grid.weight if sector is None else sector.weight
-        # per-node weights are split once, not at every integral
-        self.weight = weight if isinstance(weight, float) else _weight_ratios(weight)
+        self.weight = op.grid.weight if sector is None else sector.weight
         self.stacked = sector is not None or not op.basis.size
         self.mode = mode
         self.a = space.mu + mode.shift

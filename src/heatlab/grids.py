@@ -222,33 +222,31 @@ def _lr_norms(u: np.ndarray, r: float, weight: float) -> np.ndarray:
 
 
 def _weight_ratios(weight: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-node weights as _lq_integral sums with them: the largest weight
-    and each weight's ratio to it.  A caller that sums with the same weights
-    many times passes this pair in their place."""
+    """Per-node weights in the form _lq_integral takes them: the largest
+    weight and each weight's ratio to it.  A mirror sector splits its
+    weights once (operators._mirror_sector)."""
     top = float(np.max(weight))
     return top, weight / top
 
 
 def _lq_integral(
-    abs_u: np.ndarray, q: float, weight: float | np.ndarray | tuple[float, np.ndarray]
+    abs_u: np.ndarray, q: float, weight: float | tuple[float, np.ndarray]
 ) -> float | np.ndarray:
     """weight * sum |u|^q over axis 0, or inf past double range.
 
     A float for one field, shape (N,), an array for a stack, one entry per
-    column.  weight is a grid's one node weight, or one positive weight per
-    node, shape (N,), as on a mirror sector (operators._MirrorSector) with
-    an odd folded axis, where the nodes stand for different numbers of
-    mirror images, or _weight_ratios of such weights.  Per-node weights
-    enter relative to the largest, which multiplies the sum as the scalar
-    does: equal weights give the scalar call's sum bit for bit, and a
-    sector's ratios, 2^-k, scale each term exactly.  The L^(p+1) power sum
-    of variational._functionals, the critical space-time integrand, the
-    cutoff masses of evolution and _lr_norms go through here: an overflow
-    comes back as inf, which each caller refuses by name.  Each caller runs
-    this under an errstate that ignores overflow.
+    column.  weight is a grid's one node weight, or _weight_ratios of one
+    positive weight per node, shape (N,), as on a mirror sector
+    (operators._MirrorSector) with an odd folded axis, where the nodes stand
+    for different numbers of mirror images.  Per-node weights enter relative
+    to the largest, which multiplies the sum as the scalar does: equal
+    weights give the scalar call's sum bit for bit, and a sector's ratios,
+    2^-k, scale each term exactly.  The L^(p+1) power sum of
+    variational._functionals, the critical space-time integrand, the cutoff
+    masses of evolution and _lr_norms go through here: an overflow comes
+    back as inf, which each caller refuses by name.  Each caller runs this
+    under an errstate that ignores overflow.
     """
-    if not isinstance(weight, tuple) and np.ndim(weight):
-        weight = _weight_ratios(weight)
     if isinstance(weight, tuple):
         top, ratios = weight
         if abs_u.ndim > 1:

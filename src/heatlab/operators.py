@@ -27,9 +27,10 @@ spectral multipliers in the returned eigenbasis.  Two paths compute it:
   with scipy.fft.dstn); a longer axis whose n + 1 is prime runs Rader's
   prime-length sine transform, one negacyclic convolution of length n / 2,
   which beats pocketfft's Bluestein fallback by about 4x at n = 1600;
-  every other axis runs scipy.fft's O(n log n) DST.  One routine,
-  _tensor_product, applies one such op per axis, a pass per axis, to the
-  whole grid and to the mirror sector below alike.
+  every other axis runs scipy.fft's O(n log n) DST.  One table, _axis_ops,
+  holds each axis' ops, for the whole grid and for the mirror sector
+  below, and one routine, _tensor_product, applies one op per axis, a pass
+  per axis, to either.
   The box's reflections commute with this operator, and the source term
   sign |u|^(p-1) u keeps a field's parity, so a field that is mirror-even
   along an axis keeps only that axis' odd sine modes k = 1, 3, 5, ... under
@@ -39,14 +40,16 @@ spectral multipliers in the returned eigenbasis.  Two paths compute it:
   centre node of an odd n for itself alone), and the ceil(n/2) odd modes,
   transformed in the same routine by the half sine matrices
   (_half_sine_matrices) where ceil(n/2) <= 256, and otherwise, on a Rader
-  axis, by a half-length Rader transform (_half_rader: one real
-  negacyclic convolution of length n / 2, run as a complex one of length
-  n / 4); the other axes keep their whole-axis op.  A field folds an axis
-  when it equals its mirror image along it within _FOLD_TOL * max|u|
-  (_mirror_axes, the rule the dense fold applies to V), unless the axis
-  runs scipy.fft, which has no half-length transform; the dense path keeps
-  its full basis.  On the 13^3 critical grid a mirror-even field holds 7^3
-  values in place of 13^3, and on the n = 1600 line 800 in place of 1600.
+  axis, by Rader's transform on the half axis: one real negacyclic
+  convolution of length n / 2, run as a complex one of length n / 4.  The
+  whole axis and both sector directions run one Rader routine, _rader, by
+  plans from _rader_plans.  The other axes keep their whole-axis op.  A
+  field folds an axis when it equals its mirror image along it within
+  _FOLD_TOL * max|u| (_mirror_axes, the rule the dense fold applies to V),
+  unless the axis runs scipy.fft, which has no half-length transform
+  (_axis_ops gives it none); the dense path keeps its full basis.  On the
+  13^3 critical grid a mirror-even field holds 7^3 values in place of
+  13^3, and on the n = 1600 line 800 in place of 1600.
 * dense: Robin and every nonzero potential.  The matrix is diagonalised
   with LAPACK and the transforms are products with the stored basis.  A grid
   axis is folded when the domain is an interval or a box (not a halfline),
@@ -110,7 +113,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse
 
-from .grids import Field, Grid
+from .grids import Field, Grid, _weight_ratios
 
 POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
@@ -314,7 +317,8 @@ class SpectralOperator:
             coeffs = (self.basis.transpose(0, 2, 1) @ blocks).reshape(values.shape)[self.order]
             coeffs *= math.sqrt(self.grid.weight / self.basis.shape[0])  # the fold's 2^(-k/2)
             return coeffs
-        sines = _tensor_product(values, self.grid.n, map(_axis_op, self.grid.n))
+        ops = [_axis_ops(n, False)[0] for n in self.grid.n]
+        sines = _tensor_product(values, self.grid.n, ops)
         if self.grid.dim > 1:  # in 1-d, order is the identity
             sines = sines[self.order]
         return np.sqrt(self.grid.weight) * sines
@@ -339,7 +343,8 @@ class SpectralOperator:
             # _tensor_product works in, so a stack is not copied again there
             scattered = np.empty(coeffs.shape[::-1], dtype=dtype).T
             scattered[self.order] = coeffs
-        out = _tensor_product(scattered, self.grid.n, map(_axis_op, self.grid.n))
+        ops = [_axis_ops(n, False)[1] for n in self.grid.n]
+        out = _tensor_product(scattered, self.grid.n, ops)
         out /= np.sqrt(self.grid.weight)  # out is new: no block-sized copy
         return out
 
@@ -380,16 +385,16 @@ def _tensor_product(x: np.ndarray, shape: tuple[int, ...], ops) -> np.ndarray:
     """One linear op per axis of a grid of the given shape, applied to one
     field, shape (N,), or to a stack, shape (N, m), one field per column.
 
-    The structured transforms of the whole grid (_axis_op) and of a mirror
-    sector (_half_sine_matrices, _half_rader) all run here.  The batch axis
-    goes first and a single field is a batch of one, so every field runs
-    the same calls, alone or in a stack, and a stack equals its single
-    calls bit for bit.  Each pass hands the axis' op a (batch, rest, n) view whose last
-    axis is the leading grid axis of every field; the op transforms along
-    that axis and returns a new array, which rotates the axis to the back,
-    so after one pass per axis the axes are back in order.  A stack already
-    in batch-first order (the transpose of a C-ordered array, as
-    from_coeffs scatters it) is not copied first.
+    The structured transforms of the whole grid and of a mirror sector, by
+    the ops of _axis_ops, all run here.  The batch axis goes first and a
+    single field is a batch of one, so every field runs the same calls,
+    alone or in a stack, and a stack equals its single calls bit for bit.
+    Each pass hands the axis' op a (batch, rest, n) view whose last axis is
+    the leading grid axis of every field; the op transforms along that axis
+    and returns a new array, which rotates the axis to the back, so after
+    one pass per axis the axes are back in order.  A stack already in
+    batch-first order (the transpose of a C-ordered array, as from_coeffs
+    scatters it) is not copied first.
     """
     m = math.prod(x.shape[1:])
     y = np.ascontiguousarray(x.reshape(-1, m).T)
@@ -405,11 +410,11 @@ _MATMUL_MAX_N = 256  # longest grid axis on the sine-matrix path
 def _axis_path(n: int) -> str:
     """The DST-I path of a grid axis with n nodes: "matmul", "rader" or "dst".
 
-    One fixed rule on n, applied by _axis_op: axes of at most _MATMUL_MAX_N
-    nodes multiply by the sine matrix, longer axes whose n + 1 is prime run
-    Rader's transform (_rader_dst), and the rest run scipy.fft.  Measured
-    per call on one field of a 1-d grid, best of 7 x 400 calls, 2-core
-    Xeon, scipy 1.17, 2 OpenBLAS threads:
+    One fixed rule on n, whose ops _axis_ops holds: axes of at most
+    _MATMUL_MAX_N nodes multiply by the sine matrix, longer axes whose
+    n + 1 is prime run Rader's transform (_rader), and the rest run
+    scipy.fft.  Measured per call on one field of a 1-d grid, best of
+    7 x 400 calls, 2-core Xeon, scipy 1.17, 2 OpenBLAS threads:
 
            n   dst (us)   matmul (us)
           13      8.9         7.4
@@ -433,24 +438,24 @@ def _axis_path(n: int) -> str:
     a large prime factor.  Rader's transform needs n + 1 prime and
     convolves negacyclically at h = n / 2, by a Bluestein FFT where h is
     prime (262, 718, 1438 and 2038 below).  One field and a stack of 8,
-    best of 7 x 400 calls (same host); the prime-h rows were measured
-    together, later, the stack batch-first as _tensor_product hands it
-    over:
+    batch-first as _tensor_product hands it over, best of two sessions of
+    3 x 7 x 400 calls (same host, shared: its timings move by up to 2x
+    between phases, so read the columns against each other):
 
                           one field (us)     8-field stack (us)
            n   n + 1        dst   rader         dst   rader
-         262   263         39.3    23.5       152.5    64.7
-         400   401         50.3    26.8       247.0    53.4
-         640   641         98.7    34.5       370.5    70.7
-         718   719         57.0    39.3       250.7   148.5
-        1200   1201       130.0    40.1       580.8   123.5
-        1438   1439       112.9    65.7       542.8   303.4
-        1600   1601       190.6    45.1      1066.4   172.0
-        2038   2039       165.3    84.7       996.2   418.3
-         632   3 211       52.7       -       264.7       -
-         801   2 401       86.1       -       453.4       -
-        1204   5 241       88.9       -       579.6       -
-        2048   3 683      253.8       -      1102.3       -
+         262   263         47.1    31.9       183.2    76.7
+         400   401         44.5    42.2       185.1    54.4
+         640   641         67.2    29.6       270.3    69.1
+         718   719         69.1    50.6       303.8   174.4
+        1200   1201       129.3    35.4       578.6   122.4
+        1438   1439       137.1    79.9       657.8   359.6
+        1600   1601       184.9    42.3       857.3   148.2
+        2038   2039       202.0   112.2      1610.9   471.2
+         632   3 211       48.4       -       244.9       -
+         801   2 401       93.4       -       425.8       -
+        1204   5 241       79.6       -       501.9       -
+        2048   3 683      226.5       -      1231.2       -
 
     The composite axes at the bottom, which no shipped grid uses, run
     scipy.  On a 2-d grid with a prime axis the sine matrix would still be
@@ -462,17 +467,16 @@ def _axis_path(n: int) -> str:
     A mirror-even field's folded axis (_mirror_sector) has ceil(n/2) nodes
     and modes.  It multiplies by the half sine matrices where ceil(n/2) is
     at most _MATMUL_MAX_N, and a longer half, on a Rader axis, runs the
-    half-length Rader transform (_half_rader).  The sector's `to` direction
-    against the whole axis' Rader transform, best of 3 x 7 x 400 calls
-    (same host), batch-first:
+    sector's Rader transforms (_rader_plans).  The sector's `to` direction
+    against the whole axis' Rader transform, measured with the table above:
 
                       one field (us)           8-field stack (us)
            n    half    half   whole      half    half   whole
                matrix  rader   rader     matrix  rader   rader
-         400      7.1   22.3    24.5       48.6   36.6    51.7
-         718     19.2   46.1    46.1      144.7  155.1   166.6
-        1200    108.2   28.3    34.9      652.2   64.6   117.8
-        1600    102.8   26.8    35.8      752.4   77.5   146.6
+         400      4.9   24.7    26.0       31.5   37.5    53.5
+         718     19.9   50.0    51.3      157.3  176.6   181.5
+        1200    117.5   30.6    37.6      823.2   65.2   114.2
+        1600    106.6   30.9    40.1      789.9  115.6   154.5
 
     At n = 718 h = n / 2 is odd and prime, so the half transform convolves
     at length h by a Bluestein FFT and gains little; no shipped grid has
@@ -509,21 +513,6 @@ def _sine_matrix(n: int) -> np.ndarray:
     return s
 
 
-@functools.lru_cache(maxsize=16)
-def _axis_op(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The orthonormal DST-I along the last axis, by the path _axis_path
-    names for n nodes: a product with the sine matrix, which is symmetric
-    and so serves as the right factor as is, Rader's transform, or
-    scipy.fft.
-    """
-    path = _axis_path(n)
-    if path == "matmul":
-        return _sine_matrix(n).__rmatmul__
-    if path == "rader":
-        return _rader_dst
-    return functools.partial(scipy.fft.dst, type=1, norm="ortho", axis=-1)
-
-
 def _mirror_multiplicities(n: int) -> np.ndarray:
     """How many nodes of an n-node axis each half-axis node j < ceil(n/2)
     stands for: itself and its mirror n - 1 - j, or itself alone at the
@@ -552,6 +541,33 @@ def _half_sine_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return matrices
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_ops(n: int, fold: bool) -> Optional[tuple[Callable, Callable]]:
+    """The (to, from) ops of an n-node grid axis, along the last axis of a
+    batch-first array (_tensor_product), or of its mirror sector when fold
+    is set; None where the axis cannot fold.
+
+    The whole axis runs the orthonormal DST-I, its own inverse, by the path
+    _axis_path names: a product with the sine matrix, which is symmetric
+    and so serves as the right factor as is, Rader's transform, or
+    scipy.fft.  A sector whose half, ceil(n/2) nodes, is short enough for
+    the sine-matrix path (_MATMUL_MAX_N) multiplies by the half sine
+    matrices, and a longer one, on a Rader axis, runs the sector's Rader
+    transforms (_rader_plans).  scipy.fft has no half-length transform, so
+    its axes do not fold.
+    """
+    path = _axis_path(n)
+    if path == "dst":
+        dst = functools.partial(scipy.fft.dst, type=1, norm="ortho", axis=-1)
+        return None if fold else (dst, dst)
+    if fold and (n + 1) // 2 <= _MATMUL_MAX_N:
+        return tuple(s.__rmatmul__ for s in _half_sine_matrices(n))
+    if path == "matmul":
+        return (_sine_matrix(n).__rmatmul__,) * 2
+    whole, to, back = _rader_plans(n)
+    return tuple(functools.partial(_rader, plan) for plan in ((to, back) if fold else (whole,) * 2))
+
+
 def _mirror_axes(shaped: np.ndarray) -> tuple[bool, ...]:
     """Along which axes a grid-shaped array equals its mirror image, within
     _FOLD_TOL times its largest magnitude.
@@ -569,14 +585,13 @@ def _sector_folds(op: SpectralOperator, values: np.ndarray) -> tuple[bool, ...]:
     """The grid axes along which a field folds into its mirror sector.
 
     Each axis of a structured operator along which the field equals its
-    mirror image (_mirror_axes), except an axis on scipy.fft's path, which
-    has no half-length transform; no axis on the dense path, which keeps
-    its full basis (module docstring).
+    mirror image (_mirror_axes) and that has a sector transform (_axis_ops);
+    no axis on the dense path, which keeps its full basis (module docstring).
     """
     if op.basis.size:
         return (False,) * op.grid.dim
     mirrored = _mirror_axes(np.reshape(values, op.grid.n))
-    return tuple(fold and _axis_path(n) != "dst" for n, fold in zip(op.grid.n, mirrored))
+    return tuple(fold and _axis_ops(n, True) is not None for n, fold in zip(op.grid.n, mirrored))
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,7 +603,8 @@ class _MirrorSector:
     their eigenvalues, the same doubles as the full operator's, and weight
     the quadrature weight of each node, grid.weight times its mirror
     multiplicity: one float where every node stands for 2^k nodes (each
-    folded axis has even n), else one weight per node.  to_coeffs and
+    folded axis has even n), else the per-node weights split once by
+    grids._weight_ratios, as grids._lq_integral takes them.  to_coeffs and
     from_coeffs take one field or an (M, m) stack, like SpectralOperator's,
     and a mirror-even field's coefficients are its full-grid coefficients
     on the kept modes, so c.c is its L^2 mass.
@@ -598,7 +614,7 @@ class _MirrorSector:
     folds: tuple[bool, ...]
     shape: tuple[int, ...]
     mu: np.ndarray
-    weight: float | np.ndarray
+    weight: float | tuple[float, np.ndarray]
     _to: tuple
     _from: tuple
 
@@ -630,42 +646,31 @@ class _MirrorSector:
 
 def _mirror_sector(op: SpectralOperator, folds: tuple[bool, ...]) -> Optional[_MirrorSector]:
     """The mirror sector of op that folds the flagged axes, or None when no
-    axis folds.  folds comes from _sector_folds, which only flags axes of a
-    structured operator on the sine-matrix or the Rader path.
-
-    A folded axis whose half, ceil(n/2) nodes, is short enough for the
-    sine-matrix path (_MATMUL_MAX_N) multiplies by the half sine matrices
-    (_half_sine_matrices); a longer one, a Rader axis, runs the half-length
-    Rader transform (_half_rader).  An axis that does not fold keeps its
-    whole-grid op (_axis_op).
+    axis folds.  folds comes from _sector_folds, which only flags axes that
+    have a sector transform; each axis takes its ops from _axis_ops.
     """
     if not any(folds):
         return None
     grid = op.grid
     to, back, mus, mults = [], [], [], []
     for n, h, fold in zip(grid.n, grid.h, folds):
-        lam = _dirichlet_axis_eigenvalues(n, h)
-        if not fold:
-            ops, mult = (_axis_op(n),) * 2, np.ones(n)
-        else:
+        lam, mult = _dirichlet_axis_eigenvalues(n, h), np.ones(n)
+        if fold:
             lam, mult = lam[::2], _mirror_multiplicities(n)
-            if lam.size <= _MATMUL_MAX_N:
-                ops = tuple(s.__rmatmul__ for s in _half_sine_matrices(n))
-            else:
-                ops = tuple(functools.partial(_half_rader, plan) for plan in _half_rader_plans(n))
+        ops = _axis_ops(n, fold)
         to.append(ops[0])
         back.append(ops[1])
         mus.append(lam)
         mults.append(mult)
-    mult = functools.reduce(np.multiply.outer, mults).ravel()
+    weight = grid.weight * functools.reduce(np.multiply.outer, mults).ravel()
     return _MirrorSector(
         grid=grid,
         folds=tuple(folds),
         shape=tuple(lam.size for lam in mus),
         mu=functools.reduce(np.add.outer, mus).ravel(),
         # equal multiplicities make one float, which grids._lq_integral
-        # sums without its per-node branch
-        weight=grid.weight * (float(mult[0]) if np.all(mult == mult[0]) else mult),
+        # sums without per-node ratios
+        weight=float(weight[0]) if np.all(weight == weight[0]) else _weight_ratios(weight),
         _to=tuple(to),
         _from=tuple(back),
     )
@@ -681,119 +686,89 @@ def _primitive_root_powers(n: int) -> np.ndarray:
     return np.array(powers)
 
 
-@functools.lru_cache(maxsize=16)
-def _rader_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather, fold factors, kernel spectrum, output factors, order.
-
-    p = n + 1 is prime, h = n / 2, and g is the least primitive root mod p,
-    so g^h = -1.  Input a of the convolution is z_j at j = g^a (notation at
-    _rader_dst): the gather takes x_j for a = 0..h-1, then x_(p-j), and
-    the fold factors are the coefficients 1 - i(-1)^j and -1 - i(-1)^j.
-    The kernel is w_c = sin(2 pi g^(-c) / p), c = 0..h-1.  The convolution
-    is negacyclic at length h, so the fold factors and the kernel carry the
-    twist exp(i pi a / h) and the output factors its conjugate, and the
-    kernel spectrum carries the 1/h of the inverse FFT.  Output b is S at
-    m = g^(-b), or -S at p - m when m > h, so its factor carries that sign
-    and the orthonormal scale sqrt(2/p).  order gathers the interleaved
-    real (k = 2m) and imaginary (k = p - 2m) parts of the outputs into DST
-    order.
-    """
-    p, h = n + 1, n // 2
-    powers = _primitive_root_powers(n)
-    j = powers[:h]  # g^a
-    m = powers[-np.arange(h) % n]  # g^(-b)
-    twist = np.exp((1j * np.pi / h) * np.arange(h))
-    parity = np.where(j % 2 == 0, 1j, -1j)
-    half = np.minimum(m, p - m)
-    plan = (
-        np.r_[j - 1, p - j - 1],
-        np.r_[twist * (1 - parity), twist * (-1 - parity)],
-        scipy.fft.fft(twist * np.sin((2 * np.pi / p) * m)) / h,
-        np.sqrt(2.0 / p) * np.where(m > h, -1.0, 1.0) * twist.conj(),
-        np.argsort(np.c_[2 * half - 1, n - 2 * half].ravel()),
-    )
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
-def _rader_dst(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the last axis of length n, n + 1 = p prime,
-    by Rader.
-
-    With j, k = 1..n, h = n / 2 and the complex fold
-
-        z_j = (x_j - x_(p-j)) - i (-1)^j (x_j + x_(p-j)),
-
-    odd on Z_p (z_(p-j) = -z_j), the sums S_m = sum_(j=1..h) z_j
-    sin(2 pi j m / p), m = 1..h, give y_(2m) = sqrt(2/p) Re S_m and
-    y_(p-2m) = sqrt(2/p) Im S_m.  With j = g^a and m = g^(-b), S is a
-    cyclic convolution of length p - 1 over the powers of g (Rader, Proc.
-    IEEE 56, 1968), and since g^h = -1 and both factors are odd, a
-    negacyclic one of length h: one complex FFT pair at n / 2, where a
-    chirp-z transform needs one at about 2n (plan at _rader_plan).  Every
-    FFT runs along the last axis, line by line, so a stack equals its
-    single calls bit for bit.
-    """
-    gather, fold, kernel_hat, post, order = _rader_plan(x.shape[-1])
-    h = x.shape[-1] // 2
-    z = np.take(x, gather, axis=-1) * fold
-    c = scipy.fft.fft(z[..., :h] + z[..., h:], axis=-1, overwrite_x=True)
-    c *= kernel_hat
-    c = scipy.fft.ifft(c, axis=-1, norm="forward", overwrite_x=True)
-    c *= post
-    # the last axis of c.view(float) interleaves the real and imaginary parts
-    return np.take(c.view(float), order, axis=-1)
+def _negacyclic_kernel(h: int, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The twist exp(i pi a / h), a = 0 up to the packed kernel's length, and
+    the twisted kernel's spectrum, which carries the 1/length of the inverse
+    FFT (_rader_plans)."""
+    twist = np.exp((1j * np.pi / h) * np.arange(kernel.size))
+    return twist, scipy.fft.fft(twist * kernel) / kernel.size
 
 
 @functools.lru_cache(maxsize=16)
-def _half_rader_plans(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Plans of the mirror sector's two transforms on a Rader axis: (to, from).
+def _rader_plans(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Plans of Rader's transforms on an n-node axis, p = n + 1 prime:
+    (whole, to, from), the whole axis' orthonormal DST-I and the two
+    directions of its mirror sector.
 
-    p = n + 1 is prime and h = n / 2.  Counting nodes j and modes k from 1,
-    both directions are one real transform of length h,
+    With h = n / 2 and nodes j and modes k counted from 1, each is the real
+    transform of length h
 
         T(w)_m = sum_(j=1..h) w_j sin(2 pi j m / p),   m = 1..h,
 
-    with fixed signs and index maps: `to` takes w_j = (-1)^(j+1) u_j, and
-    T_m is mode k = p - 2m; `from` takes w_k = c_k for odd k and -c_(p-k)
-    for even k, and T_m is node min(2m, p - 2m).  Take j = g^a and
-    m = g^(-b) mod p (notation at _rader_plan), each folded into 1..h by
-    x -> p - x with a sign where it exceeds h: T is then a real negacyclic
-    convolution of length h over the powers of g.  For even h it runs as a right-angle convolution
-    (Crandall & Fagin, Math. Comp. 62, 1994): the gather interleaves inputs
-    a and a + h/2, so the complex view of the gathered row packs them as
-    w_a + i w_(a+h/2); twisted by exp(i pi a / h) the packed rows convolve
-    cyclically by one complex FFT pair of length h / 2, and the real and
-    imaginary parts of the untwisted result are outputs b and b + h/2.  For
-    odd h (n = 718, 1438, 2038) the gathered row itself is the complex
-    input, of length h, and the real parts are the outputs.  The kernel is
-    packed the same way as the outputs, w_c = sin(2 pi g^(-c) / p), and its
-    spectrum carries the 1/length of the inverse FFT.  A plan is (gather,
-    input signs, twist, kernel spectrum, untwist, order, output factors);
-    order gathers the outputs from the result's float view into node or
-    mode order, and the output factors carry the signs, sqrt(2/p) and, on
-    the way to the modes, the multiplicity 2 of every half-axis node.
+    with fixed signs and index maps.  Take j = g^a and m = g^(-b) mod p, g
+    the least primitive root mod p, so g^h = -1, each folded into 1..h by
+    x -> p - x with a sign where it exceeds h: T is then a negacyclic
+    convolution of length h over the powers of g (Rader, Proc. IEEE 56,
+    1968) with the kernel w_c = sin(2 pi g^(-c) / p), run by FFTs of the
+    input twisted by exp(i pi a / h) and untwisted after.
+
+    * whole: with the complex fold z_j = (x_j - x_(p-j)) - i (-1)^j (x_j +
+      x_(p-j)), odd on Z_p, S = T(z) gives y_(2m) = sqrt(2/p) Re S_m and
+      y_(p-2m) = sqrt(2/p) Im S_m, so one complex convolution of length h
+      carries two real ones.  The gather interleaves x_j and x_(p-j) at
+      j = g^a, and with the input signs [1, s_j], s_j = -(-1)^j, the complex
+      view of the row is x_j + i s_j x_(p-j); z_j is that times 1 + i s_j,
+      which the twist carries.
+    * to: w_j = (-1)^(j+1) u_j, and T_m is mode k = p - 2m.
+    * from: w_k = c_k for odd k and -c_(p-k) for even k, and T_m is node
+      min(2m, p - 2m).
+
+    The sector's input is real.  For even h it convolves as a right-angle
+    convolution (Crandall & Fagin, Math. Comp. 62, 1994): the gather
+    interleaves inputs a and a + h/2, so the complex view of the gathered
+    row packs them as w_a + i w_(a+h/2), the packed rows convolve cyclically
+    at length h / 2, and the real and imaginary parts of the untwisted
+    result are outputs b and b + h/2.  For odd h (n = 718, 1438, 2038) the
+    gathered row itself is the complex input, of length h, and the real
+    parts are the outputs.  The kernel is packed the same way as the
+    outputs.  A plan is (gather, input signs, twist, kernel spectrum,
+    untwist, order, output factors); order gathers the outputs from the
+    result's float view into DST, node or mode order, and the output factors
+    carry the signs, sqrt(2/p) and, on the way to the modes, the
+    multiplicity 2 of every half-axis node.
     """
     p, h = n + 1, n // 2
     powers = _primitive_root_powers(n)
     j, m = powers[:h], powers[-np.arange(h) % n]  # g^a, g^(-b)
     j_half, m_half = np.minimum(j, p - j), np.minimum(m, p - m)
-    length = h // 2 if h % 2 == 0 else h
-    a = np.arange(h)
-    # where input a sits in the gathered row, and output b in the result's float view
-    slot_in = np.where(a < length, 2 * a, 2 * (a - length) + 1) if length < h else a
-    slot_out = slot_in if length < h else 2 * a
-    twist = np.exp((1j * np.pi / h) * np.arange(length))
-    kernel = np.zeros(2 * length)
-    kernel[slot_out] = np.sin((2 * np.pi / p) * m)
-    kernel_hat = scipy.fft.fft(twist * kernel.view(complex)) / length
+    sine = np.sin((2 * np.pi / p) * m)
+    sign_out = math.sqrt(2.0 / p) * np.where(m > h, -1.0, 1.0)
+    twist, kernel_hat = _negacyclic_kernel(h, sine.astype(complex))
+    s = np.where(j % 2 == 0, -1.0, 1.0)  # s_j = -(-1)^j
+    # outputs 2m (real parts) and p - 2m (imaginary parts) into DST order
+    order = np.argsort(np.c_[2 * m_half - 1, n - 2 * m_half].ravel())
+    whole = (
+        np.c_[j - 1, p - j - 1].ravel(),
+        np.c_[np.ones(h), s].ravel(),
+        twist * (1 + 1j * s),
+        kernel_hat,
+        twist.conj(),
+        order,
+        np.repeat(sign_out, 2)[order],
+    )
+    # where sector input a sits in the gathered row, and output b in the
+    # result's float view; odd h keeps the whole axis' twist and kernel
+    slot_in, slot_out = np.arange(h), 2 * np.arange(h)
+    if h % 2 == 0:
+        slot_in = slot_out = np.where(slot_in < h // 2, slot_out, slot_out - h + 1)
+        kernel = np.empty(h)
+        kernel[slot_out] = sine
+        twist, kernel_hat = _negacyclic_kernel(h, kernel.view(complex))
     odd = j_half % 2 == 1
     # (-1)^(j+1) on to's u_j and the - on from's c_(p-k) at even k alike
     sign_in = np.where(j > h, -1.0, 1.0) * np.where(odd, 1.0, -1.0)
-    sign_out = math.sqrt(2.0 / p) * np.where(m > h, -1.0, 1.0)
     node = np.minimum(2 * m_half, p - 2 * m_half) - 1
-    plans = []
+    plans = [whole]
     for source, target, mult in (
         (j_half - 1, h - m_half, 2.0),  # to: node j -> mode p - 2m, index h - m
         (np.where(odd, j_half // 2, h - j_half // 2), node, 1.0),  # from: mode k -> node
@@ -806,20 +781,26 @@ def _half_rader_plans(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray,
     for plan in plans:
         for arr in plan:
             arr.flags.writeable = False
-    return plans[0], plans[1]
+    return tuple(plans)
 
 
-def _half_rader(plan: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """One of the mirror sector's transforms on a Rader axis, along the last
-    axis of length n / 2 (plan and notation at _half_rader_plans).
+def _rader(plan: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """One of Rader's transforms along the last axis, by a plan of
+    _rader_plans (notation there): the whole axis' DST-I or one direction
+    of its mirror sector.
 
-    One complex FFT pair of length n / 4 per line (n / 2 where n / 2 is
-    odd), where the full axis' _rader_dst takes one of length n / 2.  Every
-    FFT runs along the last axis, line by line, so a stack equals its
-    single calls bit for bit.
+    One complex FFT pair per line, of length n / 2 on the whole axis and
+    n / 4 on the sector (n / 2 where n / 2 is odd).  Every FFT runs along
+    the last axis, line by line, so a stack equals its single calls bit for
+    bit.  The plans pack real rows, so a complex field's real and imaginary
+    parts are transformed one after the other.
     """
+    if np.iscomplexobj(x):
+        out = np.empty(x.shape, dtype=complex)
+        out.real, out.imag = _rader(plan, x.real), _rader(plan, x.imag)
+        return out
     gather, signs, twist, kernel_hat, untwist, order, post = plan
-    z = np.take(x, gather, axis=-1)
+    z = np.take(x, gather, axis=-1).astype(float, copy=False)  # integer fields too
     z *= signs
     z = z.view(complex) if z.shape[-1] > twist.size else z.astype(complex)
     z *= twist

@@ -24,7 +24,14 @@ from heatlab.evolution import (
 )
 from heatlab.config import load_experiment_config
 from heatlab.experiments import _trajectory_csv, make_initial_data, prepare_run
-from heatlab.grids import DomainSpec, Field, _lq_integral, build_grid, field_from_function
+from heatlab.grids import (
+    DomainSpec,
+    Field,
+    _lq_integral,
+    _weight_ratios,
+    build_grid,
+    field_from_function,
+)
 from heatlab.operators import (
     OperatorSpec,
     _MirrorSector,
@@ -788,7 +795,7 @@ def test_unfolded_final_state_is_mirror_symmetric():
 def test_lq_integral_with_equal_vector_weights_matches_scalar(q):
     grid = build_grid(DomainSpec.box(-5.0, 5.0, 3), 13)
     x = np.abs(np.random.default_rng(7).standard_normal((grid.n_total, 3)))
-    weights = np.full(grid.n_total, grid.weight)
+    weights = _weight_ratios(np.full(grid.n_total, grid.weight))
     np.testing.assert_array_max_ulp(
         _lq_integral(x, q, weights), _lq_integral(x, q, grid.weight), maxulp=1
     )

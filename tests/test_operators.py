@@ -12,21 +12,22 @@ from hypothesis import strategies as st
 
 import heatlab
 from heatlab.evolution import IntegratorConfig, integrate
-from heatlab.grids import DomainSpec, Field, build_grid, field_from_function
+from heatlab.grids import DomainSpec, Field, _lq_integral, build_grid, field_from_function
 from heatlab.operators import (
     AssemblyError,
     OperatorSpec,
     PotentialSpec,
     ZERO_POTENTIAL,
+    _axis_ops,
     _axis_path,
     _check_reconstruction,
     _folded_axes,
-    _half_rader,
-    _half_rader_plans,
     _half_sine_matrices,
     _mirror_axes,
     _mirror_sector,
-    _rader_dst,
+    _rader,
+    _rader_plans,
+    _sector_folds,
     _sine_matrix,
     _stencil_apply,
     _stencil_matrix,
@@ -462,40 +463,78 @@ def test_rows_first_stack_equals_single_calls(shape, paths):
             assert np.array_equal(stacked[:, k], transform(row))
 
 
+@pytest.mark.parametrize(
+    "shape, paths",
+    [
+        ((200,), ["matmul"]),
+        ((1600,), ["rader"]),
+        ((1599,), ["dst"]),
+        ((400, 12), ["rader", "matmul"]),
+        ((400,), "dense"),  # the well_op fixture
+    ],
+)
+def test_transforms_take_complex_and_integer_fields(shape, paths, well_op):
+    if paths == "dense":
+        op = well_op
+    else:
+        assert [_axis_path(n) for n in shape] == paths
+        domain = DomainSpec.box(-20.0, 20.0, len(shape))
+        op = assemble(OperatorSpec(kind="dirichlet_laplacian"), build_grid(domain, shape))
+    rng = np.random.default_rng(8)
+    for size in ((op.grid.n_total,), (op.grid.n_total, 3)):
+        x, y = rng.standard_normal(size), rng.standard_normal(size)
+        ints = rng.integers(-5, 6, size)
+        for transform in (op.to_coeffs, op.from_coeffs):
+            # complex: the real and imaginary parts transform apart; to
+            # roundoff, since a sine-matrix product of a complex row runs a
+            # complex BLAS kernel and from_coeffs' complex division by the
+            # real scale multiplies by its reciprocal
+            split = transform(x) + 1j * transform(y)
+            z = transform(x + 1j * y)
+            assert z.dtype == complex and z.shape == size
+            assert np.max(np.abs(z - split)) <= 1e-14 * np.max(np.abs(split))
+            # integers: their float copies, bit for bit
+            assert np.array_equal(transform(ints), transform(ints.astype(float)))
+
+
 @pytest.mark.parametrize("n", [262, 400, 718, 1200, 1600, 2038])
 def test_rader_dst_matches_scipy_and_inverts(n):
     # the negacyclic convolution runs at h = n / 2, smooth at 400, 1200 and
     # 1600 and prime at 262, 718 and 2038
     assert _axis_path(n) == "rader"
+    whole = _rader_plans(n)[0]
     rng = np.random.default_rng(n)
     for x in (rng.standard_normal(n), rng.standard_normal((8, n))):
-        y = _rader_dst(x)
+        y = _rader(whole, x)
         ref = scipy.fft.dst(x, type=1, norm="ortho", axis=-1)
         assert y.shape == x.shape
         assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the orthonormal DST-I is its own inverse
-        assert np.max(np.abs(_rader_dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(_rader(whole, y) - x)) <= 1e-13 * np.max(np.abs(x))
     for j in range(x.shape[0]):  # a stack is bitwise its single calls
-        assert np.array_equal(y[j], _rader_dst(x[j]))
+        assert np.array_equal(y[j], _rader(whole, x[j]))
+    # a complex row is its real and imaginary rows, bit for bit
+    z = _rader(whole, x + 1j * y)
+    assert np.array_equal(z.real, _rader(whole, x)) and np.array_equal(z.imag, _rader(whole, y))
 
 
 @pytest.mark.parametrize("n", [400, 718, 1200, 1600])
 def test_half_rader_is_the_half_sine_matrix_product_and_inverts(n):
     # h = n / 2 even (400, 1200, 1600: a right-angle convolution at h / 2)
     # and odd (718: a complex convolution at h)
-    to, back = _half_rader_plans(n)
+    _, to, back = _rader_plans(n)
     to_matrix, from_matrix = _half_sine_matrices(n)
     rng = np.random.default_rng(n)
     for x in (rng.standard_normal(n // 2), rng.standard_normal((8, 1, n // 2))):
         for plan, matrix in ((to, to_matrix), (back, from_matrix)):
-            y, ref = _half_rader(plan, x), x @ matrix
+            y, ref = _rader(plan, x), x @ matrix
             assert y.shape == x.shape
             assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the two directions are exact inverses on the half axis
-        assert np.max(np.abs(_half_rader(back, _half_rader(to, x)) - x)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(_rader(back, _rader(to, x)) - x)) <= 1e-13 * np.max(np.abs(x))
     for j in range(x.shape[0]):  # a stack is bitwise its single calls
-        assert np.array_equal(_half_rader(to, x)[j], _half_rader(to, x[j]))
-        assert np.array_equal(_half_rader(back, x)[j], _half_rader(back, x[j]))
+        assert np.array_equal(_rader(to, x)[j], _rader(to, x[j]))
+        assert np.array_equal(_rader(back, x)[j], _rader(back, x[j]))
 
 
 def test_rader_rule_follows_largest_prime_factor_of_n_plus_1():
@@ -538,9 +577,21 @@ def test_axis_path_rule():
     # prime (263, 401, 1201 and 1601 are) and scipy's DST otherwise, however
     # large the prime factors of n + 1 (258 = 2 3 43, 260 = 2^2 5 13,
     # 633 = 3 211, 802 = 2 401, 1600 = 2^6 5^2, 2049 = 3 683, 3201 = 3 11 97)
-    assert all(_axis_path(n) == "matmul" for n in (1, 13, 31, 196, 256))
-    assert all(_axis_path(n) == "rader" for n in (262, 400, 1200, 1600))
-    assert all(_axis_path(n) == "dst" for n in (257, 259, 632, 801, 1599, 2048, 3200))
+    paths = {"matmul": (1, 13, 31, 196, 256), "rader": (262, 400, 1200, 1600),
+             "dst": (257, 259, 632, 801, 1599, 2048, 3200)}
+    for path, ns in paths.items():
+        assert all(_axis_path(n) == path for n in ns)
+        for n in ns:
+            # scipy.fft has no sector transform: a mirror-even field folds
+            # every other axis (a grid has at least 2 nodes per axis), and a
+            # field that is not mirror-even folds none
+            assert (_axis_ops(n, True) is None) == (path == "dst")
+            if n > 1:
+                grid = build_grid(DomainSpec.interval(-1.0, 1.0), n)
+                op = assemble(OperatorSpec(kind="dirichlet_laplacian"), grid)
+                ramp = np.arange(1.0, n + 1.0)
+                assert _sector_folds(op, np.minimum(ramp, ramp[::-1])) == (path != "dst",)
+                assert _sector_folds(op, ramp) == (False,)
 
 
 def test_grid_with_all_three_axis_paths_matches_stencil():
@@ -737,7 +788,8 @@ def test_mirror_sector_is_the_full_transform_on_kept_modes(n, folds):
     # one float where every folded axis has even n
     folded_even = all(m % 2 == 0 for m, f in zip(n, folds) if f)
     assert isinstance(sector.weight, float) == folded_even
-    assert math.isclose(np.sum(sector.weight * half**2), grid.weight * np.sum(x**2), rel_tol=1e-13)
+    mass = _lq_integral(np.abs(half), 2.0, sector.weight)
+    assert math.isclose(mass, grid.weight * np.sum(x**2), rel_tol=1e-13)
     assert np.max(np.abs(sector.from_coeffs(coeffs) - half)) <= 1e-13 * np.max(np.abs(half))
     # a stack, one field per column, equals its single calls bit for bit
     stack = np.stack([half, 2.0 * half, -half], axis=1)
