@@ -4,7 +4,8 @@ Subcommands, the files each writes into --out, and its exit codes:
 
   solve        one configured run: trajectory.csv, summary.txt,
                constants.txt; 0, or 1 when the run is refused (say, the
-               initial state overflows)
+               initial state overflows, or the operator and mode have no
+               energy space)
   ground-state the positive ground state and its constants: profile.csv,
                constants.txt; 2 unless the config is subcritical with the
                source nonlinearity

@@ -26,7 +26,7 @@ from .evolution import Trajectory, _nonuniform_derivative
 from .grids import Field, _lq_integral, _lr_norms
 from .operators import SpectralOperator
 from .semigroup import _semigroup_orbit
-from .variational import EquationMode, VariationalConstants
+from .variational import EquationMode, VariationalConstants, _mode_multiplier
 
 _NEHARI_BAND = 1e-8  # |J| <= band * ||u||_E^2 counts as "on the manifold"
 
@@ -222,16 +222,17 @@ def linear_profile_smallness(
     taken over (0, T) with T = t_cap (default 10/mu_1) by trapezoid on a
     log-clustered slice grid, and the remainder past T is bounded through
     the spectral gap (||f||_q <= w^(1/q-1/2) ||f||_2 on the grid) and added,
-    so the result slightly overestimates the full-line norm.
+    so the result slightly overestimates the full-line norm.  An operator
+    whose mu_1 is not positive has no energy space and raises
+    variational._mode_multiplier's ValueError.
     """
     if mode.regime != "critical":
         raise ValueError("the space-time profile norm is a critical-regime notion")
-    if op.mu_min <= 0:
-        raise ValueError("needs a strictly positive spectrum (certified kernel-bound family)")
     if n_slices < 2:
         raise ValueError("need n_slices >= 2")
+    mu_1 = float(np.min(_mode_multiplier(op, mode)))  # the critical shift is 0
     q = 2.0 * mode.p_critical
-    t_end = 10.0 / op.mu_min if t_cap is None else float(t_cap)
+    t_end = 10.0 / mu_1 if t_cap is None else float(t_cap)
     ts = np.concatenate([[0.0], np.geomspace(1e-6 * t_end, t_end, n_slices)])
     w = op.grid.weight
     vals = []
@@ -240,5 +241,5 @@ def linear_profile_smallness(
             vals.append(_lq_integral(np.abs(block), q, w))
         main = np.trapezoid(np.concatenate(vals), ts)
         c_grid = w ** (1.0 / q - 0.5)
-        tail = (c_grid * _lr_norms(block[:, -1], 2.0, w)) ** q / (q * op.mu_min)
+        tail = (c_grid * _lr_norms(block[:, -1], 2.0, w)) ** q / (q * mu_1)
         return float((main + tail) ** (1.0 / q))

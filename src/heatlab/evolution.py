@@ -35,7 +35,7 @@ import numpy as np
 
 from .grids import Field, _lq_integral
 from .operators import SpectralOperator, _MirrorSector, _mirror_sector, _sector_folds
-from .variational import EquationMode, _functionals, _source_term
+from .variational import EquationMode, _functionals, _mode_multiplier, _source_term
 
 SCHEMES = ("exponential_euler", "etdrk2")
 _SCHEME_ORDER = {"exponential_euler": 1, "etdrk2": 2}
@@ -60,7 +60,8 @@ class IntegratorConfig:
     def __post_init__(self):
         """Refuses, by the field's name, what the config file refuses: a
         non-finite or non-positive size, tolerance, cap, sample interval or
-        cutoff radius, dt_init outside [dt_min, dt_max], and max_steps < 1."""
+        cutoff radius, dt_init outside [dt_min, dt_max], and a max_steps
+        that is not an integer of at least 1 (a bool is not one)."""
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         names = "t_max dt_init dt_min dt_max rel_tol blowup_sup_cap blowup_energy_cap".split()
@@ -73,8 +74,12 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        if (
+            isinstance(self.max_steps, bool)
+            or not isinstance(self.max_steps, (int, np.integer))
+            or self.max_steps < 1
+        ):
+            raise ValueError(f"max_steps must be at least 1 and an integer, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,8 @@ class _Stepper:
     k fields, one per row, shape (k, N), with one dt per row; the state
     statistics take one row.  On a sector N is its node count, and the
     fields, coefficients, eigenvalues and node weights are the sector's.
+    The multipliers a = mu + shift come from variational._mode_multiplier,
+    so a pair with no energy space is refused here, for every flow.
     """
 
     def __init__(
@@ -134,7 +141,7 @@ class _Stepper:
         self.weight = op.grid.weight if sector is None else sector.weight
         self.stacked = sector is not None or not op.basis.size
         self.mode = mode
-        self.a = space.mu + mode.shift
+        self.a = _mode_multiplier(space, mode)
         self.q = 2.0 * mode.p_critical if mode.regime == "critical" else None
 
     def _rows(self, transform, x: np.ndarray) -> np.ndarray:
@@ -357,7 +364,9 @@ def integrate(
     space-time integrals are accumulated at every accepted step regardless
     of the sample cadence.  Raises ValueError when u0 overflows double
     precision, so that its E or J is not finite, or lives on another grid
-    than op's.  The run is integrate_rows with one row.
+    than op's, and when op and mode have no energy space (some mu + shift
+    not positive, variational._mode_multiplier).  The run is
+    integrate_rows with one row.
     """
     (traj,) = integrate_rows([u0], op, mode, cfg)
     if isinstance(traj, ValueError):
@@ -391,21 +400,14 @@ def integrate_rows(
     time integral at an accepted state ends the row as sup_cap with its
     last finite sample.  Each row's values touch only that row, so one
     stacked attempt gives every row its own outcome.  The rows of a serial
-    sweep share the fixed cost of each call: on the 1-d dichotomy sweep
-    (n = 1600, 4 rows) the loop takes 0.64 of the time of four integrate
-    calls (median of 7 interleaved pairs, 2-core Xeon).
+    sweep share the fixed cost of each call.  An operator and mode with no
+    energy space (variational._mode_multiplier) raise its ValueError
+    before any row starts.
 
     Each attempt is one fused step (_Stepper.attempt): the full step and
     the first half step of every active row run as one stack of 2k rows,
     with one multipliers call, so an ETDRK2 attempt makes 8 transforms, not
-    10.  Where a transform is cheap, fixed costs per call decide the time:
-    on critical_3d, whose M- run makes 693 attempts on a 7^3 sector at
-    about 9 µs a transform, the fused attempt, the one errstate and the
-    shared expm1 took the solve from 0.36 to 0.25 s and, in a second set,
-    from 0.30 to 0.21 s (medians of 16 and 12 fresh-process pairs, 15 and
-    12 won, 2-core Xeon), with every trajectory bit for bit unchanged; on the dichotomy sweep's rows, where a transform of
-    the 800-node half line costs about 27 µs, integrate_rows took 0.94 s
-    against 1.09 s (medians of 10 interleaved in-process pairs, 9 won).
+    10, and every trajectory is bit for bit what separate steps give.
 
     Mirror-even rows step on the half grid.  On a structured operator, a
     row that equals its mirror image along some axes (the rule of
@@ -421,14 +423,6 @@ def integrate_rows(
     whatever the row folds (samples[0] is variational.energy of u0 bit for
     bit, and the grid check and the overflow refusal come first), and
     final_state is the unfolded Field on op.grid, mirror-symmetric exactly.
-    On the 13^3 critical_3d grid, where a folded row holds 7^3 of 13^3
-    values, the whole critical_3d solve took 0.27 s against 0.46 s (medians
-    of 12 fresh-process pairs, 2-core Xeon, 2 OpenBLAS threads); the steps
-    are the same and every fact moves at roundoff.  On the n = 1600 line of
-    dichotomy_sweep_1d, a Rader axis, every row folds onto 800 nodes and
-    transforms by the half-length Rader transform: the sweep's solve took
-    0.90 s against 1.19 s (medians of 10 fresh-process pairs, same host),
-    with the same step counts and every fact at roundoff.
     """
     st = _Stepper(op, mode)
     cutoffs = _cutoff_profiles(op, cfg.cutoff_radii)

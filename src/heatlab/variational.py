@@ -21,6 +21,11 @@ With the absorbing sign the dissipation identity requires
 E(u) = 1/2||u||_E^2 + 1/(p+1)||u||_{p+1}^{p+1} and J >= ||u||_E^2; the
 threshold machinery (projection, ground state, S, level, classification)
 is specific to the source sign and refuses other modes.
+
+||u||_E^2 = sum (mu_k + shift) |c_k|^2 is a norm only when every mu_k +
+shift is positive; _mode_multiplier decides that once, for the
+functionals, the solvers, the flows of evolution and the bounds alike, and
+refuses an operator below the energy bound by name.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 
 from .grids import Field, _lq_integral, field_from_function, lp_norm
 from .operators import SpectralOperator
+from .semigroup import smoothing_norm_2_to_inf
 
 NONLINEARITY = ("source", "absorbing", "none")
 _BOUND_TIMES = 300  # log-spaced times in sobolev_bound_from_semigroup's quadrature
@@ -152,12 +158,22 @@ class ProjectionResult:
 
 
 def _mode_multiplier(op: SpectralOperator, mode: EquationMode) -> np.ndarray:
+    """The energy multiplier a = mu + shift of each mode of op (an operator
+    or a mirror sector of one): ||u||_E^2 = sum a |c|^2.
+
+    The one energy-space rule: that sum is a norm only when every a is
+    positive, so an operator and mode whose smallest a is not above
+    1e-12 max(|mu_max|, 1) raise ValueError; the flows, the solvers and the
+    bounds all take a from here.
+    """
     a = op.mu + mode.shift
-    if np.min(a) < -1e-12 * max(abs(op.mu[-1]), 1.0):
+    a_min = np.min(a)
+    if not a_min > 1e-12 * max(abs(np.max(op.mu)), 1.0):
         raise ValueError(
-            f"spectrum extends below the energy-space lower bound (min {np.min(a):.3e})"
+            f"no energy space: the {mode.regime} energy norm needs a positive spectrum "
+            f"of L + {mode.shift:g} (smallest mode multiplier {a_min:.3e})"
         )
-    return np.maximum(a, 0.0)
+    return a
 
 
 def _require_source(mode: EquationMode, what: str) -> None:
@@ -195,7 +211,7 @@ def _functionals(
     return FunctionalReport(
         energy=0.5 * en_sq - nl / (mode.p + 1.0),
         nehari=en_sq - nl,
-        energy_norm=math.sqrt(max(en_sq, 0.0)),
+        energy_norm=math.sqrt(en_sq),
         lp=lp_p1 ** (1.0 / (mode.p + 1.0)),
     )
 
@@ -267,8 +283,6 @@ def _nehari_fixed_point(op: SpectralOperator, mode: EquationMode, start: Field) 
     iterations.
     """
     a = _mode_multiplier(op, mode)
-    if np.min(a) <= 0:
-        raise ValueError("fixed-point iteration needs a strictly positive energy multiplier")
     u = nehari_projection(start, op, mode).projected
     theta = 1.0
     prev_res = math.inf
@@ -450,11 +464,9 @@ def sobolev_bound_from_semigroup(op: SpectralOperator, mode: EquationMode) -> fl
     _require_source(mode, "Sobolev semigroup bound")
     if mode.regime != "subcritical":
         raise ValueError("the integral formula uses the inhomogeneous norm (subcritical)")
-    from .semigroup import smoothing_norm_2_to_inf
-
     p = mode.p
     theta = 2.0 / (p + 1.0)  # L^2 interpolation weight
-    rate2 = 1.0 + op.mu_min
+    rate2 = float(np.min(_mode_multiplier(op, mode)))
     t_max = 40.0 / rate2
     u_grid = np.linspace(math.log(_BOUND_T_MIN), math.log(t_max), _BOUND_TIMES)
     t_grid = np.exp(u_grid)

@@ -397,6 +397,41 @@ def test_overflowing_initial_data_is_refused_by_solve_and_sweep(tmp_path, capsys
     assert rows[1].split(",")[-1].startswith("ValueError: initial state overflows")
 
 
+DEEP_WELL_RUN = """
+equation.regime = subcritical
+equation.p = 3.0
+domain.kind = interval
+domain.lower = -10.0
+domain.upper = 10.0
+grid.n = 200
+operator.kind = schrodinger
+potential.kind = gaussian_well
+potential.depth = 6
+initial.recipe = gaussian
+initial.amplitude = 0.01
+integrator.t_max = 1
+"""
+
+
+def test_operator_below_the_energy_bound_is_refused_by_solve_and_sweep(tmp_path, capsys):
+    # mu_1 = -3.93 on this well, so mu_1 + 1 < 0: no energy space.  solve
+    # used to exit 0 with verdict Dissipates while the mass grew 208-fold
+    out = tmp_path / "run"
+    assert main(["solve", write_cfg(tmp_path, DEEP_WELL_RUN), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no energy space: ") and "positive spectrum" in err
+    assert not out.exists()  # a refused run leaves no directory behind
+    text = DEEP_WELL_RUN + "sweep.key = initial.amplitude\nsweep.values = 0.01, 0.1, 1.0\n"
+    sweep_out = tmp_path / "sweep"
+    assert main(["sweep", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(sweep_out)]) == 0
+    rows = (sweep_out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        error = row.split(",")[-1]
+        assert error.startswith("ValueError: no energy space: ") and "positive spectrum" in error
+    assert sorted(os.listdir(sweep_out)) == ["sweep.csv"]
+
+
 def test_sweep_without_axis_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     rc = main(["sweep", cfg, "--out", str(tmp_path / "x")])

@@ -84,7 +84,7 @@ def test_config_refuses_non_positive_caps_intervals_and_radii(field, value):
         IntegratorConfig(t_max=1.0, **{field: value})
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, True])
 def test_config_refuses_max_steps_below_one(max_steps):
     with pytest.raises(ValueError, match="^max_steps must be at least 1"):
         IntegratorConfig(t_max=1.0, max_steps=max_steps)

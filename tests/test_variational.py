@@ -289,6 +289,43 @@ def test_semigroup_route_bounds_sobolev_constant(small_op, well_op):
         sobolev_bound_from_semigroup(small_op, EquationMode.critical(3))
 
 
+def test_one_energy_space_rule_refuses_an_operator_below_the_bound(well_op):
+    # V = -6 e^{-x^2} on (-10, 10) has mu_1 = -3.93, so mu_1 + 1 < 0 and
+    # sum (mu + 1)|c|^2 is no norm: every flow, solver and bound refuses it
+    # with the one message, where the flow used to run and call it Dissipates
+    grid = build_grid(DomainSpec.interval(-10.0, 10.0), 200)
+    pot = heatlab.PotentialSpec(
+        kind="tabulated_bounded", fn=lambda x: -6.0 * np.exp(-np.sum(x * x, axis=-1))
+    )
+    deep = assemble(OperatorSpec(kind="schrodinger", potential=pot), grid)
+    assert deep.mu_min + 1.0 < 0
+    mode = EquationMode.subcritical(3.0, 1)
+    u0 = heatlab.field_from_function(grid, lambda x: 0.01 * np.exp(-x[..., 0] ** 2 / 2))
+    cfg = heatlab.IntegratorConfig(t_max=1.0)
+    calls = [
+        lambda: heatlab.integrate(u0, deep, mode, cfg),
+        lambda: heatlab.integrate_rows([u0, 2.0 * u0], deep, mode, cfg),
+        lambda: heatlab.step(u0, 1e-3, deep, mode),
+        lambda: heatlab.picard_iterate(u0, deep, mode, 0.1),
+        lambda: energy(u0, deep, mode),
+        lambda: ground_state(deep, mode),
+        lambda: sobolev_bound_from_semigroup(deep, mode),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="^no energy space: .*positive spectrum") as exc:
+            call()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    # the shipped well (depth 2, smallest mu + 1 = 0.045) keeps its energy space
+    a = variational._mode_multiplier(well_op, mode)
+    assert 0.04 < a.min() < 0.05
+    bump = heatlab.field_from_function(well_op.grid, lambda x: 0.01 * np.exp(-x[..., 0] ** 2))
+    traj = heatlab.integrate(bump, well_op, mode, heatlab.IntegratorConfig(t_max=1.0))
+    assert traj.end_reason == "t_max"
+    assert traj.samples[0].energy_norm == energy(bump, well_op, mode).energy_norm > 0
+
+
 def test_projection_rejects_zero(small_op):
     mode = EquationMode.subcritical(3.0, 1)
     with pytest.raises(ValueError):
