@@ -12,7 +12,11 @@ Subcommands, the files each writes into --out, and its exit codes:
   classify     the configured initial data against the thresholds:
                classification.txt (only with --out); 2 on the absorbing
                nonlinearity
-  verify       the semigroup estimate verifiers: verification.csv
+  verify       the semigroup estimate verifiers: verification.csv; 1
+               when the verified semigroup (e^{-t(L + 1)} for class A,
+               e^{-tL} for class B) has no energy space, decided up front
+               by the rule of operators._energy_space; the spacetime row
+               is written only where that rule holds at shift 0
   sweep        solve once per value of one config key: sweep.csv plus one
                run_NNN/ directory per value; a failed row is recorded in
                the error column, not in the exit code
@@ -20,6 +24,11 @@ Subcommands, the files each writes into --out, and its exit codes:
 Every command exits 0 on success (a BlowsUp verdict is a successful run),
 2 on configuration errors, a missing config file or a bad command line
 (the message names the offending key or option), 1 on anything else.
+A configuration error is any refusal of ExperimentConfig.from_mapping,
+which builds every spec from the keys, so a spec's own rule (a potential
+outside its range for the dimension, say) exits 2 naming its key (config
+module docstring).  What needs the assembled operator exits 1: a
+potential singular at a grid node, and an operator with no energy space.
 
 Artifacts are plain text: `key = value` lines (summary.txt, constants.txt,
 classification.txt) or CSV with one header line (the .csv files).  Floats
@@ -54,13 +63,8 @@ from .experiments import (
     sweep,
     write_constants,
 )
-from .semigroup import (
-    EstimateSpec,
-    _spectral_gap,
-    verify_gaussian_bound,
-    verify_l2lq_decay,
-    verify_spacetime,
-)
+from .operators import _energy_multiplier, _energy_space
+from .semigroup import EstimateSpec, verify_gaussian_bound, verify_l2lq_decay, verify_spacetime
 from .variational import ConvergenceError, classify, energy
 
 VERIFY_HEADER = "operator,estimate,slope,target,prefactor,pass"
@@ -110,6 +114,7 @@ def _cmd_classify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     op = build_operator(cfg)
     shifted = op.assumption_class == "A"
+    _energy_multiplier(op, float(shifted), "the verified semigroup decay")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for r_exp, name in ((2.0, "l2_to_l2_decay"), (math.inf, "l2_to_linf_decay")):
@@ -117,7 +122,7 @@ def _cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         rows.append(
             (op.spec.kind, name, rep.slope, rep.target_slope, rep.prefactor, rep.passed)
         )
-    if _spectral_gap(op):
+    if _energy_space(op, 0.0):
         probe = op.eigenvector(0) + op.eigenvector(min(1, op.n_modes - 1))
         ratio = verify_spacetime(op, probe)
         target = 1.0 / math.sqrt(2.0)

@@ -10,11 +10,44 @@ never reaches the numerics.
 The ExperimentConfig fields are the single list of keys: each field's
 metadata gives the dotted key it is filled from, the parser that type- and
 range-checks its value, and its default (_REQUIRED when the key must be
-given).  _SCHEMA maps each key to its field.  Rules that tie several keys
-together follow the key loop in from_mapping.  The accepted operator.kind
+given).  _SCHEMA maps each key to its field.  The accepted operator.kind
 and integrator.scheme names and the integrator.* defaults are read from
 operators.OPERATOR_KINDS, evolution.SCHEMES and IntegratorConfig, so a new
 scheme or a changed default is stated once.  Every number must be finite.
+
+Each rule is stated once, by whoever owns it.  The specs own theirs, and
+one builder per spec turns keys into it; the run calls the same builders:
+
+  build_domain         domain.*              grids.DomainSpec
+  build_grid           grid.n                grids.Grid
+  build_mode           equation.*            variational.EquationMode
+  build_operator_spec  operator.*, potential.*   operators.OperatorSpec
+  _integrator_config   integrator.*          evolution.IntegratorConfig
+
+After the key loop, from_mapping calls every builder, then
+operators._check_domain, which holds robin_halfline's halfline rule and
+the potential's range for the domain's dimension (validate_potential).  A
+spec refuses by a grids.FieldError that names its (spec, field), and
+_named reports it as the ConfigError of the key that field is filled from
+(_FIELD_KEYS):
+
+  DomainSpec kind, lower, upper      domain.kind, domain.lower, domain.upper
+  Grid n                             grid.n
+  EquationMode regime, p             equation.regime, equation.p
+  OperatorSpec kind, potential, sigma  operator.kind, potential.kind,
+                                     operator.sigma
+  PotentialSpec alpha, coupling, sign  potential.alpha, potential.coupling,
+                                     potential.sign
+  IntegratorConfig <field>           integrator.<key> (blowup_sup_cap and
+                                     blowup_energy_cap: sup_cap, energy_cap)
+
+The config itself states only what no spec does: unknown keys, parsing
+and finiteness, required keys and defaults, per-axis broadcasting of
+grid.n and initial.center, equation.p required unless the regime is
+critical, inverse-power alpha > 0, gaussian_well width > 0, operator.sigma
+>= 0 and potential.sign +-1 on every kind, the scaled_ground_state rules
+and the sweep rules.  A potential singular at a grid node needs the node
+coordinates, so assembly refuses it (operators.AssemblyError).
 
 Every artifact heatlab writes uses the same spelling of a value
 (_fmt_value): floats (np.float64 included) by repr, booleans as true/false,
@@ -26,11 +59,15 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .evolution import SCHEMES, IntegratorConfig
-from .operators import OPERATOR_KINDS
+from .grids import DomainSpec, FieldError, Grid, build_grid
+from .operators import OPERATOR_KINDS, ZERO_POTENTIAL, OperatorSpec, PotentialSpec, _check_domain
+from .variational import EquationMode
 
 Scalar = Union[int, float, bool, str]
 Value = Union[Scalar, Tuple[Scalar, ...]]
@@ -161,13 +198,12 @@ def _choice(*choices: str) -> Callable[[Value], str]:
 
 
 def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
-    """Wrap parse so that the value, or every item of a tuple, satisfies ok."""
+    """Wrap parse so that the value satisfies ok."""
 
     def check(value: Value):
         out = parse(value)
-        for item in _items(out):
-            if not ok(item):
-                raise ValueError(message)
+        if not ok(out):
+            raise ValueError(message)
         return out
 
     return check
@@ -182,9 +218,6 @@ def _nonnegative(parse: Callable) -> Callable:
 
 
 _REQUIRED = object()
-_grid_counts = _checked(
-    _each(_integer), lambda v: v >= 2, "need at least 2 interior nodes per axis"
-)
 _sign = _checked(_integer, lambda v: v in (1, -1), "sign is +1 (repulsive) or -1 (attractive)")
 
 
@@ -199,7 +232,8 @@ class ExperimentConfig:
 
     A default of None means "not set"; domain.lower (required unless the
     domain is a halfline) and equation.p (required unless the regime is
-    critical) are checked after the key loop in from_mapping.
+    critical) are checked after the key loop in from_mapping, which then
+    builds every spec (module docstring).
     """
 
     regime: str = _key("equation.regime", _choice("subcritical", "critical"))
@@ -208,7 +242,7 @@ class ExperimentConfig:
     domain_kind: str = _key("domain.kind", _choice("interval", "box", "halfline"))
     lower: Tuple[float, ...] = _key("domain.lower", _each(_number), None)
     upper: Tuple[float, ...] = _key("domain.upper", _each(_number))
-    n: Tuple[int, ...] = _key("grid.n", _grid_counts)
+    n: Tuple[int, ...] = _key("grid.n", _each(_integer))
     operator_kind: str = _key("operator.kind", _choice(*OPERATOR_KINDS), "dirichlet_laplacian")
     sigma: float = _key("operator.sigma", _nonnegative(_number), 0.0)
     potential_kind: str = _key(
@@ -228,22 +262,20 @@ class ExperimentConfig:
     lam: float = _key("initial.lambda", _nonnegative(_number), 1.0)
     mode_index: int = _key("initial.k", _nonnegative(_integer), 0)
     scheme: str = _key("integrator.scheme", _choice(*SCHEMES), IntegratorConfig.scheme)
-    t_max: float = _key("integrator.t_max", _positive(_number))
-    dt_init: float = _key("integrator.dt_init", _positive(_number), IntegratorConfig.dt_init)
-    dt_min: float = _key("integrator.dt_min", _positive(_number), IntegratorConfig.dt_min)
-    dt_max: float = _key("integrator.dt_max", _positive(_number), IntegratorConfig.dt_max)
-    rel_tol: float = _key("integrator.rel_tol", _positive(_number), IntegratorConfig.rel_tol)
-    sup_cap: float = _key(
-        "integrator.sup_cap", _positive(_number), IntegratorConfig.blowup_sup_cap
-    )
+    t_max: float = _key("integrator.t_max", _number)
+    dt_init: float = _key("integrator.dt_init", _number, IntegratorConfig.dt_init)
+    dt_min: float = _key("integrator.dt_min", _number, IntegratorConfig.dt_min)
+    dt_max: float = _key("integrator.dt_max", _number, IntegratorConfig.dt_max)
+    rel_tol: float = _key("integrator.rel_tol", _number, IntegratorConfig.rel_tol)
+    sup_cap: float = _key("integrator.sup_cap", _number, IntegratorConfig.blowup_sup_cap)
     energy_cap: float = _key(
-        "integrator.energy_cap", _positive(_number), IntegratorConfig.blowup_energy_cap
+        "integrator.energy_cap", _number, IntegratorConfig.blowup_energy_cap
     )
     sample_interval: Optional[float] = _key(
-        "integrator.sample_interval", _positive(_number), IntegratorConfig.sample_interval
+        "integrator.sample_interval", _number, IntegratorConfig.sample_interval
     )
     cutoff_radii: Tuple[float, ...] = _key(
-        "integrator.cutoff_radii", _positive(_each(_number)), IntegratorConfig.cutoff_radii
+        "integrator.cutoff_radii", _each(_number), IntegratorConfig.cutoff_radii
     )
     diag_alpha: float = _key("diagnostics.alpha", _positive(_number), 0.1)
     diag_A: Optional[float] = _key("diagnostics.A", _positive(_number), None)
@@ -274,58 +306,16 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
 
-        domain_kind = values["domain_kind"]
         if values["lower"] is None:
-            if domain_kind != "halfline":
+            if values["domain_kind"] != "halfline":
                 raise ConfigError("domain.lower", "required key is missing")
             values["lower"] = (0.0,)
-        lower, upper = values["lower"], values["upper"]
-        if len(lower) != len(upper):
-            raise ConfigError("domain.lower", "lower and upper have different lengths")
-        dim = len(lower)
-        if domain_kind == "interval" and dim != 1:
-            raise ConfigError("domain.kind", "interval domains are one-dimensional")
-        if domain_kind == "halfline" and (dim != 1 or lower[0] != 0.0):
-            raise ConfigError("domain.kind", "halfline domains are 1-d starting at 0")
-        for lo, up in zip(lower, upper):
-            if not up > lo:
-                raise ConfigError("domain.upper", "upper must exceed lower on every axis")
-        for key, name in (("grid.n", "n"), ("initial.center", "center")):
-            if len(values[name]) == 1:
-                values[name] = values[name] * dim
-            if len(values[name]) != dim:
-                raise ConfigError(key, f"expected {dim} entries, got {len(values[name])}")
-
-        p = values["p"]
-        if values["regime"] == "critical":
-            if dim < 3:
-                raise ConfigError("equation.regime", "critical requires d >= 3")
-            p_star = (dim + 2.0) / (dim - 2.0)
-            if p is not None and abs(p - p_star) > 1e-12:
-                raise ConfigError("equation.p", f"critical exponent in d={dim} is {p_star}")
-            values["p"] = p_star
-        elif p is None:
+        if values["p"] is None and values["regime"] != "critical":
             raise ConfigError("equation.p", "required key is missing")
-        elif dim >= 3:
-            p_star = (dim + 2.0) / (dim - 2.0)
-            if not 1.0 < p < p_star:
-                raise ConfigError("equation.p", f"subcritical range in d={dim} is (1, {p_star})")
-        elif p <= 1.0:
-            raise ConfigError("equation.p", "need p > 1")
-
-        if values["operator_kind"] == "robin_halfline" and domain_kind != "halfline":
-            raise ConfigError("operator.kind", "robin_halfline needs domain.kind = halfline")
-        potential_kind = values["potential_kind"]
-        if potential_kind != "zero" and values["operator_kind"] != "schrodinger":
-            raise ConfigError("potential.kind", "potentials need operator.kind = schrodinger")
-        if potential_kind == "inverse_power":
-            if values["potential_alpha"] <= 0:
-                raise ConfigError("potential.alpha", "inverse-power potential needs alpha > 0")
-            if values["potential_coupling"] < 0:
-                raise ConfigError("potential.coupling", "inverse-power coupling must be >= 0")
-        if potential_kind == "gaussian_well" and values["potential_width"] <= 0:
+        if values["potential_kind"] == "inverse_power" and values["potential_alpha"] <= 0:
+            raise ConfigError("potential.alpha", "inverse-power potential needs alpha > 0")
+        if values["potential_kind"] == "gaussian_well" and values["potential_width"] <= 0:
             raise ConfigError("potential.width", "need width > 0")
-
         if values["recipe"] == "scaled_ground_state" and values["regime"] == "critical":
             raise ConfigError(
                 "initial.recipe", "scaled_ground_state is undefined in the critical regime"
@@ -334,9 +324,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "initial.recipe", "scaled_ground_state needs equation.nonlinearity = source"
             )
-        if not values["dt_min"] <= values["dt_init"] <= values["dt_max"]:
-            raise ConfigError("integrator.dt_init", "need dt_min <= dt_init <= dt_max")
-
         sweep_key = values["sweep_key"]
         if sweep_key is not None:
             if sweep_key not in _SCHEMA or sweep_key.startswith("sweep."):
@@ -344,7 +331,16 @@ class ExperimentConfig:
             if "sweep.values" not in raw:
                 raise ConfigError("sweep.values", "sweep.key set but sweep.values is missing")
 
-        return ExperimentConfig(**values, raw=dict(raw))
+        cfg = ExperimentConfig(**values, raw=dict(raw))
+        domain = _named(build_domain, cfg)
+        n, center = (v * domain.dim if len(v) == 1 else v for v in (cfg.n, cfg.center))
+        if len(center) != domain.dim:
+            raise ConfigError("initial.center", f"expected {domain.dim} entries, got {len(center)}")
+        _named(build_grid, domain, n)
+        mode = _named(build_mode, cfg)
+        _named(_check_domain, _named(build_operator_spec, cfg), domain)
+        _named(_integrator_config, cfg)
+        return replace(cfg, n=n, center=center, p=mode.p)
 
     def with_override(self, key: str, value: Value) -> "ExperimentConfig":
         """Re-validate with one key replaced (used by sweeps)."""
@@ -355,6 +351,110 @@ class ExperimentConfig:
     def echo_text(self) -> str:
         """Canonical `key = value` rendering of the raw mapping (round-trips)."""
         return _fmt_pairs(sorted(self.raw.items()))
+
+
+def build_domain(cfg: ExperimentConfig) -> DomainSpec:
+    """domain.* as a DomainSpec (a config halfline is a halfline_truncated domain)."""
+    kind = {"interval": "interval", "box": "box", "halfline": "halfline_truncated"}[cfg.domain_kind]
+    return DomainSpec(kind=kind, lower=cfg.lower, upper=cfg.upper)
+
+
+def build_mode(cfg: ExperimentConfig) -> EquationMode:
+    """equation.* as an EquationMode; without equation.p (which only the
+    critical regime allows) p is the critical exponent (d+2)/(d-2)."""
+    if cfg.p is None:
+        return EquationMode.critical(cfg.dim, nonlinearity=cfg.nonlinearity)
+    return EquationMode(cfg.regime, cfg.p, cfg.dim, cfg.nonlinearity)
+
+
+def build_operator_spec(cfg: ExperimentConfig) -> OperatorSpec:
+    """operator.* and potential.* as an OperatorSpec.  gaussian_well is the
+    tabulated V(x) = -depth exp(-|x|^2 / width^2)."""
+    if cfg.potential_kind == "zero":
+        potential = ZERO_POTENTIAL
+    elif cfg.potential_kind == "inverse_power":
+        potential = PotentialSpec(
+            kind="inverse_power",
+            alpha=cfg.potential_alpha,
+            coupling=cfg.potential_coupling,
+            sign=cfg.potential_sign,
+        )
+    else:  # gaussian_well
+        depth, width = cfg.potential_depth, cfg.potential_width
+
+        def well(x: np.ndarray) -> np.ndarray:
+            r_sq = np.sum(x * x, axis=-1)
+            return -depth * np.exp(-r_sq / (width * width))
+
+        potential = PotentialSpec(kind="tabulated_bounded", fn=well, sign=-1)
+    return OperatorSpec(kind=cfg.operator_kind, potential=potential, sigma=cfg.sigma)
+
+
+def _diag_radius(cfg: ExperimentConfig) -> Optional[float]:
+    """The concavity radius: diagnostics.R, by default in the critical
+    regime half the truncation radius, which is half the smallest distance
+    from the domain center to its boundary."""
+    if cfg.diag_R is None and cfg.regime == "critical":
+        return 0.5 * min((u - l) / 2.0 for l, u in zip(cfg.lower, cfg.upper))
+    return cfg.diag_R
+
+
+def _integrator_config(cfg: ExperimentConfig) -> IntegratorConfig:
+    """integrator.* as an IntegratorConfig; in the critical regime the
+    cutoff radii include the concavity radius."""
+    radii = cfg.cutoff_radii
+    diag_R = _diag_radius(cfg)
+    if cfg.regime == "critical" and diag_R not in radii:
+        radii = radii + (diag_R,)
+    return IntegratorConfig(
+        t_max=cfg.t_max,
+        dt_init=cfg.dt_init,
+        dt_min=cfg.dt_min,
+        dt_max=cfg.dt_max,
+        rel_tol=cfg.rel_tol,
+        blowup_sup_cap=cfg.sup_cap,
+        blowup_energy_cap=cfg.energy_cap,
+        scheme=cfg.scheme,
+        sample_interval=cfg.sample_interval,
+        cutoff_radii=radii,
+    )
+
+
+# (spec, field) -> the dotted key it is filled from, for the fields whose
+# refusal (a grids.FieldError) a config can provoke
+_FIELD_KEYS = {
+    (DomainSpec, "kind"): "domain.kind",
+    (DomainSpec, "lower"): "domain.lower",
+    (DomainSpec, "upper"): "domain.upper",
+    (Grid, "n"): "grid.n",
+    (EquationMode, "regime"): "equation.regime",
+    (EquationMode, "p"): "equation.p",
+    (OperatorSpec, "kind"): "operator.kind",
+    (OperatorSpec, "potential"): "potential.kind",
+    (OperatorSpec, "sigma"): "operator.sigma",
+    (PotentialSpec, "alpha"): "potential.alpha",
+    (PotentialSpec, "coupling"): "potential.coupling",
+    (PotentialSpec, "sign"): "potential.sign",
+    (IntegratorConfig, "scheme"): "integrator.scheme",
+    (IntegratorConfig, "t_max"): "integrator.t_max",
+    (IntegratorConfig, "dt_init"): "integrator.dt_init",
+    (IntegratorConfig, "dt_min"): "integrator.dt_min",
+    (IntegratorConfig, "dt_max"): "integrator.dt_max",
+    (IntegratorConfig, "rel_tol"): "integrator.rel_tol",
+    (IntegratorConfig, "blowup_sup_cap"): "integrator.sup_cap",
+    (IntegratorConfig, "blowup_energy_cap"): "integrator.energy_cap",
+    (IntegratorConfig, "sample_interval"): "integrator.sample_interval",
+    (IntegratorConfig, "cutoff_radii"): "integrator.cutoff_radii",
+}
+
+
+def _named(build: Callable, *args):
+    """build(*args), with a spec's refusal raised as the ConfigError of the
+    key the refused field is filled from."""
+    try:
+        return build(*args)
+    except FieldError as exc:
+        raise ConfigError(_FIELD_KEYS[exc.field], str(exc)) from None
 
 
 # dotted key -> ExperimentConfig field, in declaration order

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, _lq_integral
+from .grids import Field, FieldError, _lq_integral
 from .operators import SpectralOperator, _MirrorSector, _mirror_sector, _sector_folds
 from .variational import EquationMode, _functionals, _mode_multiplier, _source_term
 
@@ -58,12 +58,13 @@ class IntegratorConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
-        """Refuses, by the field's name, what the config file refuses: a
-        non-finite or non-positive size, tolerance, cap, sample interval or
-        cutoff radius, dt_init outside [dt_min, dt_max], and a max_steps
-        that is not an integer of at least 1 (a bool is not one)."""
+        """Refuses, by the field's name (a grids.FieldError, which the config
+        reports under the field's key): a non-finite or non-positive size,
+        tolerance, cap, sample interval or cutoff radius, dt_init outside
+        [dt_min, dt_max], and a max_steps that is not an integer of at least
+        1 (a bool is not one)."""
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise FieldError(f"unknown scheme {self.scheme!r}", (IntegratorConfig, "scheme"))
         names = "t_max dt_init dt_min dt_max rel_tol blowup_sup_cap blowup_energy_cap".split()
         sizes = [(name, getattr(self, name)) for name in names]
         if self.sample_interval is not None:
@@ -71,15 +72,20 @@ class IntegratorConfig:
         sizes += [("cutoff_radii", r) for r in self.cutoff_radii]
         for name, value in sizes:
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+                raise FieldError(
+                    f"{name} must be finite and positive, got {value!r}", (IntegratorConfig, name)
+                )
         if not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+            raise FieldError("need 0 < dt_min <= dt_init <= dt_max", (IntegratorConfig, "dt_init"))
         if (
             isinstance(self.max_steps, bool)
             or not isinstance(self.max_steps, (int, np.integer))
             or self.max_steps < 1
         ):
-            raise ValueError(f"max_steps must be at least 1 and an integer, got {self.max_steps!r}")
+            raise FieldError(
+                f"max_steps must be at least 1 and an integer, got {self.max_steps!r}",
+                (IntegratorConfig, "max_steps"),
+            )
 
 
 @dataclass(frozen=True)

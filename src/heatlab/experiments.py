@@ -30,26 +30,29 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _fmt_csv, _fmt_pairs, _write_artifact
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    _diag_radius,
+    _fmt_csv,
+    _fmt_pairs,
+    _integrator_config,
+    _write_artifact,
+    build_domain,
+    build_mode,
+    build_operator_spec,
+)
 from .diagnostics import concavity, coercivity_check, invariance_check, verdict
 from .evolution import (
-    IntegratorConfig,
     Trajectory,
     energy_identity_residual,
     integrate_rows,
     mass_identity_residual,
 )
-from .grids import DomainSpec, Field, Grid, build_grid, field_from_function, lp_norm, zero_field
-from .operators import (
-    OperatorSpec,
-    PotentialSpec,
-    SpectralOperator,
-    ZERO_POTENTIAL,
-    assemble,
-)
+from .grids import Field, build_grid, field_from_function, lp_norm, zero_field
+from .operators import SpectralOperator, assemble
 from .variational import (
     ConvergenceError,
-    EquationMode,
     VariationalConstants,
     classify,
     _level_from_s,
@@ -58,39 +61,9 @@ from .variational import (
 )
 
 
-def build_domain(cfg: ExperimentConfig) -> DomainSpec:
-    kind = {"interval": "interval", "box": "box", "halfline": "halfline_truncated"}[cfg.domain_kind]
-    return DomainSpec(kind=kind, lower=cfg.lower, upper=cfg.upper)
-
-
 def build_operator(cfg: ExperimentConfig) -> SpectralOperator:
-    domain = build_domain(cfg)
-    grid = build_grid(domain, cfg.n)
-    if cfg.potential_kind == "zero":
-        potential = ZERO_POTENTIAL
-    elif cfg.potential_kind == "inverse_power":
-        potential = PotentialSpec(
-            kind="inverse_power",
-            alpha=cfg.potential_alpha,
-            coupling=cfg.potential_coupling,
-            sign=cfg.potential_sign,
-        )
-    else:  # gaussian_well
-        depth, width = cfg.potential_depth, cfg.potential_width
-
-        def well(x: np.ndarray) -> np.ndarray:
-            r_sq = np.sum(x * x, axis=-1)
-            return -depth * np.exp(-r_sq / (width * width))
-
-        potential = PotentialSpec(kind="tabulated_bounded", fn=well, sign=-1)
-    spec = OperatorSpec(kind=cfg.operator_kind, potential=potential, sigma=cfg.sigma)
-    return assemble(spec, grid)
-
-
-def build_mode(cfg: ExperimentConfig) -> EquationMode:
-    if cfg.regime == "critical":
-        return EquationMode.critical(cfg.dim, nonlinearity=cfg.nonlinearity)
-    return EquationMode.subcritical(cfg.p, cfg.dim, nonlinearity=cfg.nonlinearity)
+    """Assemble the configured operator on the configured grid."""
+    return assemble(build_operator_spec(cfg), build_grid(build_domain(cfg), cfg.n))
 
 
 def make_initial_data(
@@ -129,41 +102,6 @@ def make_initial_data(
     if cfg.mode_index >= op.n_modes:
         raise ConfigError("initial.k", f"operator has only {op.n_modes} modes")
     return cfg.amplitude * op.eigenvector(cfg.mode_index)
-
-
-def default_cutoff_radius(grid: Grid) -> float:
-    """Half the truncation radius: half the smallest distance from the
-    domain center to its boundary."""
-    return 0.5 * min((u - l) / 2.0 for l, u in zip(grid.domain.lower, grid.domain.upper))
-
-
-def _diag_radius(cfg: ExperimentConfig, setup: RunSetup) -> Optional[float]:
-    """The concavity radius: diagnostics.R, by default half the truncation
-    radius in the critical regime."""
-    if cfg.diag_R is None and setup.mode.regime == "critical":
-        return default_cutoff_radius(setup.op.grid)
-    return cfg.diag_R
-
-
-def _integrator_config(cfg: ExperimentConfig, setup: RunSetup) -> IntegratorConfig:
-    """The run's integrator settings; in the critical regime the cutoff
-    radii include the concavity radius."""
-    radii = cfg.cutoff_radii
-    diag_R = _diag_radius(cfg, setup)
-    if setup.mode.regime == "critical" and diag_R not in radii:
-        radii = radii + (diag_R,)
-    return IntegratorConfig(
-        t_max=cfg.t_max,
-        dt_init=cfg.dt_init,
-        dt_min=cfg.dt_min,
-        dt_max=cfg.dt_max,
-        rel_tol=cfg.rel_tol,
-        blowup_sup_cap=cfg.sup_cap,
-        blowup_energy_cap=cfg.energy_cap,
-        scheme=cfg.scheme,
-        sample_interval=cfg.sample_interval,
-        cutoff_radii=radii,
-    )
 
 
 def write_constants(
@@ -265,7 +203,7 @@ def _run_rows(cfgs: list, out_dirs: list, setup: RunSetup) -> list:
             outcomes.append(exc)
     started = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     trajs = integrate_rows(
-        [outcomes[i] for i in started], setup.op, setup.mode, _integrator_config(cfgs[0], setup)
+        [outcomes[i] for i in started], setup.op, setup.mode, _integrator_config(cfgs[0])
     )
     for i, traj in zip(started, trajs):
         try:
@@ -327,7 +265,7 @@ def _finish_run(
             else:
                 a_val = 10.0 * max(1.0, mass0)
         try:
-            rep = concavity(traj, A=a_val, alpha=cfg.diag_alpha, R=_diag_radius(cfg, setup))
+            rep = concavity(traj, A=a_val, alpha=cfg.diag_alpha, R=_diag_radius(cfg))
             facts += [(f"concavity_{name}", getattr(rep, name))
                       for name in ("A", "alpha", "R", "margin", "t_tilde")]
         except ValueError as exc:

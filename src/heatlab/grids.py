@@ -22,6 +22,16 @@ import numpy as np
 DOMAIN_KINDS = ("interval", "box", "halfline_truncated")
 
 
+class FieldError(ValueError):
+    """A spec's refusal of its input.  field is (spec class, field name)
+    when one field is refused, so that a caller who filled the field from a
+    named input can name it (config maps it to the dotted key); else None."""
+
+    def __init__(self, message: str, field: tuple[type, str] | None = None):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Axis-aligned computational domain.
@@ -40,24 +50,26 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in DOMAIN_KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise FieldError(f"unknown domain kind {self.kind!r}", (DomainSpec, "kind"))
         lower = tuple(float(x) for x in self.lower)
         upper = tuple(float(x) for x in self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if len(lower) != len(upper) or not lower:
-            raise ValueError("lower/upper must be non-empty and of equal length")
+            raise FieldError(
+                "lower/upper must be non-empty and of equal length", (DomainSpec, "lower")
+            )
         if not all(map(math.isfinite, lower + upper)):
-            raise ValueError("domain bounds must be finite")
+            raise FieldError("domain bounds must be finite", (DomainSpec, "upper"))
         if any(u <= l for l, u in zip(lower, upper)):
-            raise ValueError("each upper bound must exceed the lower bound")
+            raise FieldError("each upper bound must exceed the lower bound", (DomainSpec, "upper"))
         if self.kind == "interval" and len(lower) != 1:
-            raise ValueError("interval domains are one-dimensional")
-        if self.kind == "halfline_truncated":
-            if len(lower) != 1:
-                raise ValueError("halfline_truncated domains are one-dimensional")
-            if lower[0] != 0.0:
-                raise ValueError("halfline_truncated domains start at 0")
+            raise FieldError("interval domains are one-dimensional", (DomainSpec, "kind"))
+        if self.kind == "halfline_truncated" and (len(lower) != 1 or lower[0] != 0.0):
+            raise FieldError(
+                "halfline_truncated domains are one-dimensional and start at 0",
+                (DomainSpec, "kind"),
+            )
 
     @property
     def dim(self) -> int:
@@ -100,9 +112,9 @@ class Grid:
         n = tuple(int(k) for k in self.n)
         object.__setattr__(self, "n", n)
         if len(n) != self.domain.dim:
-            raise ValueError("one node count per axis required")
+            raise FieldError("one node count per axis required", (Grid, "n"))
         if any(k < 2 for k in n):
-            raise ValueError("need at least 2 interior nodes per axis")
+            raise FieldError("need at least 2 interior nodes per axis", (Grid, "n"))
         h = tuple((u - l) / (k + 1) for l, u, k in zip(self.domain.lower, self.domain.upper, n))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "weight", float(np.prod(h)))

@@ -98,7 +98,7 @@ and are "B"; so is a zero or zero-coupling potential and a repulsive
 inverse power, while an attractive one, the inverse square up to the Hardy
 constant included, is "A".  A tabulated potential is classed by its node
 values, whether V was given as values or as fn.  An inverse power outside
-the Kato range is refused by potential_on_grid before any class is set.
+the Kato range is refused by _check_domain before anything is assembled.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse
 
-from .grids import Field, Grid, _weight_ratios
+from .grids import DomainSpec, Field, FieldError, Grid, _weight_ratios
 
 POTENTIAL_KINDS = ("zero", "tabulated_bounded", "inverse_power")
 OPERATOR_KINDS = ("dirichlet_laplacian", "schrodinger", "robin_halfline")
@@ -121,8 +121,9 @@ _ROW_BLOCK = 256  # matrix rows per pass where an N x N temporary is avoided
 _FOLD_TOL = 1e-12  # the mirror rule: max|x - mirror x| <= _FOLD_TOL * max|x| (_mirror_axes)
 
 
-class AssemblyError(ValueError):
-    """Raised when an operator cannot be discretised on the given grid."""
+class AssemblyError(FieldError):
+    """Raised when an operator cannot be discretised on the given grid;
+    .field names the spec field at fault where one is (grids.FieldError)."""
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,14 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise FieldError(f"unknown potential kind {self.kind!r}", (PotentialSpec, "kind"))
         if self.kind == "inverse_power":
             if self.sign not in (1, -1):
-                raise ValueError("inverse_power sign must be +1 or -1")
+                raise FieldError("inverse_power sign must be +1 or -1", (PotentialSpec, "sign"))
             if self.coupling < 0:
-                raise ValueError("inverse_power coupling must be >= 0")
+                raise FieldError("inverse_power coupling must be >= 0", (PotentialSpec, "coupling"))
             if self.alpha < 0:
-                raise ValueError("inverse_power alpha must be >= 0")
+                raise FieldError("inverse_power alpha must be >= 0", (PotentialSpec, "alpha"))
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "inverse_power" and self.coupling == 0.0)
@@ -165,8 +166,10 @@ ZERO_POTENTIAL = PotentialSpec()
 class OperatorSpec:
     """Declarative description of a self-adjoint generator L >= lower bound.
 
-    assemble derives its assumption class from the sampled potential
-    (module docstring): "B" unless some node value of V is negative.
+    Only the schrodinger family takes a potential: a nonzero one on another
+    kind is refused rather than dropped.  assemble derives the assumption
+    class from the sampled potential (module docstring): "B" unless some
+    node value of V is negative.
     """
 
     kind: str
@@ -175,9 +178,14 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+            raise FieldError(f"unknown operator kind {self.kind!r}", (OperatorSpec, "kind"))
+        if self.kind != "schrodinger" and not self.potential.is_zero():
+            raise FieldError(
+                f"{self.kind} takes no potential; potentials need kind schrodinger",
+                (OperatorSpec, "potential"),
+            )
         if self.kind == "robin_halfline" and self.sigma < 0:
-            raise ValueError("robin_halfline requires sigma >= 0")
+            raise FieldError("robin_halfline requires sigma >= 0", (OperatorSpec, "sigma"))
 
 
 def validate_potential(pot: PotentialSpec, dim: int) -> None:
@@ -193,18 +201,34 @@ def validate_potential(pot: PotentialSpec, dim: int) -> None:
     if pot.alpha == 2.0 and pot.sign < 0:
         hardy = (dim - 2) ** 2 / 4.0
         if dim < 3:
-            raise AssemblyError("inverse-square potential requires dimension >= 3")
+            raise AssemblyError(
+                "inverse-square potential requires dimension >= 3", (PotentialSpec, "alpha")
+            )
         if not (0.0 < pot.coupling <= hardy):
             raise AssemblyError(
                 f"inverse-square coupling {pot.coupling} outside (0, {hardy}] "
-                f"for dimension {dim}"
+                f"for dimension {dim}",
+                (PotentialSpec, "coupling"),
             )
         return
     limit = 2.0 if dim >= 2 else 1.0
     if not (0.0 <= pot.alpha < limit):
         raise AssemblyError(
-            f"inverse_power alpha {pot.alpha} outside [0, {limit}) for dimension {dim}"
+            f"inverse_power alpha {pot.alpha} outside [0, {limit}) for dimension {dim}",
+            (PotentialSpec, "alpha"),
         )
+
+
+def _check_domain(spec: OperatorSpec, domain: DomainSpec) -> None:
+    """The rules that tie an operator spec to a domain, checked before
+    anything is assembled: robin_halfline needs a halfline_truncated domain,
+    and an inverse-power potential the range validate_potential admits in
+    the domain's dimension.  Raises AssemblyError naming the field."""
+    if spec.kind == "robin_halfline" and domain.kind != "halfline_truncated":
+        raise AssemblyError(
+            "robin_halfline requires a halfline_truncated domain", (OperatorSpec, "kind")
+        )
+    validate_potential(spec.potential, domain.dim)
 
 
 def potential_on_grid(pot: PotentialSpec, grid: Grid) -> np.ndarray:
@@ -225,8 +249,7 @@ def potential_on_grid(pot: PotentialSpec, grid: Grid) -> np.ndarray:
         if not np.all(np.isfinite(v)):
             raise AssemblyError("tabulated potential must be bounded (finite values)")
         return v
-    # inverse_power
-    validate_potential(pot, grid.dim)
+    # inverse_power, in the range _check_domain admits
     r = grid.radii()
     h_min = min(grid.h)
     if np.min(r) < 1e-9 * h_min:
@@ -365,6 +388,25 @@ class SpectralOperator:
 
     def matvec(self, values):
         return self.apply_multiplier(self.mu, values)
+
+
+def _energy_space(op, shift: float) -> bool:
+    """The one energy-space rule: sum (mu + shift) |c|^2 over the modes of
+    op (an operator or a mirror sector of one) is a norm only when the
+    smallest mu + shift is above 1e-12 max(|mu_max|, 1)."""
+    return bool(np.min(op.mu) + shift > 1e-12 * max(abs(np.max(op.mu)), 1.0))
+
+
+def _energy_multiplier(op, shift: float, norm: str) -> np.ndarray:
+    """The multiplier a = mu + shift of each mode of op, or ValueError("no
+    energy space: ...") naming norm where _energy_space refuses it."""
+    a = op.mu + shift
+    if not _energy_space(op, shift):
+        raise ValueError(
+            f"no energy space: {norm} needs a positive spectrum of L + {shift:g} "
+            f"(smallest mode multiplier {np.min(a):.3e})"
+        )
+    return a
 
 
 def _live_lengths(blocks: np.ndarray) -> np.ndarray:
@@ -890,9 +932,7 @@ def assemble(spec: OperatorSpec, grid: Grid) -> SpectralOperator:
     potentials that are singular at a node, and when the computed spectrum
     violates the family's certified lower bound.
     """
-    if spec.kind == "robin_halfline" and grid.domain.kind != "halfline_truncated":
-        raise AssemblyError("robin_halfline requires a halfline_truncated domain")
-
+    _check_domain(spec, grid.domain)
     v = potential_on_grid(spec.potential, grid) if spec.kind == "schrodinger" else None
 
     fold = None

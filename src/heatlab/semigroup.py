@@ -43,12 +43,17 @@ import numpy as np
 import scipy.fft
 
 from .grids import Field, _lr_norms
-from .operators import _ROW_BLOCK, SpectralOperator, _dirichlet_axis_eigenvalues, _live_lengths
+from .operators import (
+    _ROW_BLOCK,
+    SpectralOperator,
+    _dirichlet_axis_eigenvalues,
+    _energy_multiplier,
+    _live_lengths,
+)
 
 _COLUMN_BLOCK = 128  # time x field columns per from_coeffs in _semigroup_orbit
 _DECAY_TIMES = 12  # times in default_decay_t_grid
 _RANDOM_PROBES = 5  # random unit fields in decay_probe_family
-_SPECTRUM_TOL = 1e-12  # verify_spacetime needs mu_1 above it
 _GAUSS_COLUMNS = 6  # kernel columns y sampled by verify_gaussian_bound
 _GAUSS_FLOOR = 1e-12  # kernel samples kept above this fraction of their column maximum
 _MOMENTS = 20  # Taylor moment columns J of _dense_max_row_sq's short-time head (1/J! < 2^-60)
@@ -435,11 +440,6 @@ def verify_l2lq_decay(
     )
 
 
-def _spectral_gap(op: SpectralOperator) -> bool:
-    """Whether mu_1 clears _SPECTRUM_TOL, as verify_spacetime requires."""
-    return op.mu_min > _SPECTRUM_TOL
-
-
 def verify_spacetime(op: SpectralOperator, f: Field) -> float:
     """Ratio ||e^{-tL} f||_{L^2((0,inf); H^1(L))} / ||f||_2, closed form.
 
@@ -447,16 +447,14 @@ def verify_spacetime(op: SpectralOperator, f: Field) -> float:
     so once the whole spectrum is positive the ratio is 1/sqrt(2) for every
     nonzero field, whatever the operator: an identity that holds by
     construction, not a bound that a field or an operator can fail.  Returns
-    0 for the zero field.
+    0 for the zero field; otherwise an operator that the energy-space rule
+    (operators._energy_space) refuses at shift 0 raises "no energy space".
     """
     c = op.to_coeffs(f)
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
-    if not _spectral_gap(op):
-        raise ValueError(
-            f"homogeneous space-time norm needs mu_1 > tol, got mu_1 = {op.mu_min:.3e}"
-        )
+    _energy_multiplier(op, 0.0, "the homogeneous space-time norm")
     # int_0^inf mu e^{-2 mu t} dt = 1/2 for every mode
     return math.sqrt(float(np.sum(0.5 * np.abs(c) ** 2)) / total)
 

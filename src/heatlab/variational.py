@@ -23,9 +23,10 @@ threshold machinery (projection, ground state, S, level, classification)
 is specific to the source sign and refuses other modes.
 
 ||u||_E^2 = sum (mu_k + shift) |c_k|^2 is a norm only when every mu_k +
-shift is positive; _mode_multiplier decides that once, for the
-functionals, the solvers, the flows of evolution and the bounds alike, and
-refuses an operator below the energy bound by name.
+shift is positive.  operators._energy_space states that rule once;
+_mode_multiplier applies it for the functionals, the solvers, the flows of
+evolution and the bounds alike, and refuses an operator below the energy
+bound by name.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, _lq_integral, field_from_function, lp_norm
-from .operators import SpectralOperator
+from .grids import Field, FieldError, _lq_integral, field_from_function, lp_norm
+from .operators import SpectralOperator, _energy_multiplier
 from .semigroup import smoothing_norm_2_to_inf
 
 NONLINEARITY = ("source", "absorbing", "none")
@@ -53,6 +54,11 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
+
+
+def _critical_exponent(dim: int) -> float:
+    """(d+2)/(d-2) in dimension d >= 3; inf below, where every p > 1 is subcritical."""
+    return (dim + 2.0) / (dim - 2.0) if dim >= 3 else math.inf
 
 
 @dataclass(frozen=True)
@@ -72,27 +78,32 @@ class EquationMode:
 
     def __post_init__(self):
         if self.regime not in ("subcritical", "critical"):
-            raise ValueError(f"unknown regime {self.regime!r}")
+            raise FieldError(f"unknown regime {self.regime!r}", (EquationMode, "regime"))
         if self.nonlinearity not in NONLINEARITY:
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+            raise FieldError(
+                f"unknown nonlinearity {self.nonlinearity!r}", (EquationMode, "nonlinearity")
+            )
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise FieldError("dim must be >= 1", (EquationMode, "dim"))
         if self.regime == "critical":
             if self.dim < 3:
-                raise ValueError("critical regime requires dim >= 3")
+                raise FieldError("critical requires d >= 3", (EquationMode, "regime"))
             if abs(self.p - self.p_critical) > 1e-12:
-                raise ValueError("critical regime pins p to (d+2)/(d-2)")
-        else:
-            if not (1.0 < self.p):
-                raise ValueError("need p > 1")
-            if self.p >= self.p_critical:
-                raise ValueError(
-                    f"subcritical regime needs p < {self.p_critical} in dimension {self.dim}"
+                raise FieldError(
+                    "the critical regime pins p to the critical exponent (d+2)/(d-2) = "
+                    f"{self.p_critical} in d = {self.dim}",
+                    (EquationMode, "p"),
                 )
+            object.__setattr__(self, "p", self.p_critical)
+        elif not 1.0 < self.p < self.p_critical:
+            raise FieldError(
+                f"the subcritical range in d = {self.dim} is (1, {self.p_critical})",
+                (EquationMode, "p"),
+            )
 
     @property
     def p_critical(self) -> float:
-        return (self.dim + 2.0) / (self.dim - 2.0) if self.dim >= 3 else math.inf
+        return _critical_exponent(self.dim)
 
     @property
     def shift(self) -> float:
@@ -108,9 +119,7 @@ class EquationMode:
 
     @staticmethod
     def critical(dim: int, nonlinearity: str = "source") -> "EquationMode":
-        if dim < 3:
-            raise ValueError("critical requires d >= 3")
-        return EquationMode("critical", (dim + 2.0) / (dim - 2.0), dim, nonlinearity)
+        return EquationMode("critical", _critical_exponent(dim), dim, nonlinearity)
 
 
 @dataclass(frozen=True)
@@ -161,19 +170,11 @@ def _mode_multiplier(op: SpectralOperator, mode: EquationMode) -> np.ndarray:
     """The energy multiplier a = mu + shift of each mode of op (an operator
     or a mirror sector of one): ||u||_E^2 = sum a |c|^2.
 
-    The one energy-space rule: that sum is a norm only when every a is
-    positive, so an operator and mode whose smallest a is not above
-    1e-12 max(|mu_max|, 1) raise ValueError; the flows, the solvers and the
-    bounds all take a from here.
+    The flows, the solvers and the bounds all take a from here, refused by
+    the one energy-space rule (operators._energy_space) with a ValueError
+    that names the mode's energy norm.
     """
-    a = op.mu + mode.shift
-    a_min = np.min(a)
-    if not a_min > 1e-12 * max(abs(np.max(op.mu)), 1.0):
-        raise ValueError(
-            f"no energy space: the {mode.regime} energy norm needs a positive spectrum "
-            f"of L + {mode.shift:g} (smallest mode multiplier {a_min:.3e})"
-        )
-    return a
+    return _energy_multiplier(op, mode.shift, f"the {mode.regime} energy norm")
 
 
 def _require_source(mode: EquationMode, what: str) -> None:

@@ -432,6 +432,71 @@ def test_operator_below_the_energy_bound_is_refused_by_solve_and_sweep(tmp_path,
     assert sorted(os.listdir(sweep_out)) == ["sweep.csv"]
 
 
+def test_verify_refuses_an_operator_with_no_energy_space(tmp_path, capsys):
+    # class A verifies e^{-t(L + 1)}, which grows here (mu_1 + 1 = -2.93); the
+    # rule is applied before any verifier runs, which used to fail with
+    # "semigroup grows past double range at t = 1e+11"
+    out = tmp_path / "ver"
+    assert main(["verify", write_cfg(tmp_path, DEEP_WELL_RUN), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no energy space: ") and "L + 1" in err
+    assert not out.exists()
+
+
+HARDY_BOX = """
+equation.regime = subcritical
+equation.p = 3.0
+domain.kind = box
+domain.lower = -5.0, -5.0, -5.0
+domain.upper = 5.0, 5.0, 5.0
+grid.n = 8
+operator.kind = schrodinger
+potential.kind = inverse_power
+potential.sign = -1
+initial.recipe = gaussian
+initial.amplitude = 0.1
+integrator.t_max = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (HARDY_BOX + "potential.alpha = 3.0\npotential.coupling = 1.0\n", "potential.alpha"),
+        (HARDY_BOX + "potential.alpha = 2.0\npotential.coupling = 0.5\n", "potential.coupling"),
+        (
+            SMALL_RUN.replace("operator.kind = dirichlet_laplacian", "operator.kind = schrodinger")
+            + "potential.kind = inverse_power\npotential.alpha = 2.0\n"
+            + "potential.coupling = 0.5\npotential.sign = -1\n",
+            "potential.alpha",
+        ),
+    ],
+    ids=["alpha_3_in_3d", "coupling_above_hardy", "inverse_square_in_1d"],
+)
+def test_potential_outside_its_range_is_config_error(tmp_path, capsys, text, key):
+    # these passed the config and failed at assembly (exit 1) naming no key
+    cfg = write_cfg(tmp_path, text)
+    for command in ("solve", "classify"):
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config key '{key}': ")
+        assert captured.out == "" and not out.exists()
+
+
+def test_sweep_records_a_potential_outside_its_range(tmp_path):
+    text = SMALL_RUN.replace("operator.kind = dirichlet_laplacian", "operator.kind = schrodinger")
+    text += "potential.kind = inverse_power\npotential.alpha = 0.5\npotential.coupling = 1.0\n"
+    text += "sweep.key = potential.alpha\nsweep.values = 0.5, 2.0\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    good, bad = (row.split(",") for row in rows)
+    assert good[-1] == "" and good[2] == "Dissipates"
+    assert bad[-1].startswith("ConfigError: config key 'potential.alpha': ")
+    assert sorted(os.listdir(out)) == ["run_000", "sweep.csv"]
+
+
 def test_sweep_without_axis_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN)
     rc = main(["sweep", cfg, "--out", str(tmp_path / "x")])

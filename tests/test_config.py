@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatlab.config import (
@@ -18,10 +18,17 @@ from heatlab.config import (
     _fmt_csv,
     _fmt_pairs,
     _fmt_value,
+    _integrator_config,
+    _items,
+    build_domain,
+    build_mode,
+    build_operator_spec,
     load_experiment_config,
     parse_config_text,
 )
 from heatlab.evolution import SCHEMES, IntegratorConfig
+from heatlab.grids import build_grid
+from heatlab.operators import _check_domain
 
 BASE = """
 # 1-d cubic source problem
@@ -123,8 +130,9 @@ def test_critical_needs_three_dimensions():
 
 
 def test_subcritical_exponent_window():
-    with pytest.raises(ConfigError, match="need p > 1"):
+    with pytest.raises(ConfigError, match="subcritical range in d = 1 is") as exc:
         ExperimentConfig.from_mapping(base_map(**{"equation.p": 1.0}))
+    assert exc.value.key == "equation.p"
     raw = base_map(**{
         "domain.kind": "box",
         "domain.lower": (-5.0, -5.0, -5.0),
@@ -141,7 +149,7 @@ def test_domain_shape_validation():
         ExperimentConfig.from_mapping(base_map(**{
             "domain.lower": (0.0, 0.0), "domain.upper": (1.0, 1.0),
         }))
-    with pytest.raises(ConfigError, match="different lengths"):
+    with pytest.raises(ConfigError, match="equal length"):
         ExperimentConfig.from_mapping(base_map(**{
             "domain.kind": "box",
             "domain.lower": (0.0, 0.0), "domain.upper": (1.0, 1.0, 1.0),
@@ -150,7 +158,7 @@ def test_domain_shape_validation():
         ExperimentConfig.from_mapping(base_map(**{
             "domain.lower": 5.0, "domain.upper": -5.0,
         }))
-    with pytest.raises(ConfigError, match="starting at 0"):
+    with pytest.raises(ConfigError, match="start at 0"):
         ExperimentConfig.from_mapping(base_map(**{
             "domain.kind": "halfline", "domain.lower": 1.0, "domain.upper": 30.0,
         }))
@@ -427,7 +435,9 @@ def valid_mappings(draw):
         raw["equation.p"] = 5.0
     if raw["operator.kind"] == "schrodinger":
         raw["potential.kind"] = draw(st.sampled_from(["zero", "inverse_power", "gaussian_well"]))
-        raw["potential.alpha"] = draw(_positive)
+        # inside the Kato range of every sign: alpha < 1 on a line, < 2 above
+        kato = 1.0 if dim == 1 else 2.0
+        raw["potential.alpha"] = draw(st.floats(0.0, kato, exclude_min=True, exclude_max=True))
         raw["potential.coupling"] = draw(_nonnegative)
         raw["potential.width"] = draw(_positive)
     if draw(st.booleans()):
@@ -482,3 +492,67 @@ def test_readme_config_key_list_matches_schema():
         "equation.p",
         "domain.lower",
     }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_mappings())
+def test_valid_mappings_build_every_spec(raw):
+    cfg = ExperimentConfig.from_mapping(raw)
+    domain = build_domain(cfg)
+    grid = build_grid(domain, cfg.n)
+    assert grid.dim == domain.dim == cfg.dim
+    assert build_mode(cfg).p == cfg.p
+    _check_domain(build_operator_spec(cfg), domain)
+    assert _integrator_config(cfg).t_max == cfg.t_max
+
+
+# one spec rule each: the key its refusal must name, and a mutation of a
+# valid mapping that breaks that rule and no other (None where it cannot)
+_BREAKS = {
+    "domain.upper": lambda raw: {"domain.upper": raw.get("domain.lower", 0.0)},
+    "domain.lower": lambda raw: {
+        "domain.lower": _items(raw.get("domain.lower", 0.0)) + (0.0,)
+    },
+    "domain.kind": lambda raw: (
+        {"domain.kind": "interval"} if len(_items(raw["domain.upper"])) > 1
+        else {"domain.kind": "halfline", "domain.lower": -abs(raw["domain.upper"]) - 1.0}
+    ),
+    "grid.n": lambda raw: {"grid.n": 1},
+    "equation.regime": lambda raw: (
+        {"equation.regime": "critical", "initial.recipe": "zero"}
+        if len(_items(raw["domain.upper"])) < 3 else None
+    ),
+    "equation.p": lambda raw: {"equation.p": 1.0 if raw["equation.regime"] == "subcritical"
+                               else 3.0},
+    "operator.kind": lambda raw: (
+        {"operator.kind": "robin_halfline", "potential.kind": "zero"}
+        if raw["domain.kind"] != "halfline" else None
+    ),
+    "potential.kind": lambda raw: {
+        "operator.kind": "dirichlet_laplacian", "potential.kind": "gaussian_well"
+    },
+    "potential.coupling": lambda raw: {
+        "operator.kind": "schrodinger", "potential.kind": "inverse_power",
+        "potential.alpha": 0.5, "potential.coupling": -1.0,
+    },
+    "potential.alpha": lambda raw: {
+        "operator.kind": "schrodinger", "potential.kind": "inverse_power",
+        "potential.alpha": 3.0, "potential.coupling": 1.0,
+    },
+    "integrator.t_max": lambda raw: {"integrator.t_max": -1.0},
+    "integrator.dt_init": lambda raw: {"integrator.dt_init": 2.0 * raw["integrator.dt_max"]},
+    "integrator.rel_tol": lambda raw: {"integrator.rel_tol": 0.0},
+    "integrator.sup_cap": lambda raw: {"integrator.sup_cap": -1.0},
+    "integrator.sample_interval": lambda raw: {"integrator.sample_interval": 0.0},
+    "integrator.cutoff_radii": lambda raw: {"integrator.cutoff_radii": (1.0, -1.0)},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_mappings(), st.sampled_from(sorted(_BREAKS)))
+def test_a_broken_spec_rule_names_its_key(raw, key):
+    change = _BREAKS[key](raw)
+    assume(change is not None)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_mapping({**raw, **change})
+    assert exc.value.key == key and key in _SCHEMA

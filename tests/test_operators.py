@@ -142,6 +142,27 @@ def test_robin_requires_halfline():
         assemble(OperatorSpec(kind="robin_halfline", sigma=1.0), grid)
 
 
+def test_only_schrodinger_takes_a_potential():
+    # the well was dropped without a word on the Dirichlet kind: mu_1 = 0.0247
+    # and class B there, against -3.93 and class A as schrodinger
+    well = PotentialSpec(
+        kind="tabulated_bounded", fn=lambda x: -6.0 * np.exp(-np.sum(x * x, axis=-1)), sign=-1
+    )
+    power = PotentialSpec(kind="inverse_power", alpha=0.5, coupling=1.0)
+    for kind in ("dirichlet_laplacian", "robin_halfline"):
+        for pot in (well, power):
+            with pytest.raises(ValueError, match="potentials need kind schrodinger") as exc:
+                OperatorSpec(kind=kind, potential=pot)
+            assert exc.value.field == (OperatorSpec, "potential")
+    uncoupled = PotentialSpec(kind="inverse_power", alpha=0.5, coupling=0.0)
+    for kind in ("dirichlet_laplacian", "schrodinger", "robin_halfline"):
+        for pot in (ZERO_POTENTIAL, uncoupled):
+            assert OperatorSpec(kind=kind, potential=pot).potential is pot
+    grid = build_grid(DomainSpec.interval(-10.0, 10.0), 200)
+    op = assemble(OperatorSpec(kind="schrodinger", potential=well), grid)
+    assert op.assumption_class == "A" and op.mu_min == pytest.approx(-3.93, abs=0.01)
+
+
 def test_assumption_classification():
     # even node counts keep every node off the origin of the symmetric domains
     line = build_grid(DomainSpec.interval(-5.0, 5.0), 20)
